@@ -365,118 +365,6 @@ impl ScEngine {
         &self.vit
     }
 
-    /// Allocates the scratch buffers [`ScEngine::forward_one`] needs.
-    ///
-    /// One instance per thread; the serial batched
-    /// [`forward`](crate::backend::InferenceBackend::forward) keeps one
-    /// across its whole batch, and each [`crate::serve`] worker owns one.
-    pub fn scratch(&self) -> ForwardScratch {
-        ForwardScratch { softmax_row: vec![0.0f64; self.vit.seq_len()] }
-    }
-
-    /// Runs SC inference for **one image**, returning its logits row.
-    ///
-    /// `patches` holds the image's `[num_patches, patch_dim]` patch matrix.
-    /// This is the shared per-image inner loop: the serial batched
-    /// [`forward`](crate::backend::InferenceBackend::forward) and the
-    /// parallel [`crate::serve::BatchRunner`] both reach it through the
-    /// [`InferenceBackend`](crate::backend::InferenceBackend) framing loop,
-    /// which is what makes the parallel runtime bit-for-bit identical to
-    /// the serial path by construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates softmax-block errors (infeasible configurations are
-    /// rejected at [`ScEngine::compile`] time, so this is unexpected).
-    ///
-    /// # Panics
-    ///
-    /// Panics (like the tensor ops it is built from) if `patches` is not
-    /// `[num_patches, patch_dim]`; the batched
-    /// [`InferenceBackend`](crate::backend::InferenceBackend) entry points
-    /// validate sizes and return [`ScError::InvalidParam`] instead.
-    pub fn forward_one(
-        &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        self.forward_one_observed(patches, scratch, &mut ascend_obs::NoopObserver)
-    }
-
-    /// [`ScEngine::forward_one`] with clock-free stage-boundary events.
-    ///
-    /// Emits [`StageObserver`] `enter`/`exit` pairs around patch embedding,
-    /// per-layer attention linear algebra, the SC softmax, the SC GELU, the
-    /// MLP linear algebra, and the head — the paper's fig. 8 cost-split
-    /// axes. The compute itself never reads a clock (events carry no
-    /// timestamps); the observer decides what a boundary means. With
-    /// [`ascend_obs::NoopObserver`] this *is* `forward_one`, bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ScEngine::forward_one`].
-    pub fn forward_one_observed(
-        &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-        observer: &mut dyn StageObserver,
-    ) -> Result<Vec<f32>, ScError> {
-        let cfg = &self.vit;
-        let plan = &self.plan;
-        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-
-        // Patch embedding (+ cls, + pos), then the residual grid.
-        observer.enter(Stage::PatchEmbed);
-        let tokens = linear(patches, &self.patch_embed.w, &self.patch_embed.b);
-        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
-        observer.exit(Stage::PatchEmbed);
-
-        for lp in &self.layers {
-            let sn = &lp.snap;
-            // --- MSA (softmax carved out as its own stage) ---
-            observer.enter(Stage::Attention);
-            let n1 = affine(&x, &sn.norm1_affine);
-            let xq = fake_quant(&n1, sn.attn_in_step, plan.acts);
-            let q = split_heads(&linear(&xq, &sn.q.w, &sn.q.b), 1, s, h, dh);
-            let k = split_heads(&linear(&xq, &sn.k.w, &sn.k.b), 1, s, h, dh);
-            let v = split_heads(&linear(&xq, &sn.v.w, &sn.v.b), 1, s, h, dh);
-            let mut scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            observer.exit(Stage::Attention);
-            observer.enter(Stage::Softmax);
-            self.sc_softmax_rows(&mut scores, &mut scratch.softmax_row)?;
-            observer.exit(Stage::Softmax);
-            observer.enter(Stage::Attention);
-            let ctx = merge_heads(&scores.batched_matmul(&v), 1, s, h, dh);
-            let ctxq = fake_quant(&ctx, sn.attn_out_step, plan.acts);
-            let attn_out = linear(&ctxq, &sn.proj.w, &sn.proj.b);
-            x = fake_quant(&x.add(&attn_out), sn.res1_step, plan.residual);
-            observer.exit(Stage::Attention);
-
-            // --- MLP with gate-assisted SI GELU ---
-            observer.enter(Stage::Mlp);
-            let n2 = affine(&x, &sn.norm2_affine);
-            let hq = fake_quant(&n2, sn.mlp_in_step, plan.acts);
-            let pre = linear(&hq, &sn.fc1.w, &sn.fc1.b);
-            observer.exit(Stage::Mlp);
-            observer.enter(Stage::Gelu);
-            let act = self.sc_gelu(&pre, &lp.gelu);
-            observer.exit(Stage::Gelu);
-            observer.enter(Stage::Mlp);
-            let out = linear(&act, &sn.fc2.w, &sn.fc2.b);
-            x = fake_quant(&x.add(&out), sn.res2_step, plan.residual);
-            observer.exit(Stage::Mlp);
-        }
-
-        // Head.
-        observer.enter(Stage::Head);
-        let hn = affine(&x, &self.head_affine);
-        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
-        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
-        observer.exit(Stage::Head);
-        Ok(logits)
-    }
-
     /// Applies the SC softmax block to every row of `[n, s, s]` scores,
     /// staging each row through the caller-provided scratch buffer.
     fn sc_softmax_rows(&self, scores: &mut Tensor, row_buf: &mut Vec<f64>) -> Result<(), ScError> {
@@ -541,24 +429,85 @@ impl crate::backend::InferenceBackend for ScEngine {
     }
 
     fn make_scratch(&self) -> ForwardScratch {
-        self.scratch()
+        ForwardScratch { softmax_row: vec![0.0f64; self.vit.seq_len()] }
     }
 
+    /// Runs SC inference for one image, emitting [`StageObserver`] events
+    /// around patch embedding, per-layer attention linear algebra, the SC
+    /// softmax, the SC GELU, the MLP linear algebra, and the head — the
+    /// paper's fig. 8 cost-split axes. The compute itself never reads a
+    /// clock (events carry no timestamps).
+    ///
+    /// # Errors
+    ///
+    /// Propagates softmax-block errors (infeasible configurations are
+    /// rejected at [`ScEngine::compile`] time, so this is unexpected).
+    ///
+    /// # Panics
+    ///
+    /// Panics (like the tensor ops it is built from) if `patches` is not
+    /// `[num_patches, patch_dim]`; the batched entry points validate sizes
+    /// and return [`ScError::InvalidParam`] instead.
     fn forward_one(
         &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        ScEngine::forward_one(self, patches, scratch)
-    }
-
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
+        patches: Tensor,
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        ScEngine::forward_one_observed(self, patches, scratch, observer)
+        let cfg = &self.vit;
+        let plan = &self.plan;
+        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
+
+        // Patch embedding (+ cls, + pos), then the residual grid.
+        observer.enter(Stage::PatchEmbed);
+        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
+        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
+        observer.exit(Stage::PatchEmbed);
+
+        for lp in &self.layers {
+            let sn = &lp.snap;
+            // --- MSA (softmax carved out as its own stage) ---
+            observer.enter(Stage::Attention);
+            let n1 = affine(&x, &sn.norm1_affine);
+            let xq = fake_quant(&n1, sn.attn_in_step, plan.acts);
+            let q = split_heads(&linear(&xq, &sn.q.w, &sn.q.b), 1, s, h, dh);
+            let k = split_heads(&linear(&xq, &sn.k.w, &sn.k.b), 1, s, h, dh);
+            let v = split_heads(&linear(&xq, &sn.v.w, &sn.v.b), 1, s, h, dh);
+            let mut scores =
+                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
+            observer.exit(Stage::Attention);
+            observer.enter(Stage::Softmax);
+            self.sc_softmax_rows(&mut scores, &mut scratch.softmax_row)?;
+            observer.exit(Stage::Softmax);
+            observer.enter(Stage::Attention);
+            let ctx = merge_heads(&scores.batched_matmul(&v), 1, s, h, dh);
+            let ctxq = fake_quant(&ctx, sn.attn_out_step, plan.acts);
+            let attn_out = linear(&ctxq, &sn.proj.w, &sn.proj.b);
+            x = fake_quant(&x.add(&attn_out), sn.res1_step, plan.residual);
+            observer.exit(Stage::Attention);
+
+            // --- MLP with gate-assisted SI GELU ---
+            observer.enter(Stage::Mlp);
+            let n2 = affine(&x, &sn.norm2_affine);
+            let hq = fake_quant(&n2, sn.mlp_in_step, plan.acts);
+            let pre = linear(&hq, &sn.fc1.w, &sn.fc1.b);
+            observer.exit(Stage::Mlp);
+            observer.enter(Stage::Gelu);
+            let act = self.sc_gelu(&pre, &lp.gelu);
+            observer.exit(Stage::Gelu);
+            observer.enter(Stage::Mlp);
+            let out = linear(&act, &sn.fc2.w, &sn.fc2.b);
+            x = fake_quant(&x.add(&out), sn.res2_step, plan.residual);
+            observer.exit(Stage::Mlp);
+        }
+
+        // Head.
+        observer.enter(Stage::Head);
+        let hn = affine(&x, &self.head_affine);
+        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
+        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
+        observer.exit(Stage::Head);
+        Ok(logits)
     }
 }
 

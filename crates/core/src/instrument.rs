@@ -3,8 +3,8 @@
 //! Composes like [`crate::FaultInjectingBackend`] — wrap any
 //! [`InferenceBackend`] and serve through the same pool — but instead of
 //! perturbing inputs it *times* the forward's stages: each `forward_one`
-//! runs the inner backend's observed entry point with a fresh
-//! [`StageTimer`], then folds the per-stage durations into shared
+//! runs the inner backend's `forward_one` with a fresh [`StageTimer`] as
+//! its observer, then folds the per-stage durations into shared
 //! [`StageStats`] histograms (renderable under `/metrics`, printable as the
 //! `ascend-cli profile` table).
 //!
@@ -212,39 +212,21 @@ impl<B: InferenceBackend> InferenceBackend for InstrumentedBackend<B> {
         self.inner.make_scratch()
     }
 
+    /// Times the inner forward into a fresh [`StageTimer`] and records it
+    /// once. The caller's `observer` is not fed: this decorator *is* the
+    /// observer, and each forward lands in exactly one [`StageStats`] —
+    /// stacked instrumented decorators record into the innermost only,
+    /// never timing the same forward twice.
     fn forward_one(
-        &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-    ) -> Result<Vec<f32>, ScError> {
-        let mut timer = StageTimer::new();
-        let out = self.inner.forward_one_observed(patches, scratch, &mut timer)?;
-        self.stats.record(&timer);
-        Ok(out)
-    }
-
-    fn forward_one_owned(
         &self,
         patches: Tensor,
         scratch: &mut ForwardScratch,
+        _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        // The observed entry point borrows; under a fault-injecting inner
-        // this costs the instrumented path one defensive copy (inside the
-        // fault decorator) that the bare owned path avoids — an accepted
-        // cost of profiling, never of plain serving.
-        self.forward_one(&patches, scratch)
-    }
-
-    fn forward_one_observed(
-        &self,
-        patches: &Tensor,
-        scratch: &mut ForwardScratch,
-        observer: &mut dyn StageObserver,
-    ) -> Result<Vec<f32>, ScError> {
-        // An outer observer takes precedence: events flow to the caller,
-        // and this decorator's stats stay out of the way (no double
-        // timing of the same forward).
-        self.inner.forward_one_observed(patches, scratch, observer)
+        let mut timer = StageTimer::new();
+        let out = self.inner.forward_one(patches, scratch, &mut timer)?;
+        self.stats.record(&timer);
+        Ok(out)
     }
 }
 

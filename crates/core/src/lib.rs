@@ -23,10 +23,10 @@
 //! * [`accelerator`] — the **accelerator area model** (Table VI): the
 //!   compute arrays plus `k` parallel softmax blocks, costed with
 //!   [`sc_hw`]'s analytic synthesis model.
-//! * [`serve`] — the **parallel batched serving runtime**: a
-//!   [`serve::BatchRunner`] shards a request queue across a scoped worker
-//!   pool sharing the immutable compiled engine, bit-for-bit identical to
-//!   the serial path.
+//! * [`serve`] — the **parallel batched serving runtime**: a persistent
+//!   [`ServePool`] of long-lived workers pulls requests off a bounded
+//!   queue, sharing the immutable compiled engine, bit-for-bit identical
+//!   to the serial path.
 //! * [`artifact`] — **persisted engine snapshots**: `ScEngine::save` /
 //!   `ScEngine::load` / `ScEngine::compile_from_checkpoint` over the
 //!   [`ascend_io`] container, so serving processes start from artifact
@@ -80,7 +80,7 @@ pub use engine::{EngineConfig, ForwardScratch, ScEngine};
 pub use instrument::{InstrumentedBackend, StageStats};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
 pub use serve::{
-    BatchRunner, JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool,
-    ServeReport, ServeRequest,
+    JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool, ServeReport,
+    ServeRequest,
 };
 pub use session::{load_backend, BackendKind, Session, SessionBuilder};

@@ -62,7 +62,7 @@ use ascend_obs::{Histogram, Registry, TraceBuffer, TraceId};
 use ascend_tensor::Tensor;
 use sc_core::ScError;
 
-use crate::backend::InferenceBackend;
+use crate::backend::{check_patch_count, InferenceBackend};
 
 /// Spans retained by the pool's trace ring (two spans — queue-wait and
 /// service — per request, so this covers the last ~2048 requests).
@@ -307,17 +307,12 @@ fn nearest_rank(samples: &[Duration], p: f64) -> Duration {
     sorted.get(idx).copied().unwrap_or(Duration::ZERO)
 }
 
-/// The historical name of the serving entry point. Since the persistent
-/// pool landed, `run`/`run_batch` live on [`ServePool`] and every call
-/// reuses the pool's long-lived workers; the alias keeps the original
-/// batch-oriented name working.
-pub type BatchRunner<B = crate::engine::ScEngine> = ServePool<B>;
-
 /// The two-way timing split of one served request.
 ///
 /// `queue_wait` runs from admission (the queue `send`) to the moment a
 /// worker claims the job; `service` is the time that worker spent in the
-/// backend forward. End-to-end request latency is their sum.
+/// backend forward. Their sum is the pool-side request latency; a network
+/// front-end's socket read, parsing and response write come on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobTiming {
     /// Admission → worker claim.
@@ -327,7 +322,7 @@ pub struct JobTiming {
 }
 
 impl JobTiming {
-    /// End-to-end latency: `queue_wait + service`.
+    /// Pool-side latency: `queue_wait + service`.
     pub fn total(&self) -> Duration {
         self.queue_wait.saturating_add(self.service)
     }
@@ -659,19 +654,12 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         &self,
         request: ServeRequest,
     ) -> Result<(Job, Receiver<Served>, usize), ScError> {
-        let cfg = self.backend.vit_config();
-        let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
-        if request.patches.data().len() != request.images * p * pd {
-            return Err(ScError::InvalidParam {
-                name: "request",
-                reason: format!(
-                    "request holds {} values, expected {} for {} images of [{p}, {pd}] patches",
-                    request.patches.data().len(),
-                    request.images * p * pd,
-                    request.images
-                ),
-            });
-        }
+        check_patch_count(
+            "request",
+            request.patches.data().len(),
+            request.images,
+            self.backend.vit_config(),
+        )?;
         // Capacity 1 and exactly one message: the worker's reply never
         // blocks, so a slow collector cannot stall the pool.
         let (reply, rx) = mpsc::sync_channel(1);
@@ -703,19 +691,8 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
     /// first in request order, deterministically).
     pub fn run(&self, requests: &[ServeRequest]) -> Result<ServeOutcome, ScError> {
         let cfg = self.backend.vit_config();
-        let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
         for req in requests {
-            if req.patches.data().len() != req.images * p * pd {
-                return Err(ScError::InvalidParam {
-                    name: "requests",
-                    reason: format!(
-                        "request holds {} values, expected {} for {} images of [{p}, {pd}] patches",
-                        req.patches.data().len(),
-                        req.images * p * pd,
-                        req.images
-                    ),
-                });
-            }
+            check_patch_count("requests", req.patches.data().len(), req.images, cfg)?;
         }
         // ascend-lint: allow(no-wallclock-in-forward) -- wall/latency metrics feed ServeReport only, never the logits
         let start = Instant::now();
@@ -746,17 +723,8 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         images: usize,
     ) -> Result<(Tensor, ServeReport), ScError> {
         let cfg = self.backend.vit_config();
+        check_patch_count("patches", patches.data().len(), images, cfg)?;
         let (p, pd, classes) = (cfg.num_patches(), cfg.patch_dim(), cfg.classes);
-        if patches.data().len() != images * p * pd {
-            return Err(ScError::InvalidParam {
-                name: "patches",
-                reason: format!(
-                    "patch tensor holds {} values, expected {} for {images} images",
-                    patches.data().len(),
-                    images * p * pd
-                ),
-            });
-        }
         let mb = self.cfg.micro_batch;
         // ascend-lint: allow(no-wallclock-in-forward) -- wall/latency metrics feed ServeReport only, never the logits
         let start = Instant::now();

@@ -35,7 +35,7 @@ pub struct ServerMetrics {
     pub conn_shed: Arc<Counter>,
     /// Images served across all `200` responses.
     pub images: Arc<Counter>,
-    /// End-to-end request latency (queue wait + service) per `200`.
+    /// Pool-side request latency (queue wait + service) per `200`.
     request_seconds: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     queue_capacity: Arc<Gauge>,
@@ -65,7 +65,8 @@ impl ServerMetrics {
             registry.counter("ascend_images_total", "Images served across all 200 responses.");
         let request_seconds = registry.histogram(
             "ascend_http_request_seconds",
-            "End-to-end request latency (queue wait + service) per 200.",
+            "Pool-side request latency per 200: queue wait + service. Excludes socket read, \
+             request parsing and the response write.",
         );
         let queue_depth =
             registry.gauge("ascend_queue_depth", "Admission queue depth at scrape time.");
@@ -93,8 +94,9 @@ impl ServerMetrics {
     }
 
     /// Records one served request: its queue-wait/service split and image
-    /// count. The exported latency histogram observes the end-to-end total;
-    /// the split itself is exported by the pool's own histograms.
+    /// count. The exported latency histogram observes the pool-side total
+    /// (queue wait + service); the split itself is exported by the pool's
+    /// own histograms.
     pub fn record_served(&self, timing: JobTiming, images: usize) {
         self.ok.inc();
         self.images.add(images as u64);
@@ -111,7 +113,8 @@ impl ServerMetrics {
         counter.inc();
     }
 
-    /// Snapshot of the end-to-end request-latency histogram.
+    /// Snapshot of the pool-side (queue wait + service) request-latency
+    /// histogram.
     pub fn latency_snapshot(&self) -> HistSnapshot {
         self.request_seconds.snapshot()
     }

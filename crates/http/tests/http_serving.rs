@@ -68,8 +68,9 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = match self.gate.lock() {
             Ok(g) => g,
@@ -109,8 +110,9 @@ impl InferenceBackend for PanickingBackend {
     }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         panic!("worker down (intentional, this test kills the pool)");
     }

@@ -55,8 +55,9 @@ impl InferenceBackend for ScaledBackend {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let sum: f32 = patches.data().iter().sum::<f32>() * self.scale;
         Ok(vec![sum, -sum])

@@ -795,8 +795,9 @@ mod tests {
         }
         fn forward_one(
             &self,
-            patches: &ascend_tensor::Tensor,
+            patches: ascend_tensor::Tensor,
             _scratch: &mut ForwardScratch,
+            _observer: &mut dyn ascend_obs::StageObserver,
         ) -> Result<Vec<f32>, ScError> {
             let sum: f32 = patches.data().iter().sum();
             Ok(vec![sum, -sum])

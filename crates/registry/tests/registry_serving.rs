@@ -185,8 +185,9 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = match self.gate.lock() {
             Ok(g) => g,
@@ -234,8 +235,9 @@ impl InferenceBackend for StubBackend {
     }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         Ok(vec![0.0, 0.0])
     }
@@ -317,8 +319,9 @@ fn prop_registry() -> ModelRegistry {
         }
         fn forward_one(
             &self,
-            _patches: &Tensor,
+            _patches: Tensor,
             _scratch: &mut ForwardScratch,
+            _observer: &mut dyn ascend_obs::StageObserver,
         ) -> Result<Vec<f32>, ScError> {
             Ok(vec![0.0, 0.0])
         }

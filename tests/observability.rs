@@ -158,8 +158,9 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = self.gate.lock().expect("gate lock");
         while !*open {

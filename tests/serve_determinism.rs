@@ -15,8 +15,12 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
-use ascend::serve::{BatchRunner, ServeConfig, ServePool, ServeRequest};
-use ascend::{ForwardScratch, InferenceBackend, RefEngine};
+use ascend::serve::{ServeConfig, ServePool, ServeRequest};
+use ascend::{
+    FaultInjectingBackend, ForwardScratch, InferenceBackend, InstrumentedBackend, RefEngine,
+    StageStats,
+};
+use ascend_obs::NoopObserver;
 use ascend_tensor::Tensor;
 use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
@@ -52,7 +56,7 @@ fn batch_runner_is_bit_identical_across_worker_counts() {
         let patches = test.patches(&idx, 4);
         let serial = engine.forward(&patches, n).expect("serial forward");
         for workers in [1usize, 2, 4] {
-            let runner = BatchRunner::new(
+            let runner = ServePool::new(
                 Arc::clone(&engine),
                 ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
             )
@@ -235,8 +239,9 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: &Tensor,
+        patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         let mut open = self.gate.lock().unwrap();
         while !*open {
@@ -386,8 +391,9 @@ impl InferenceBackend for PanickingBackend {
     }
     fn forward_one(
         &self,
-        _patches: &Tensor,
+        _patches: Tensor,
         _scratch: &mut ForwardScratch,
+        _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
         panic!("worker down (intentional, this test kills the pool)");
     }
@@ -438,23 +444,58 @@ fn worker_loss_surfaces_pool_gone_instead_of_hanging() {
 
 #[test]
 fn forward_one_composes_to_batched_forward() {
+    // Image-by-image `forward_one` through every way of holding a backend —
+    // the engine itself, a reference, both smart pointers, and the
+    // decorators at their identity settings — must reproduce the bare
+    // batched forward bit for bit.
     let (engine, test) = tiny_engine();
-    let idx: Vec<usize> = (0..5).collect();
+    let n = 5;
+    let idx: Vec<usize> = (0..n).collect();
     let patches = test.patches(&idx, 4);
-    let batched = engine.forward(&patches, 5).expect("batched forward");
+    let batched = engine.forward(&patches, n).expect("batched forward");
     let cfg = engine.vit_config();
     let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
-    let mut scratch = engine.scratch();
-    let mut rows = Vec::new();
-    for bi in 0..5 {
-        let img = Tensor::from_vec(
-            patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
-            &[p, pd],
-        );
-        rows.extend(engine.forward_one(&img, &mut scratch).expect("forward_one"));
+
+    let bare: &ScEngine = &engine;
+    let boxed: Box<dyn InferenceBackend> = Box::new(Arc::clone(&engine));
+    let arced: Arc<dyn InferenceBackend> = engine.clone();
+    let fault = FaultInjectingBackend::new(Arc::clone(&engine), 0.0, 7).expect("rate 0");
+    let instrumented = InstrumentedBackend::new(Arc::clone(&engine));
+    let stacked = InstrumentedBackend::new(InstrumentedBackend::new(Arc::clone(&engine)));
+    let cases: [(&str, &dyn InferenceBackend, Vec<&StageStats>); 7] = [
+        ("ScEngine", bare, vec![]),
+        ("&ScEngine", &bare, vec![]),
+        ("Box<dyn>", &boxed, vec![]),
+        ("Arc<dyn>", &arced, vec![]),
+        ("fault rate 0", &fault, vec![]),
+        ("instrumented", &instrumented, vec![instrumented.stats()]),
+        (
+            "instrumented over instrumented",
+            &stacked,
+            vec![stacked.stats(), stacked.inner().stats()],
+        ),
+    ];
+    for (label, backend, stats) in cases {
+        let mut scratch = backend.make_scratch();
+        let mut rows = Vec::new();
+        for bi in 0..n {
+            let img = Tensor::from_vec(
+                patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
+                &[p, pd],
+            );
+            rows.extend(
+                backend.forward_one(img, &mut scratch, &mut NoopObserver).expect("forward_one"),
+            );
+        }
+        let composed = Tensor::from_vec(rows, &[n, cfg.classes]);
+        assert_bit_identical(&composed, &batched, &format!("forward_one via {label}"));
+        // Each forward is timed into exactly one `StageStats`, however
+        // deep the instrumented stack.
+        if !stats.is_empty() {
+            let recorded: u64 = stats.iter().map(|s| s.forwards()).sum();
+            assert_eq!(recorded, n as u64, "{label}: one recorded forward per image");
+        }
     }
-    let stacked = Tensor::from_vec(rows, &[5, cfg.classes]);
-    assert_bit_identical(&stacked, &batched, "forward_one composition");
 }
 
 #[test]
