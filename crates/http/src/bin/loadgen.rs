@@ -300,6 +300,10 @@ fn run() -> Result<(), String> {
     if !metrics_text.contains("# TYPE ascend_request_queue_wait_seconds histogram") {
         failures.push("/metrics response lacks the queue-wait histogram".into());
     }
+    // `bind` serves the session as the registry's warm model `default`.
+    if !metrics_text.contains("ascend_model_state{model=\"default\"} 2\n") {
+        failures.push("/metrics does not show the model `default` warm in the registry".into());
+    }
     if let Some(json) = &trace_json {
         check_trace(json, ok, &mut failures);
     }

@@ -1,15 +1,17 @@
 //! `ascend-http` — the network front door of the serving stack: a
-//! hand-rolled, offline, std-only HTTP/1.1 server over an
-//! [`ascend::Session`] and its persistent `ServePool`.
+//! hand-rolled, offline, std-only HTTP/1.1 server over a model registry
+//! of [`ascend::Session`]s and their persistent `ServePool`s. One model
+//! is a registry of one, named `default` ([`HttpServer::bind`]).
 //!
 //! The runtime below this crate already proves "parallel batched
 //! inference"; this crate turns it into "serves traffic": a listener
 //! accepting connections onto a small connection-thread pool, keep-alive
 //! with per-connection request limits and read/write deadlines, a
-//! `POST /v1/infer` route running length-prefixed patch payloads through
-//! the pool, a `GET /metrics` endpoint exporting `ServeReport`-style
-//! latency percentiles plus the live queue depth, and graceful drain on
-//! shutdown.
+//! `POST /v1/models/{name}/infer` route (`POST /v1/infer` is
+//! `/v1/models/default/infer`) running length-prefixed patch payloads
+//! through the model's pool, a `GET /metrics` endpoint exporting
+//! `ServeReport`-style latency percentiles plus the live queue depth, and
+//! graceful drain on shutdown.
 //!
 //! The load-bearing design rule is **non-blocking admission**: socket
 //! threads submit work with `ServePool::try_submit`, so a full bounded
@@ -30,7 +32,7 @@
 //! # Ok(()) }
 //! ```
 //!
-//! ## Wire format of `POST /v1/infer`
+//! ## Wire format of `POST /v1/infer` (and `/v1/models/{name}/infer`)
 //!
 //! The request body is a length-prefixed little-endian binary payload:
 //! `u32 images`, `u32 values`, then exactly `values` IEEE-754 `f32`
@@ -198,21 +200,19 @@ pub fn decode_logits(body: &[u8]) -> Result<(usize, usize, Vec<f32>), ScError> {
     let images = read_u32(body, 0)?;
     let classes = read_u32(body, 4)?;
     let data = body.get(8..).unwrap_or(&[]);
-    let want = images.checked_mul(classes).ok_or_else(|| ScError::InvalidParam {
-        name: "body",
-        reason: "logits shape overflows".into(),
+    let want = images.checked_mul(classes).and_then(|n| n.checked_mul(4)).ok_or_else(|| {
+        ScError::InvalidParam { name: "body", reason: "logits shape overflows".into() }
     })?;
-    if data.len() != want * 4 {
+    if data.len() != want {
         return Err(ScError::InvalidParam {
             name: "body",
             reason: format!(
-                "logits body carries {} data bytes, expected {} for [{images}, {classes}]",
+                "logits body carries {} data bytes, expected {want} for [{images}, {classes}]",
                 data.len(),
-                want * 4
             ),
         });
     }
-    let mut vals = Vec::with_capacity(want);
+    let mut vals = Vec::with_capacity(want / 4);
     for chunk in data.chunks_exact(4) {
         let mut w = [0u8; 4];
         w.copy_from_slice(chunk);
@@ -267,5 +267,12 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(decode_logits(&body[..body.len() - 2]).is_err());
+        // A hostile header whose byte count overflows: typed error, no
+        // overflow panic and no capacity-overflow abort.
+        let hostile = [0, 0, 0, 0x80, 0, 0, 0, 0x80];
+        assert!(matches!(
+            decode_logits(&hostile),
+            Err(ScError::InvalidParam { name: "body", .. })
+        ));
     }
 }

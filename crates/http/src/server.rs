@@ -1,5 +1,10 @@
 //! The listener, connection-thread pool, router, and graceful drain.
 //!
+//! Every server fronts one [`ModelRegistry`], and every route goes through
+//! it: a single-model server ([`HttpServer::bind`]) is a registry of one
+//! pre-warmed model named `default`, and `POST /v1/infer` is served exactly
+//! as `POST /v1/models/default/infer`.
+//!
 //! Threading model: one accept thread polls a non-blocking listener and
 //! hands accepted sockets to a small bounded channel; `conn_workers`
 //! handler threads each own one connection at a time and run its
@@ -27,7 +32,7 @@ use std::time::Duration;
 use ascend::serve::{JobTiming, ServeRequest};
 use ascend::Session;
 use ascend_obs::TraceId;
-use ascend_registry::{ModelRegistry, ModelState};
+use ascend_registry::{ModelRegistry, ModelSpec, ModelState, RegistryConfig};
 use sc_core::ScError;
 
 use crate::http1::{self, Limits, ParseError, Request, Response};
@@ -36,6 +41,10 @@ use crate::HttpConfig;
 
 /// How often the accept loop re-checks the stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// The model `POST /v1/infer` serves; [`HttpServer::bind`] registers
+/// its session under this name.
+const DEFAULT_MODEL: &str = "default";
 
 /// A clonable remote control for stopping the server from any thread.
 #[derive(Debug, Clone)]
@@ -57,58 +66,48 @@ impl ShutdownHandle {
     }
 }
 
-/// What the server fronts: one session (`POST /v1/infer`) or a
-/// multi-model registry (`POST /v1/models/{name}/infer`).
-enum ServeTarget {
-    Single(Arc<Session>),
-    Registry(Arc<ModelRegistry>),
-}
-
-/// The running HTTP front-end; see the [module docs](self).
+/// The running HTTP front-end over one [`ModelRegistry`], which its
+/// connection handlers share; see the [module docs](self).
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
-    target: Arc<ServeTarget>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl HttpServer {
-    /// Binds the listener, spawns the serving pool (eagerly, so a broken
-    /// session fails here and not on the first request), the accept
-    /// thread, and `cfg.conn_workers` connection-handler threads.
+    /// Binds a **single-model** front-end: `session` becomes the model
+    /// `default` of an unlimited registry of one, warmed here on the
+    /// session's own pool, so a broken session fails at bind and the first
+    /// request never pays pool construction.
     ///
     /// # Errors
     ///
-    /// [`ScError::Io`] if the address cannot be bound or a thread cannot
-    /// be spawned; [`ScError::InvalidParam`] for a zero
-    /// `conn_workers`/`keep_alive_requests` or a malformed session
-    /// serving configuration.
+    /// Same conditions as [`HttpServer::bind_registry`], plus
+    /// [`ScError::InvalidParam`] for a malformed session serving
+    /// configuration and [`ScError::Io`] if the pool cannot spawn.
     pub fn bind(session: Arc<Session>, cfg: HttpConfig) -> Result<HttpServer, ScError> {
-        // Spawn the pool now: the first request must never pay (or trip
-        // over) lazy pool construction.
-        session.runner()?;
-        Self::bind_target(Arc::new(ServeTarget::Single(session)), cfg)
+        let registry = ModelRegistry::new(RegistryConfig::default());
+        registry.register(ModelSpec::session(DEFAULT_MODEL, session))?;
+        registry.acquire(DEFAULT_MODEL)?;
+        Self::bind_registry(Arc::new(registry), cfg)
     }
 
-    /// Binds a **multi-model** front-end over a registry. Nothing is
-    /// loaded at bind time: each model warms lazily on its first
+    /// Binds a front-end over a registry, spawning the accept thread and
+    /// `cfg.conn_workers` connection-handler threads. Nothing is loaded
+    /// here: each cold model warms on its first
     /// `POST /v1/models/{name}/infer` (and `GET /healthz` answers `503`
     /// until at least one model is warm).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`HttpServer::bind`], minus the pool spawn
-    /// (pools belong to the registry's warm models).
+    /// [`ScError::Io`] if the address cannot be bound or a thread cannot
+    /// be spawned; [`ScError::InvalidParam`] for a zero
+    /// `conn_workers`/`keep_alive_requests`.
     pub fn bind_registry(
         registry: Arc<ModelRegistry>,
         cfg: HttpConfig,
     ) -> Result<HttpServer, ScError> {
-        Self::bind_target(Arc::new(ServeTarget::Registry(registry)), cfg)
-    }
-
-    fn bind_target(target: Arc<ServeTarget>, cfg: HttpConfig) -> Result<HttpServer, ScError> {
         if cfg.conn_workers == 0 {
             return Err(ScError::InvalidParam {
                 name: "conn_workers",
@@ -144,7 +143,7 @@ impl HttpServer {
         let mut workers = Vec::with_capacity(cfg.conn_workers);
         for i in 0..cfg.conn_workers {
             let rx = Arc::clone(&conn_rx);
-            let target = Arc::clone(&target);
+            let registry = Arc::clone(&registry);
             let metrics = Arc::clone(&metrics);
             let cfg = Arc::clone(&cfg);
             let stop = Arc::clone(&stop);
@@ -152,47 +151,24 @@ impl HttpServer {
             workers.push(
                 std::thread::Builder::new()
                     .name(name.clone())
-                    .spawn(move || conn_worker(&rx, &target, &metrics, &cfg, &stop))
+                    .spawn(move || conn_worker(&rx, &registry, &metrics, &cfg, &stop))
                     .map_err(|e| spawn_err(&name, e))?,
             );
         }
         let accept = {
             let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
             let write_timeout = cfg.write_timeout;
             std::thread::Builder::new()
                 .name("ascend-http-accept".into())
                 .spawn(move || accept_loop(&listener, &conn_tx, &stop, &metrics, write_timeout))
                 .map_err(|e| spawn_err("ascend-http-accept", e))?
         };
-        Ok(HttpServer { addr, stop, metrics, target, accept: Some(accept), workers })
+        Ok(HttpServer { addr, stop, accept: Some(accept), workers })
     }
 
     /// The address the listener actually bound (resolves `:0`).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's live counters.
-    pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    /// The session this server fronts (`None` in registry mode).
-    pub fn session(&self) -> Option<&Arc<Session>> {
-        match &*self.target {
-            ServeTarget::Single(session) => Some(session),
-            ServeTarget::Registry(_) => None,
-        }
-    }
-
-    /// The model registry this server fronts (`None` in single-session
-    /// mode).
-    pub fn registry(&self) -> Option<&Arc<ModelRegistry>> {
-        match &*self.target {
-            ServeTarget::Single(_) => None,
-            ServeTarget::Registry(registry) => Some(registry),
-        }
     }
 
     /// A clonable handle that can stop the server from any thread.
@@ -266,7 +242,7 @@ fn shed_connection(mut stream: TcpStream, write_timeout: Duration) {
 /// A connection-handler thread: pull sockets until the channel closes.
 fn conn_worker(
     rx: &Mutex<Receiver<TcpStream>>,
-    target: &ServeTarget,
+    registry: &ModelRegistry,
     metrics: &ServerMetrics,
     cfg: &HttpConfig,
     stop: &AtomicBool,
@@ -284,14 +260,14 @@ fn conn_worker(
             }
         };
         metrics.connections.inc();
-        handle_connection(stream, target, metrics, cfg, stop);
+        handle_connection(stream, registry, metrics, cfg, stop);
     }
 }
 
 /// Runs one connection's keep-alive loop to completion.
 fn handle_connection(
     mut stream: TcpStream,
-    target: &ServeTarget,
+    registry: &ModelRegistry,
     metrics: &ServerMetrics,
     cfg: &HttpConfig,
     stop: &AtomicBool,
@@ -324,7 +300,7 @@ fn handle_connection(
             }
         };
         let last = served + 1 == cfg.keep_alive_requests;
-        let (response, served_infer) = route(&request, target, metrics);
+        let (response, served_infer) = route(&request, registry, metrics);
         // Decide keep-alive AFTER serving: a shutdown that lands while
         // this request was in flight must close (and announce it) now.
         let close =
@@ -364,58 +340,36 @@ fn respond_parse_error(stream: &mut TcpStream, metrics: &ServerMetrics, e: &Pars
 /// queue-wait/service timing split and image count for metrics.
 fn route(
     request: &Request,
-    target: &ServeTarget,
+    registry: &ModelRegistry,
     metrics: &ServerMetrics,
 ) -> (Response, Option<(JobTiming, usize)>) {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("POST", "/v1/infer") => match target {
-            ServeTarget::Single(session) => infer(request, session),
-            ServeTarget::Registry(_) => (
-                Response::text(
-                    404,
-                    "this server is multi-model: POST /v1/models/{name}/infer",
-                ),
-                None,
-            ),
+    let method = request.method.as_str();
+    let path = request.target.as_str();
+    match (method, path) {
+        (_, "/v1/infer") => model_route(method, DEFAULT_MODEL, "infer", request, registry),
+        ("GET", "/metrics") => (Response::text(200, render_metrics(registry, metrics)), None),
+        ("GET", "/debug/trace") => (render_trace(registry), None),
+        (_, "/metrics" | "/debug/trace") => {
+            (Response::text(405, "use GET").with_header("allow", "GET"), None)
+        }
+        ("GET", "/") | ("GET", "/healthz") => (healthz(registry), None),
+        _ => match path.strip_prefix("/v1/models/").and_then(|rest| rest.split_once('/')) {
+            Some((name, action)) => model_route(method, name, action, request, registry),
+            None => (Response::text(404, format!("no route for {path}")), None),
         },
-        ("GET", "/v1/infer") | ("HEAD", "/v1/infer") => {
-            (Response::text(405, "use POST").with_header("allow", "POST"), None)
-        }
-        ("GET", "/metrics") => (Response::text(200, render_metrics(target, metrics)), None),
-        (_, "/metrics") => {
-            (Response::text(405, "use GET").with_header("allow", "GET"), None)
-        }
-        ("GET", "/debug/trace") => (render_trace(target), None),
-        (_, "/debug/trace") => {
-            (Response::text(405, "use GET").with_header("allow", "GET"), None)
-        }
-        ("GET", "/") | ("GET", "/healthz") => (healthz(target), None),
-        (method, path) if path.starts_with("/v1/models/") => {
-            model_route(method, path, request, target)
-        }
-        _ => (Response::text(404, format!("no route for {}", request.target)), None),
     }
 }
 
-/// Routes `/v1/models/{name}/infer`: look the model up in the registry
-/// (warming it on first use) and serve on its pool. Typed errors map to
-/// HTTP statuses in [`registry_error_response`].
+/// Routes `action` (only `infer` exists) on model `name`: look the model
+/// up in the registry (warming it on first use) and serve on its pool.
+/// Typed errors map to HTTP statuses in [`registry_error_response`].
 fn model_route(
     method: &str,
-    path: &str,
+    name: &str,
+    action: &str,
     request: &Request,
-    target: &ServeTarget,
+    registry: &ModelRegistry,
 ) -> (Response, Option<(JobTiming, usize)>) {
-    let ServeTarget::Registry(registry) = target else {
-        return (
-            Response::text(404, "this server fronts a single model: POST /v1/infer"),
-            None,
-        );
-    };
-    let rest = path.strip_prefix("/v1/models/").unwrap_or("");
-    let Some((name, action)) = rest.split_once('/') else {
-        return (Response::text(404, format!("no route for {path}")), None);
-    };
     match (method, action) {
         ("POST", "infer") => match registry.acquire(name) {
             Ok(handle) => infer(request, handle.session()),
@@ -424,7 +378,7 @@ fn model_route(
         ("GET", "infer") | ("HEAD", "infer") => {
             (Response::text(405, "use POST").with_header("allow", "POST"), None)
         }
-        _ => (Response::text(404, format!("no route for {path}")), None),
+        _ => (Response::text(404, format!("no route for {}", request.target)), None),
     }
 }
 
@@ -448,16 +402,11 @@ fn registry_error_response(e: &ScError) -> Response {
     }
 }
 
-/// `GET /healthz`. Single-session mode is healthy once bound (the pool
-/// was spawned eagerly). Registry mode reports one `name=state` line per
-/// model and answers `503 Retry-After` until at least one model is warm,
-/// so orchestrators never route traffic at a process that would eat the
-/// first request's cold-load latency for every model.
-fn healthz(target: &ServeTarget) -> Response {
-    let registry = match target {
-        ServeTarget::Single(_) => return Response::text(200, "ascend-http: ok"),
-        ServeTarget::Registry(registry) => registry,
-    };
+/// `GET /healthz`: one `name=state` line per registered model, `200` once
+/// at least one model is warm (a single-model server is, from bind on)
+/// and `503 Retry-After` before that, so orchestrators never route traffic
+/// at a process that would eat the first request's cold-load latency.
+fn healthz(registry: &ModelRegistry) -> Response {
     let states = registry.states();
     let mut body = String::new();
     let mut any_warm = false;
@@ -475,33 +424,12 @@ fn healthz(target: &ServeTarget) -> Response {
     }
 }
 
-/// The `/metrics` body: server counters and the request-latency histogram,
-/// followed by the pool's own registry (queue-wait and service-time
-/// histograms), so one scrape covers the whole request path. In registry
-/// mode the pool gauges are summed across warm models, the registry's
-/// per-model block (state/resident/loads/evictions) follows, and each
-/// warm pool renders its own histograms under a `# model` marker.
-fn render_metrics(target: &ServeTarget, metrics: &ServerMetrics) -> String {
-    let registry = match target {
-        ServeTarget::Single(session) => {
-            // The pool exists (bind() spawned it); a failure here means it
-            // could not spawn at all, which bind() already surfaced.
-            return match session.runner() {
-                Ok(pool) => {
-                    let mut out = metrics.render(
-                        pool.queued(),
-                        pool.queue_capacity(),
-                        pool.in_flight(),
-                        pool.workers(),
-                    );
-                    out.push_str(&pool.obs().render());
-                    out
-                }
-                Err(e) => format!("# pool unavailable: {e}\n"),
-            };
-        }
-        ServeTarget::Registry(registry) => registry,
-    };
+/// The `/metrics` body: server counters and the request-latency histogram
+/// with the pool gauges summed across warm models, then the registry's
+/// per-model block (state/resident/loads/evictions), then each warm
+/// pool's own queue-wait and service histograms under a `# model` marker,
+/// so one scrape covers the whole request path.
+fn render_metrics(registry: &ModelRegistry, metrics: &ServerMetrics) -> String {
     let handles = registry.warm_handles();
     let (mut queued, mut capacity, mut in_flight, mut workers) = (0usize, 0usize, 0usize, 0usize);
     let mut pools = Vec::new();
@@ -523,24 +451,16 @@ fn render_metrics(target: &ServeTarget, metrics: &ServerMetrics) -> String {
     out
 }
 
-/// The `GET /debug/trace` body: the pool's recent request spans as
-/// chrome://tracing JSON (load it via `chrome://tracing` or Perfetto).
-/// Registry mode concatenates the warm models' spans.
-fn render_trace(target: &ServeTarget) -> Response {
-    match target {
-        ServeTarget::Single(session) => match session.runner() {
-            Ok(pool) => Response::json(200, pool.obs().trace().to_chrome_json()),
-            Err(e) => Response::text(500, format!("pool unavailable: {e}")),
-        },
-        ServeTarget::Registry(registry) => {
-            let handles = registry.warm_handles();
-            let spans: Vec<String> = handles
-                .iter()
-                .filter_map(|h| Some(h.session().runner().ok()?.obs().trace().to_chrome_json()))
-                .collect();
-            Response::json(200, format!("[{}]", spans.join(",")))
-        }
-    }
+/// The `GET /debug/trace` body: the warm pools' recent request spans as
+/// one chrome://tracing document (load it via `chrome://tracing` or
+/// Perfetto), one `pid` per warm model in registration order.
+fn render_trace(registry: &ModelRegistry) -> Response {
+    let handles = registry.warm_handles();
+    let rings: Vec<_> = handles
+        .iter()
+        .filter_map(|h| Some(h.session().runner().ok()?.obs().trace()))
+        .collect();
+    Response::json(200, ascend_obs::chrome_json(&rings))
 }
 
 /// Runs `POST /v1/infer`: decode, **non-blocking** admission, collect,

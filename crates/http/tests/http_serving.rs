@@ -367,6 +367,8 @@ fn traces_cover_every_200_and_never_a_shed() {
     assert!(text.contains("ascend_request_queue_wait_seconds_count 2\n"), "{text}");
     assert!(text.contains("ascend_request_service_seconds_count 2\n"), "{text}");
     assert!(text.contains("ascend_http_request_seconds_count 2\n"), "{text}");
+    // The single model is served through the registry as `default`.
+    assert!(text.contains("ascend_model_state{model=\"default\"} 2\n"), "{text}");
 
     // /debug/trace: chrome://tracing JSON with one queue_wait and one
     // service span per 200, two distinct trace ids, and nothing from C.
@@ -485,17 +487,20 @@ fn http_logits_are_bit_identical_to_the_serial_forward() {
         HttpServer::bind(Arc::clone(&session), HttpConfig::new("127.0.0.1:0")).expect("binds");
     let payload = ascend_http::encode_infer_request(patches.data(), n);
 
-    // Twice over one keep-alive connection: byte-for-byte the serial
-    // logits, both times — the wire adds nothing and loses nothing.
+    // Twice over one keep-alive connection, on the alias and on the
+    // registry route it names: byte-for-byte the serial logits every time
+    // — the wire adds nothing and loses nothing.
     let (mut reader, mut writer) = connect(server.local_addr());
     for round in 0..2 {
-        client::write_request(&mut writer, "POST", "/v1/infer", &payload, false).expect("write");
-        let response = client::read_response(&mut reader).expect("response");
-        assert_eq!(response.status, 200, "round {round}");
-        assert_eq!(
-            response.body, expected,
-            "round {round}: HTTP logits differ from the serial forward bytes"
-        );
+        for route in ["/v1/infer", "/v1/models/default/infer"] {
+            client::write_request(&mut writer, "POST", route, &payload, false).expect("write");
+            let response = client::read_response(&mut reader).expect("response");
+            assert_eq!(response.status, 200, "round {round} {route}");
+            assert_eq!(
+                response.body, expected,
+                "round {round} {route}: HTTP logits differ from the serial forward bytes"
+            );
+        }
     }
     server.join();
 }

@@ -1,5 +1,6 @@
 //! Multi-model serving over real sockets: `/v1/models/{name}/infer`
-//! routes by model id, typed registry failures map to the right HTTP
+//! routes by model id, `/debug/trace` is one chrome://tracing document
+//! with one pid per warm model, typed registry failures map to the right HTTP
 //! statuses (404 unknown model / missing artifact, 500 corrupt artifact,
 //! 503 + Retry-After over budget), `/healthz` reports per-model state
 //! and refuses traffic until one model is warm, and `/metrics` carries
@@ -122,7 +123,7 @@ fn routes_by_model_name_and_404s_the_unknown() {
         String::from_utf8_lossy(&missing.body)
     );
 
-    // The single-model route does not exist on a multi-model server.
+    // `/v1/infer` aliases the model `default`, which this registry lacks.
     let single = roundtrip(addr, "POST", "/v1/infer", &payload(1.0));
     assert_eq!(single.status, 404);
     // And the method guard still applies per model.
@@ -133,6 +134,18 @@ fn routes_by_model_name_and_404s_the_unknown() {
     // Exactly one load per model despite repeated requests.
     assert_eq!(registry.loads_total("alpha"), Some(1));
     assert_eq!(registry.loads_total("beta"), Some(1));
+
+    // /debug/trace is ONE chrome://tracing document covering both warm
+    // models, one pid each, with a queue_wait and a service span per 200.
+    let json = String::from_utf8(roundtrip(addr, "GET", "/debug/trace", &[]).body).expect("utf-8");
+    assert!(json.starts_with("{\"traceEvents\":["), "{json}");
+    assert_eq!(json.matches("\"name\":\"queue_wait\"").count(), 3, "{json}");
+    assert_eq!(json.matches("\"name\":\"service\"").count(), 3, "{json}");
+    let mut pids: Vec<&str> =
+        json.split("\"pid\":").skip(1).filter_map(|s| s.split(',').next()).collect();
+    pids.sort_unstable();
+    pids.dedup();
+    assert_eq!(pids, ["1", "2"], "one pid per warm model: {json}");
     server.join();
 }
 

@@ -14,8 +14,8 @@
 //!   render time.
 //! - [`trace`] — request tracing: a [`TraceId`] minted at admission flows
 //!   through `ServePool` jobs; workers record queue-wait and service spans
-//!   into a bounded [`TraceBuffer`] ring, exportable as chrome://tracing
-//!   JSON via `GET /debug/trace`.
+//!   into a bounded [`TraceBuffer`] ring; [`chrome_json`] exports one or
+//!   several rings as one chrome://tracing document via `GET /debug/trace`.
 //! - [`stage`] — the clock-free [`StageObserver`] protocol. The engine's
 //!   forward emits `enter`/`exit` events for each [`Stage`] (patch-embed,
 //!   attention, softmax, GELU, MLP, head) without ever reading a clock;
@@ -40,4 +40,4 @@ pub mod trace;
 pub use bench_json::BenchRecord;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, Registry, HIST_BUCKETS};
 pub use stage::{NoopObserver, Stage, StageObserver, StageTimer};
-pub use trace::{Span, TraceBuffer, TraceId};
+pub use trace::{chrome_json, Span, TraceBuffer, TraceId};

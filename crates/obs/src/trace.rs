@@ -134,29 +134,37 @@ impl TraceBuffer {
     }
 
     /// Renders the retained spans as a chrome://tracing JSON object
-    /// (`{"traceEvents": [...]}` with complete `"ph":"X"` events). Load the
-    /// output directly in `chrome://tracing` or Perfetto.
+    /// (`{"traceEvents": [...]}` with complete `"ph":"X"` events): the
+    /// one-ring case of [`chrome_json`]. Load the output directly in
+    /// `chrome://tracing` or Perfetto.
     pub fn to_chrome_json(&self) -> String {
-        let spans = self.snapshot();
-        let mut out = String::with_capacity(64 + spans.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+        chrome_json(&[self])
+    }
+}
+
+/// Renders several span rings as one chrome://tracing JSON object. Ring
+/// `i` becomes process `pid` `i + 1` (its spans keep their worker `tid`),
+/// and every timestamp is rebased to the earliest ring epoch so the
+/// processes share one timeline.
+pub fn chrome_json(rings: &[&TraceBuffer]) -> String {
+    let origin = rings.iter().map(|r| r.epoch).min().unwrap_or_else(Instant::now);
+    let mut events = Vec::new();
+    for (pid, ring) in (1u64..).zip(rings) {
+        let shift = u64::try_from(ring.epoch.saturating_duration_since(origin).as_micros())
+            .unwrap_or(u64::MAX);
+        events.extend(ring.snapshot().iter().map(|s| {
+            format!(
                 "{{\"name\":\"{}\",\"cat\":\"serve\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":{}}}}}",
+                 \"pid\":{pid},\"tid\":{},\"args\":{{\"trace_id\":{}}}}}",
                 escape_json(s.name),
-                s.start_us,
+                s.start_us.saturating_add(shift),
                 s.dur_us,
                 s.worker,
                 s.trace_id.0
-            ));
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+            )
+        }));
     }
+    format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}", events.join(","))
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -220,17 +228,31 @@ mod tests {
         let t0 = buf.epoch();
         buf.record(TraceId(7), "queue_wait", 1, t0, Duration::from_micros(3));
         buf.record(TraceId(7), "service", 1, t0, Duration::from_micros(40));
-        let json = buf.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("}"));
-        assert!(json.contains("\"name\":\"queue_wait\""));
-        assert!(json.contains("\"name\":\"service\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"trace_id\":7"));
-        // Balanced braces/brackets outside strings (names contain none here).
-        let braces = json.matches('{').count();
-        assert_eq!(braces, json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // Byte-exact: one ring renders as pid 1 on its own epoch.
+        assert_eq!(
+            buf.to_chrome_json(),
+            "{\"traceEvents\":[{\"name\":\"queue_wait\",\"cat\":\"serve\",\"ph\":\"X\",\"ts\":0,\
+             \"dur\":3,\"pid\":1,\"tid\":1,\"args\":{\"trace_id\":7}},{\"name\":\"service\",\
+             \"cat\":\"serve\",\"ph\":\"X\",\"ts\":0,\"dur\":40,\"pid\":1,\"tid\":1,\
+             \"args\":{\"trace_id\":7}}],\"displayTimeUnit\":\"ms\"}"
+        );
+    }
+
+    #[test]
+    fn several_rings_share_one_envelope_and_timeline() {
+        let early = TraceBuffer::new(4);
+        std::thread::sleep(Duration::from_millis(2));
+        let late = TraceBuffer::new(4);
+        early.record(TraceId(1), "service", 0, early.epoch(), Duration::from_micros(5));
+        late.record(TraceId(2), "service", 0, late.epoch(), Duration::from_micros(5));
+        // `late` is ring 0 (pid 1), shifted by at least the 2 ms sleep onto
+        // the timeline of `early` (pid 2), which is the origin.
+        let json = chrome_json(&[&late, &early]);
+        let events: Vec<&str> = json.split("{\"name\"").skip(1).collect();
+        assert_eq!((json.matches("traceEvents").count(), events.len()), (1, 2), "{json}");
+        let ts = |e: &str| e.split("\"ts\":").nth(1)?.split(',').next()?.parse::<u64>().ok();
+        assert!(events[0].contains("\"pid\":1,") && ts(events[0]) >= Some(2000), "{json}");
+        assert!(events[1].contains("\"pid\":2,") && ts(events[1]) == Some(0), "{json}");
     }
 
     #[test]

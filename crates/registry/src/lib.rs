@@ -14,6 +14,10 @@
 //! [`ArtifactReader`]: ascend_io::format::ArtifactReader
 //! [`ServePool`]: ascend::ServePool
 //!
+//! A model registered over a built session ([`ModelSpec::session`]) is
+//! served on that session's own pool: a single-model front-end is a
+//! pre-warmed registry of one.
+//!
 //! ## State machine
 //!
 //! ```text
@@ -114,6 +118,9 @@ pub enum ModelSource {
     /// embedders and tests that need controllable backends; artifact
     /// sources are the production path.
     Shared(Arc<dyn InferenceBackend>),
+    /// An already-built session, served as-is: warming spawns (or reuses)
+    /// the session's own pool, which the caller keeps observing.
+    Session(Arc<Session>),
 }
 
 /// A named model registration: name, weight source, and the serving
@@ -144,6 +151,13 @@ impl ModelSpec {
         ModelSpec { name: name.into(), source: ModelSource::Shared(backend), serve: ServeConfig::default() }
     }
 
+    /// A spec serving an already-built session (and its pool) under
+    /// `name`; the serving configuration is the session's own.
+    pub fn session(name: impl Into<String>, session: Arc<Session>) -> Self {
+        let serve = *session.serve_config();
+        ModelSpec { name: name.into(), source: ModelSource::Session(session), serve }
+    }
+
     /// Overrides the backend kind (artifact sources only; no-op for
     /// shared sources).
     pub fn backend(mut self, kind: BackendKind) -> Self {
@@ -153,23 +167,25 @@ impl ModelSpec {
         self
     }
 
-    /// Overrides the serving configuration used at warm time.
+    /// Overrides the serving configuration used at warm time (no-op for
+    /// session sources, whose pool shape is the session's).
     pub fn serve(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
+        if !matches!(self.source, ModelSource::Session(_)) {
+            self.serve = serve;
+        }
         self
     }
 }
 
-/// A live, warm model: the session (with its running pool), the shared
-/// backend, and the resident-byte charge the registry accounted for it.
+/// A live, warm model: the session (with its running pool) and the
+/// resident-byte charge the registry accounted for it.
 ///
 /// Handles are reference-counted: the registry holds one reference while
 /// the model is warm, and every in-flight request holds its own, so
 /// eviction never tears down a pool that still has work outstanding.
 pub struct ModelHandle {
     name: String,
-    backend: Arc<dyn InferenceBackend>,
-    session: Session,
+    session: Arc<Session>,
     bytes: usize,
 }
 
@@ -179,16 +195,11 @@ impl ModelHandle {
         &self.name
     }
 
-    /// The live session (its pool was spawned during warming).
+    /// The live session (its pool was spawned during warming). Two
+    /// models over one artifact share one backend: their
+    /// `session().backend()` pointers are equal.
     pub fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// The shared backend `Arc` — exposed so callers can verify that two
-    /// models over one artifact really share one copy of the weights
-    /// (`Arc::ptr_eq`).
-    pub fn shared_backend(&self) -> &Arc<dyn InferenceBackend> {
-        &self.backend
     }
 
     /// Bytes this model contributes to the registry's resident total
@@ -239,6 +250,20 @@ impl Slot {
             SlotState::Warming => ModelState::Warming,
             SlotState::Warm(_) => ModelState::Warm,
         }
+    }
+
+    /// Moves the slot to `state`, keeping its state and resident gauges
+    /// in step, and returns the previous state (dropped by the caller
+    /// outside the registry lock).
+    fn set_state(&mut self, state: SlotState) -> SlotState {
+        let bytes = match &state {
+            SlotState::Warm(handle) => u64::try_from(handle.bytes).unwrap_or(u64::MAX),
+            _ => 0,
+        };
+        let previous = std::mem::replace(&mut self.state, state);
+        self.metrics.state.set(self.state_enum().gauge_value());
+        self.metrics.resident.set(bytes);
+        previous
     }
 }
 
@@ -318,14 +343,15 @@ impl ModelRegistry {
     /// Total resident bytes across warm models, charging each distinct
     /// backend once (models sharing one artifact share one copy).
     fn resident_locked(inner: &Inner) -> usize {
-        let mut seen: Vec<&Arc<dyn InferenceBackend>> = Vec::new();
+        let mut seen: Vec<&dyn InferenceBackend> = Vec::new();
         let mut total = 0usize;
         for slot in &inner.slots {
             if let SlotState::Warm(handle) = &slot.state {
-                if seen.iter().any(|b| Arc::ptr_eq(b, &handle.backend)) {
+                let backend = handle.session.backend();
+                if seen.iter().any(|b| std::ptr::addr_eq(*b, backend)) {
                     continue;
                 }
-                seen.push(&handle.backend);
+                seen.push(backend);
                 total = total.saturating_add(handle.bytes);
             }
         }
@@ -439,8 +465,7 @@ impl ModelRegistry {
                 Some(ModelState::Cold) => {
                     let (source, serve) = {
                         let Some(slot) = inner.slots.get_mut(idx) else { continue };
-                        slot.state = SlotState::Warming;
-                        slot.metrics.state.set(ModelState::Warming.gauge_value());
+                        slot.set_state(SlotState::Warming);
                         (slot.spec.source.clone(), slot.spec.serve)
                     };
                     drop(inner);
@@ -475,9 +500,7 @@ impl ModelRegistry {
         if !matches!(slot.state, SlotState::Warm(_)) {
             return false;
         }
-        let previous = std::mem::replace(&mut slot.state, SlotState::Cold);
-        slot.metrics.state.set(ModelState::Cold.gauge_value());
-        slot.metrics.resident.set(0);
+        let previous = slot.set_state(SlotState::Cold);
         slot.metrics.evictions.inc();
         self.update_registry_gauges_locked(&inner);
         drop(inner);
@@ -533,45 +556,28 @@ impl ModelRegistry {
         inner.slots.get(idx).map(|s| s.metrics.evictions.get())
     }
 
-    /// Refreshes and renders the registry's `/metrics` block (per-model
+    /// Renders the registry's `/metrics` block (per-model
     /// state/resident/loads/evictions plus registry-wide totals) as
-    /// Prometheus text.
+    /// Prometheus text. Every state transition keeps the gauges current.
     pub fn metrics_render(&self) -> String {
-        let inner = self.lock();
-        for slot in &inner.slots {
-            let (state, bytes) = match &slot.state {
-                SlotState::Cold => (ModelState::Cold.gauge_value(), 0),
-                SlotState::Warming => (ModelState::Warming.gauge_value(), 0),
-                SlotState::Warm(handle) => (
-                    ModelState::Warm.gauge_value(),
-                    u64::try_from(handle.bytes).unwrap_or(u64::MAX),
-                ),
-            };
-            slot.metrics.state.set(state);
-            slot.metrics.resident.set(bytes);
-        }
-        self.update_registry_gauges_locked(&inner);
-        drop(inner);
         self.metrics.render()
     }
 
-    /// The warmer's off-lock work: materialize the backend, wrap it in a
-    /// session, spawn the pool, then re-lock to publish the result and
-    /// enforce the budget.
+    /// The warmer's off-lock work: materialize the session, spawn its
+    /// pool, then re-lock to publish the result and enforce the budget.
     fn warm_slot(
         &self,
         name: &str,
         source: &ModelSource,
         serve: ServeConfig,
     ) -> Result<Arc<ModelHandle>, ScError> {
-        let warmed = self.materialize(source).and_then(|backend| {
-            let bytes = backend.resident_bytes();
-            let session = Session::from_shared_backend(Arc::clone(&backend), serve)?;
+        let warmed = self.materialize(source, serve).and_then(|session| {
+            let bytes = session.backend().resident_bytes();
             // Spawn the worker pool *during* warming so the first real
             // request hits a ready pool, and so a spawn failure surfaces
             // here as a typed error instead of on the request path.
             session.runner()?;
-            Ok(Arc::new(ModelHandle { name: name.to_string(), backend, session, bytes }))
+            Ok(Arc::new(ModelHandle { name: name.to_string(), session, bytes }))
         });
         let mut inner = self.lock();
         let handle = match warmed {
@@ -579,8 +585,7 @@ impl ModelRegistry {
                 if let Some(slot) =
                     Self::slot_index(&inner, name).and_then(|i| inner.slots.get_mut(i))
                 {
-                    slot.state = SlotState::Cold;
-                    slot.metrics.state.set(ModelState::Cold.gauge_value());
+                    slot.set_state(SlotState::Cold);
                 }
                 drop(inner);
                 self.warmed.notify_all();
@@ -596,10 +601,8 @@ impl ModelRegistry {
             return Err(ScError::UnknownModel { model: name.to_string() });
         };
         if let Some(slot) = inner.slots.get_mut(idx) {
-            slot.state = SlotState::Warm(Arc::clone(&handle));
+            slot.set_state(SlotState::Warm(Arc::clone(&handle)));
             slot.last_used = tick;
-            slot.metrics.state.set(ModelState::Warm.gauge_value());
-            slot.metrics.resident.set(u64::try_from(handle.bytes).unwrap_or(u64::MAX));
             slot.metrics.loads.inc();
         }
         let mut evicted: Vec<Arc<ModelHandle>> = Vec::new();
@@ -615,9 +618,7 @@ impl ModelRegistry {
                 // Everything else is already out and the newcomer alone
                 // still busts the budget: roll the warm back.
                 if let Some(slot) = inner.slots.get_mut(idx) {
-                    slot.state = SlotState::Cold;
-                    slot.metrics.state.set(ModelState::Cold.gauge_value());
-                    slot.metrics.resident.set(0);
+                    slot.set_state(SlotState::Cold);
                 }
                 budget_err = Some(ScError::BudgetExceeded {
                     needed: handle.bytes,
@@ -651,9 +652,7 @@ impl ModelRegistry {
         }
         let (i, _) = lru?;
         let slot = inner.slots.get_mut(i)?;
-        let previous = std::mem::replace(&mut slot.state, SlotState::Cold);
-        slot.metrics.state.set(ModelState::Cold.gauge_value());
-        slot.metrics.resident.set(0);
+        let previous = slot.set_state(SlotState::Cold);
         slot.metrics.evictions.inc();
         match previous {
             SlotState::Warm(handle) => Some(handle),
@@ -661,15 +660,22 @@ impl ModelRegistry {
         }
     }
 
-    /// Produces the backend for a source: shared sources are cloned,
-    /// artifact sources go through the weak `(path, kind)` cache so two
-    /// models over one artifact share one copy of the weights.
-    fn materialize(&self, source: &ModelSource) -> Result<Arc<dyn InferenceBackend>, ScError> {
-        let (path, kind) = match source {
-            ModelSource::Shared(backend) => return Ok(Arc::clone(backend)),
-            ModelSource::Artifact { path, backend } => (path, *backend),
+    /// Produces the session for a source: session sources are served
+    /// as-is, shared backends are wrapped in a fresh session, and artifact
+    /// sources go through [`Self::load_shared`].
+    fn materialize(&self, source: &ModelSource, serve: ServeConfig) -> Result<Arc<Session>, ScError> {
+        let backend = match source {
+            ModelSource::Session(session) => return Ok(Arc::clone(session)),
+            ModelSource::Shared(backend) => Arc::clone(backend),
+            ModelSource::Artifact { path, backend } => self.load_shared(path, *backend)?,
         };
-        if let Some(hit) = self.cached_shared(path, kind) {
+        Ok(Arc::new(Session::from_shared_backend(backend, serve)?))
+    }
+
+    /// Loads an artifact's backend through the weak `(path, kind)` cache,
+    /// so two models over one artifact share one copy of the weights.
+    fn load_shared(&self, path: &Path, kind: BackendKind) -> Result<Arc<dyn InferenceBackend>, ScError> {
+        if let Some(hit) = Self::cached_locked(&self.lock(), path, kind) {
             return Ok(hit);
         }
         let loaded = load_backend(path, kind, self.engine_config)?;
@@ -678,23 +684,18 @@ impl ModelRegistry {
         inner.shared.retain(|s| s.backend.strong_count() > 0);
         // A racing warm over the same artifact may have published first;
         // prefer its copy so both models share.
-        if let Some(hit) = inner
-            .shared
-            .iter()
-            .find_map(|s| (s.path == *path && s.kind == kind).then(|| s.backend.upgrade())?)
-        {
+        if let Some(hit) = Self::cached_locked(&inner, path, kind) {
             return Ok(hit);
         }
         inner.shared.push(SharedLoad {
-            path: path.clone(),
+            path: path.to_path_buf(),
             kind,
             backend: Arc::downgrade(&backend),
         });
         Ok(backend)
     }
 
-    fn cached_shared(&self, path: &Path, kind: BackendKind) -> Option<Arc<dyn InferenceBackend>> {
-        let inner = self.lock();
+    fn cached_locked(inner: &Inner, path: &Path, kind: BackendKind) -> Option<Arc<dyn InferenceBackend>> {
         inner
             .shared
             .iter()
@@ -910,7 +911,7 @@ mod tests {
         reg.register(ModelSpec::shared("b", Arc::clone(&backend)).serve(serve_cfg())).unwrap();
         let ha = reg.acquire("a").unwrap();
         let hb = reg.acquire("b").unwrap();
-        assert!(Arc::ptr_eq(ha.shared_backend(), hb.shared_backend()));
+        assert!(std::ptr::addr_eq(ha.session().backend(), hb.session().backend()));
         assert_eq!(reg.resident_bytes(), 100, "shared backend must be counted once");
         assert_eq!(reg.state("a"), Some(ModelState::Warm));
         assert_eq!(reg.state("b"), Some(ModelState::Warm));
@@ -990,6 +991,28 @@ mod tests {
         assert!(text.contains("ascend_registry_resident_bytes 96"), "{text}");
         assert!(text.contains("ascend_registry_budget_bytes 512"), "{text}");
         assert!(text.contains("ascend_registry_models 2"), "{text}");
+    }
+
+    #[test]
+    fn session_sources_serve_on_the_callers_own_pool() {
+        let session = Arc::new(
+            Session::from_shared_backend(Arc::new(TinyBackend::new(48)), serve_cfg()).unwrap(),
+        );
+        let other = ServeConfig { workers: 3, micro_batch: 2, queue_depth: 9 };
+        let spec = ModelSpec::session("default", Arc::clone(&session)).serve(other);
+        assert_eq!(spec.serve, serve_cfg(), "the spec's pool shape is the session's");
+        let reg = registry(0);
+        reg.register(spec).unwrap();
+        let caller_pool = session.runner().unwrap();
+        // Warming serves the session as-is on its one pool; eviction drops
+        // only the registry's reference, and a re-warm picks it back up.
+        for load in 1..=2 {
+            let handle = reg.acquire("default").unwrap();
+            assert!(std::ptr::eq(handle.session(), &*session), "served as-is, not rebuilt");
+            assert!(std::ptr::eq(handle.session().runner().unwrap(), caller_pool), "one pool");
+            assert_eq!((reg.resident_bytes(), reg.loads_total("default")), (48, Some(load)));
+            assert!(reg.evict("default"));
+        }
     }
 
     #[test]

@@ -69,8 +69,8 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
 
     // One artifact, two sessions, ONE copy of the weights.
     assert!(
-        Arc::ptr_eq(alpha.shared_backend(), beta.shared_backend()),
-        "sessions over one artifact must share the backend Arc"
+        std::ptr::addr_eq(alpha.session().backend(), beta.session().backend()),
+        "sessions over one artifact must share the backend"
     );
     assert_eq!(registry.resident_bytes(), engine.resident_bytes(), "shared copy charged once");
     assert_eq!(alpha.resident_bytes(), beta.resident_bytes());
