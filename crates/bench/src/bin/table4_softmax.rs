@@ -48,7 +48,7 @@ fn main() {
     for by in [4usize, 8, 16] {
         let block = paper_grid_block(by);
         let mae = block.mae_levels(&rows).expect("runs");
-        let cost = blocks::iter_softmax(&lib, &block).expect("dims probe");
+        let cost = blocks::iter_softmax(&lib, &block);
         ours_adp.push(cost.adp());
         ours_mae.push(mae);
         table.row(vec![

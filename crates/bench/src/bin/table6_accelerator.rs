@@ -77,8 +77,7 @@ fn main() {
         // Table VI without pretending our reduced-width ViT fills a full
         // accelerator.
         let tile = ascend_vit::VitConfig { dim: 256, mlp_ratio: 2, ..model.config };
-        let hw = AcceleratorModel::cost(&lib, &engine, &tile, &acc_cfg)
-            .expect("accelerator model costs");
+        let hw = AcceleratorModel::cost(&lib, &engine, &tile, &acc_cfg);
         let accuracy = engine.accuracy(test_set, 64).expect("SC inference runs") * 100.0;
         table.row(vec![
             format!("[{by}, {s1}, {s2}, {k}]"),

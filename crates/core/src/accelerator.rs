@@ -9,7 +9,6 @@
 //! analytic model from the *actual* compiled blocks of a [`ScEngine`].
 
 use ascend_vit::VitConfig;
-use sc_core::ScError;
 use sc_hw::{blocks, CellKind, CellLibrary, HwCost};
 
 use crate::engine::ScEngine;
@@ -77,16 +76,12 @@ pub struct AcceleratorModel {
 impl AcceleratorModel {
     /// Costs the accelerator hosting `engine`'s blocks for the given model
     /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension probing errors from the softmax block.
     pub fn cost(
         lib: &CellLibrary,
         engine: &ScEngine,
         vit: &VitConfig,
         acc: &AcceleratorConfig,
-    ) -> Result<Self, ScError> {
+    ) -> Self {
         let d = vit.dim;
         let hidden = vit.dim * vit.mlp_ratio;
         let rows = acc.array_rows.max(1);
@@ -116,7 +111,7 @@ impl AcceleratorModel {
         let gelu = gelu_unit.area_um2 * (rows * hidden) as f64 / 8.0; // banked 8:1
 
         // --- Softmax: k parallel blocks (Table VI note).
-        let softmax_unit = blocks::iter_softmax(lib, engine.softmax_block())?;
+        let softmax_unit = blocks::iter_softmax(lib, engine.softmax_block());
         let softmax = softmax_unit.area_um2 * acc.softmax_k as f64;
 
         // --- Residual registers (R16 per lane) + rescale taps.
@@ -125,10 +120,10 @@ impl AcceleratorModel {
             * lib.wire_factor()
             / 4.0; // 4:1 time-multiplexed
 
-        Ok(AcceleratorModel {
+        AcceleratorModel {
             breakdown: AreaBreakdown { mac_array, accumulators, gelu, softmax, residual },
             softmax_unit,
-        })
+        }
     }
 
     /// The area breakdown.
@@ -185,7 +180,7 @@ mod tests {
             array_rows: 16,
             ..Default::default()
         };
-        let model = AcceleratorModel::cost(&lib, &engine, &vit, &acc).unwrap();
+        let model = AcceleratorModel::cost(&lib, &engine, &vit, &acc);
         let share = model.breakdown().softmax_share_pct();
         assert!(share < 15.0, "small softmax config should be a minor share, got {share}%");
         assert!(model.breakdown().total() > 0.0);
@@ -197,10 +192,10 @@ mod tests {
         let lib = CellLibrary::tsmc28_like();
         let (e_small, vit) = engine_for(4, 2);
         let acc_small = AcceleratorConfig { softmax_by: 4, softmax_k: 2, ..Default::default() };
-        let small = AcceleratorModel::cost(&lib, &e_small, &vit, &acc_small).unwrap();
+        let small = AcceleratorModel::cost(&lib, &e_small, &vit, &acc_small);
         let (e_big, _) = engine_for(16, 4);
         let acc_big = AcceleratorConfig { softmax_by: 16, softmax_k: 4, ..Default::default() };
-        let big = AcceleratorModel::cost(&lib, &e_big, &vit, &acc_big).unwrap();
+        let big = AcceleratorModel::cost(&lib, &e_big, &vit, &acc_big);
         assert!(
             big.breakdown().softmax > 4.0 * small.breakdown().softmax,
             "Table VI: softmax area grows drastically: {} vs {}",

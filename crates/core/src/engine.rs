@@ -16,8 +16,9 @@
 //!   grid out;
 //! * attention softmax runs through the **iterative approximate softmax
 //!   block** ([`sc_nonlinear::softmax_iter`]) at the configured
-//!   `[By, s1, s2, k]` — the level-domain fast path, which is
-//!   property-tested identical to the bit-level circuit simulation.
+//!   `[By, s1, s2, k]`, compiled to an integer program that runs in place
+//!   on each score row and is property-tested identical to the bit-level
+//!   circuit simulation.
 //!
 //! The one float-domain remnant is LayerNorm, which cannot fold into static
 //! scale factors; the engine therefore requires a BatchNorm model — exactly
@@ -31,7 +32,7 @@ use sc_core::rescale::RescaleMode;
 use sc_core::ScError;
 use sc_nonlinear::gate_si::GateAssistedSi;
 use sc_nonlinear::ref_fn;
-use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig};
+use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig, SoftmaxLevels};
 use sc_core::encoding::Thermometer;
 
 /// Hardware configuration of the engine's nonlinear blocks.
@@ -207,7 +208,7 @@ pub struct ScEngine {
 /// scratch made by any other backend of the same geometry (buffers are
 /// resized on use), so decorators can delegate scratch allocation freely.
 pub struct ForwardScratch {
-    pub(crate) softmax_row: Vec<f64>,
+    pub(crate) softmax: SoftmaxLevels,
 }
 
 impl ForwardScratch {
@@ -216,7 +217,7 @@ impl ForwardScratch {
     /// implementations outside this crate (buffers grow on first use if a
     /// backend does touch them).
     pub fn empty() -> Self {
-        ForwardScratch { softmax_row: Vec::new() }
+        ForwardScratch { softmax: SoftmaxLevels::default() }
     }
 }
 
@@ -365,22 +366,16 @@ impl ScEngine {
         &self.vit
     }
 
-    /// Applies the SC softmax block to every row of `[n, s, s]` scores,
-    /// staging each row through the caller-provided scratch buffer.
-    fn sc_softmax_rows(&self, scores: &mut Tensor, row_buf: &mut Vec<f64>) -> Result<(), ScError> {
-        let shape = scores.shape().to_vec();
-        let s = shape[2];
-        let rows = scores.numel() / s;
-        let data = scores.data_mut();
-        row_buf.resize(s, 0.0);
-        for r in 0..rows {
-            for (b, v) in row_buf.iter_mut().zip(&data[r * s..(r + 1) * s]) {
-                *b = *v as f64;
-            }
-            let y = self.softmax.run_levels(row_buf)?;
-            for (dst, v) in data[r * s..(r + 1) * s].iter_mut().zip(y.iter()) {
-                *dst = *v as f32;
-            }
+    /// Applies the SC softmax block in place to every row of `[n, s, s]`
+    /// scores, with the level buffers in the caller-provided scratch.
+    fn sc_softmax_rows(
+        &self,
+        scores: &mut Tensor,
+        levels: &mut SoftmaxLevels,
+    ) -> Result<(), ScError> {
+        let s = scores.shape()[2];
+        for row in scores.data_mut().chunks_exact_mut(s) {
+            self.softmax.run_in_place(row, levels)?;
         }
         Ok(())
     }
@@ -429,7 +424,7 @@ impl crate::backend::InferenceBackend for ScEngine {
     }
 
     fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch { softmax_row: vec![0.0f64; self.vit.seq_len()] }
+        ForwardScratch { softmax: SoftmaxLevels::with_capacity(self.vit.seq_len()) }
     }
 
     /// Runs SC inference for one image, emitting [`StageObserver`] events
@@ -477,7 +472,7 @@ impl crate::backend::InferenceBackend for ScEngine {
                 q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
             observer.exit(Stage::Attention);
             observer.enter(Stage::Softmax);
-            self.sc_softmax_rows(&mut scores, &mut scratch.softmax_row)?;
+            self.sc_softmax_rows(&mut scores, &mut scratch.softmax)?;
             observer.exit(Stage::Softmax);
             observer.enter(Stage::Attention);
             let ctx = merge_heads(&scores.batched_matmul(&v), 1, s, h, dh);
@@ -626,7 +621,9 @@ impl Probe {
         let tokens = linear(patches, &wq(model.patch_embed()), &model.patch_embed().b);
         let mut x =
             assemble_sequence(&tokens, model.cls_token(), model.pos_embedding(), batch, cfg);
-        let mut score_samples: Vec<f64> = Vec::new();
+        // Every |score| of every layer: `batch·h` score maps of `s×s` each.
+        let mut score_samples: Vec<f32> =
+            Vec::with_capacity(model.blocks().len() * batch * h * s * s);
         let mut gelu_absmax = Vec::new();
         let mut score_rows: Vec<Vec<f64>> = Vec::new();
         for block in model.blocks() {
@@ -639,7 +636,7 @@ impl Probe {
             let v = split_heads(&linear(&xq, &wq(block.attn().v()), &block.attn().v().b), batch, s, h, dh);
             let scores =
                 q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            score_samples.extend(scores.data().iter().map(|v| v.abs() as f64));
+            score_samples.extend(scores.data().iter().map(|v| v.abs()));
             if score_rows.len() < 64 {
                 let rows = scores.numel() / s;
                 for r in (0..rows).step_by((rows / 8).max(1)) {
@@ -670,13 +667,21 @@ impl Probe {
             let out = linear(&act, &wq(block.mlp().fc2()), &block.mlp().fc2().b);
             x = fake_quant(&x.add(&out), res2.step_value(), plan.residual);
         }
-        score_samples.sort_by(f64::total_cmp);
-        let idx = ((score_samples.len() as f64) * 0.98) as usize;
-        let score_scale = score_samples.get(idx.min(score_samples.len().saturating_sub(1)))
-            .copied()
-            .unwrap_or(1.0);
+        let score_scale = percentile_98(&mut score_samples);
         Probe { score_scale, gelu_absmax, score_rows }
     }
+}
+
+/// The element at rank `⌊0.98·n⌋` (clamped to the last) of `samples` in
+/// `total_cmp` order — the one a full sort would put there — or 1.0 for
+/// no samples. Reorders `samples`.
+fn percentile_98(samples: &mut [f32]) -> f64 {
+    if samples.is_empty() {
+        return 1.0;
+    }
+    let idx = (((samples.len() as f64) * 0.98) as usize).min(samples.len() - 1);
+    let (_, v, _) = samples.select_nth_unstable_by(idx, f32::total_cmp);
+    f64::from(*v)
 }
 
 #[cfg(test)]
@@ -690,6 +695,33 @@ mod tests {
         // The shared checkpoint-cached converged fixture (trains once per
         // cache lifetime; `tests/backend_parity.rs` rides the same cache).
         train_or_load(&FixtureRecipe::tiny_converged("engine-unit", 5))
+    }
+
+    #[test]
+    fn percentile_98_picks_the_element_a_sort_would() {
+        // The sort-based reference: widen to f64, sort, index.
+        let reference = |samples: &[f32]| -> f64 {
+            let mut wide: Vec<f64> = samples.iter().map(|&v| v as f64).collect();
+            wide.sort_by(f64::total_cmp);
+            let idx = ((wide.len() as f64) * 0.98) as usize;
+            wide.get(idx.min(wide.len().saturating_sub(1))).copied().unwrap_or(1.0)
+        };
+        let mut noisy: Vec<f32> = (0..997).map(|i| ((i as f32) * 0.731).sin().abs() * 4.0).collect();
+        noisy.extend([9.5, 9.5, 12.0]);
+        let cases: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![0.75],
+            vec![0.0; 40],
+            vec![0.0, 0.0, 0.0, 2.0],
+            [vec![1.5; 60], vec![3.0; 3], vec![0.0; 37]].concat(),
+            (0..50).map(|i| (i % 7) as f32).collect(),
+            noisy,
+        ];
+        for mut case in cases {
+            let want = reference(&case);
+            let got = percentile_98(&mut case);
+            assert_eq!(got.to_bits(), want.to_bits(), "n = {}: {got} vs {want}", case.len());
+        }
     }
 
     #[test]

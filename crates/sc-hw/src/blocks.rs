@@ -10,7 +10,7 @@ use sc_nonlinear::bernstein::BernsteinConfig;
 use sc_nonlinear::fsm::FsmGeluConfig;
 use sc_nonlinear::gate_si::GateAssistedSi;
 use sc_nonlinear::softmax_fsm::FsmSoftmaxConfig;
-use sc_nonlinear::{IterSoftmaxBlock, IterSoftmaxDims};
+use sc_nonlinear::IterSoftmaxBlock;
 
 use crate::cell::{CellKind, CellLibrary};
 use crate::metrics::HwCost;
@@ -143,28 +143,10 @@ pub fn fsm_softmax(lib: &CellLibrary, config: &FsmSoftmaxConfig) -> HwCost {
 /// simulator instance: `m` compute units (two truth-table multipliers and
 /// two re-scaling tap sets each), BSN① over the concatenated products, and
 /// per-unit BSN② accumulators, iterated `k` times (delay × k; logic reused).
-///
-/// # Errors
-///
-/// Propagates dimension-probing errors from the simulator.
-pub fn iter_softmax(
-    lib: &CellLibrary,
-    block: &IterSoftmaxBlock,
-) -> Result<HwCost, sc_core::ScError> {
-    let dims = block.dims()?;
-    Ok(iter_softmax_from_dims(lib, block.config().m, block.config().k, block.config().bx, block.config().by, &dims))
-}
-
-/// [`iter_softmax`] from raw dimensions (exposed for sweep tooling that
-/// already has the dims).
-pub fn iter_softmax_from_dims(
-    lib: &CellLibrary,
-    m: usize,
-    k: usize,
-    bx: usize,
-    by: usize,
-    dims: &IterSoftmaxDims,
-) -> HwCost {
+pub fn iter_softmax(lib: &CellLibrary, block: &IterSoftmaxBlock) -> HwCost {
+    let c = block.config();
+    let (m, k, bx, by) = (c.m, c.k, c.bx, c.by);
+    let dims = block.dims();
     // MUL①: Bx×By truth table → ~Bx·By AND terms compressed into z_len wires.
     let mul1 = (bx * by) as f64 * lib.area(CellKind::And2)
         + dims.z_len as f64 * lib.area(CellKind::Or2);
@@ -325,7 +307,7 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-            iter_softmax(&lib(), &block).unwrap()
+            iter_softmax(&lib(), &block)
         };
         let c4 = cost(4, 0.125);
         let c8 = cost(8, 0.0625);

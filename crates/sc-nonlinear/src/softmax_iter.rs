@@ -13,9 +13,20 @@
 //! every quantization the hardware makes: input/state thermometer grids
 //! (`Bx`/`αx`, `By`/`αy`), the `s1`/`s2` sub-sampling of `sum(z)` and
 //! `y·sum(z)`, and saturating truncation back to the `By` state register.
+//!
+//! In deterministic thermometer SC every stream length, scale, tap phase
+//! and tap position of that circuit depends only on the configuration;
+//! only the levels vary per row. [`IterSoftmaxBlock::new`] therefore
+//! compiles the block once into an integer program — closed-form `s1`/`s2`
+//! sub-samples and a `ones → level` table per `÷k` re-scaling leg — which
+//! the design-space sweeps and the SC inference engine run at a handful of
+//! integer operations per element and iteration, allocation-free in
+//! [`IterSoftmaxBlock::run_in_place`]. [`IterSoftmaxBlock::run`] pushes
+//! real bitstreams through the circuit and stays the reference the program
+//! is property-tested against.
 
 use sc_core::encoding::Thermometer;
-use sc_core::rescale::{align_scale, rescale, truncate_center, RescaleMode};
+use sc_core::rescale::{align_scale, resample_tap, rescale, truncate_center, RescaleMode};
 use sc_core::{bsn, ttmul, ScError, ThermStream};
 
 /// Float-exact Algorithm 1: `k` Euler steps from the uniform vector.
@@ -146,17 +157,24 @@ pub struct IterSoftmaxDims {
 }
 
 /// Bit-accurate simulator of the Fig. 5 softmax circuit block.
+///
+/// Construction compiles the circuit into an integer program that every
+/// level-domain entry point ([`IterSoftmaxBlock::run_levels`],
+/// [`IterSoftmaxBlock::run_in_place`], [`IterSoftmaxBlock::mae_levels`])
+/// executes; [`IterSoftmaxBlock::run`] pushes real bitstreams through the
+/// same circuit and is the reference the program is tested against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterSoftmaxBlock {
     config: IterSoftmaxConfig,
     in_codec: Thermometer,
     state_codec: Thermometer,
+    program: Program,
 }
 
 impl IterSoftmaxBlock {
     /// Builds the block, verifying the configuration is self-consistent
     /// (every internal re-scale must be feasible — this is what makes some
-    /// of the 2916 DSE grid points "impossible designs").
+    /// of the 2916 DSE grid points "impossible designs"), and compiles it.
     ///
     /// # Errors
     ///
@@ -166,10 +184,11 @@ impl IterSoftmaxBlock {
         config.validate()?;
         let in_codec = Thermometer::new(config.bx, config.ax)?;
         let state_codec = Thermometer::new(config.by, config.ay)?;
-        let block = IterSoftmaxBlock { config, in_codec, state_codec };
-        // Dry-run one step on a zero vector to surface infeasible rescales.
-        block.run(&vec![0.0; config.m])?;
-        Ok(block)
+        // Dry-run the bit-level circuit on a zero vector to surface
+        // infeasible rescales; past it every stream length is well-formed.
+        run_bits(&config, &in_codec, &state_codec, &vec![0.0; config.m])?;
+        let program = Program::compile(&config);
+        Ok(IterSoftmaxBlock { config, in_codec, state_codec, program })
     }
 
     /// The configuration.
@@ -187,8 +206,8 @@ impl IterSoftmaxBlock {
         &self.state_codec
     }
 
-    /// Runs the circuit on a logit row, returning the decoded softmax
-    /// approximation.
+    /// Runs the bit-level circuit on a logit row, returning the decoded
+    /// softmax approximation.
     ///
     /// # Errors
     ///
@@ -196,268 +215,347 @@ impl IterSoftmaxBlock {
     /// [`ScError::InvalidParam`] if an internal re-scale is infeasible for
     /// this configuration.
     pub fn run(&self, x: &[f64]) -> Result<Vec<f64>, ScError> {
-        let c = &self.config;
-        if x.len() != c.m {
-            return Err(ScError::LengthMismatch { left: x.len(), right: c.m });
-        }
-        // Encode inputs once (clamped to the αx·Bx/2 range).
-        let xs: Vec<ThermStream> = x.iter().map(|&v| self.in_codec.encode(v)).collect();
-        // y⁰ = 1/m on the state grid.
-        let y0 = self.state_codec.encode(1.0 / c.m as f64);
-        let mut ys: Vec<ThermStream> = vec![y0; c.m];
-
-        for _ in 0..c.k {
-            // MUL①: z_i = x_i · y_i (truth-table, exact).
-            let zs: Vec<ThermStream> = xs
-                .iter()
-                .zip(ys.iter())
-                .map(|(xi, yi)| ttmul::mul(xi, yi))
-                .collect::<Result<_, _>>()?;
-            // BSN①: sum(z), then sub-sample by s1.
-            let z_refs: Vec<&ThermStream> = zs.iter().collect();
-            let sum_z = bsn::add(&z_refs)?;
-            let sum_z = rescale(&sum_z, c.s1, c.mode)?;
-
-            let mut next = Vec::with_capacity(c.m);
-            for (yi, zi) in ys.iter().zip(zs.iter()) {
-                // MUL②: w_i = y_i · sum(z), then sub-sample by s2.
-                let wi = ttmul::mul(yi, &sum_z)?;
-                let wi = rescale(&wi, c.s2, c.mode)?;
-
-                // ÷k by scale folding (free), then re-scale onto αy.
-                let zk = zi.with_scale(zi.scale() / c.k as f64)?;
-                let zk = align_scale(&zk, c.ay, c.mode)?;
-                let wk = wi.with_scale(wi.scale() / c.k as f64)?;
-                let wk = align_scale(&wk, c.ay, c.mode)?;
-
-                // BSN②: y_i + z_i/k − w_i/k, saturate back into By bits.
-                let acc = bsn::add(&[yi, &zk, &wk.negate()])?;
-                next.push(truncate_center(&acc, c.by)?);
-            }
-            ys = next;
-        }
-        Ok(ys.iter().map(ThermStream::value).collect())
+        run_bits(&self.config, &self.in_codec, &self.state_codec, x)
     }
 
-    /// Measures the internal datapath widths (stream lengths) by pushing a
-    /// zero vector through one iteration — the numbers the hardware cost
-    /// model needs. Lengths are data-independent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same feasibility errors as [`IterSoftmaxBlock::run`].
-    pub fn dims(&self) -> Result<IterSoftmaxDims, ScError> {
-        let c = &self.config;
-        let x0 = self.in_codec.encode(0.0);
-        let y0 = self.state_codec.encode(1.0 / c.m as f64);
-        let z = ttmul::mul(&x0, &y0)?;
-        let zs: Vec<ThermStream> = vec![z.clone(); c.m];
-        let z_refs: Vec<&ThermStream> = zs.iter().collect();
-        let sum_z = bsn::add(&z_refs)?;
-        let sum_sub = rescale(&sum_z, c.s1, c.mode)?;
-        let w = ttmul::mul(&y0, &sum_sub)?;
-        let w_sub = rescale(&w, c.s2, c.mode)?;
-        let zk = align_scale(&z.with_scale(z.scale() / c.k as f64)?, c.ay, c.mode)?;
-        let wk = align_scale(&w_sub.with_scale(w_sub.scale() / c.k as f64)?, c.ay, c.mode)?;
-        Ok(IterSoftmaxDims {
-            z_len: z.len(),
-            sum_len: sum_z.len(),
-            sum_sub_len: sum_sub.len(),
-            w_len: w.len(),
-            w_sub_len: w_sub.len(),
-            zk_len: zk.len(),
-            wk_len: wk.len(),
-            acc_len: c.by + zk.len() + wk.len(),
-        })
-    }
-
-    /// Mean absolute error per element against exact softmax, averaged over
-    /// a batch of logit rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`IterSoftmaxBlock::run`] errors; rejects an empty batch.
-    pub fn mae(&self, rows: &[Vec<f64>]) -> Result<f64, ScError> {
-        if rows.is_empty() {
-            return Err(ScError::InvalidParam {
-                name: "rows",
-                reason: "need at least one test vector".into(),
-            });
-        }
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for row in rows {
-            let got = self.run(row)?;
-            let want = crate::ref_fn::softmax(row);
-            for (g, w) in got.iter().zip(want.iter()) {
-                total += (g - w).abs();
-                count += 1;
-            }
-        }
-        Ok(total / count as f64)
-    }
-}
-
-
-/// A `(level, len, scale)` triple mirroring a [`ThermStream`] without
-/// materializing bits — the fast twin used by the design-space sweep and
-/// the SC inference engine. Every operation reproduces the bit-level
-/// semantics exactly (property-tested against [`IterSoftmaxBlock::run`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LevelStream {
-    /// Level `q = ones − len/2`.
-    q: i64,
-    len: usize,
-    scale: f64,
-}
-
-impl LevelStream {
-    fn encode(x: f64, len: usize, scale: f64) -> Self {
-        let half = (len / 2) as i64;
-        let q = (x / scale).round().clamp(-(half as f64), half as f64) as i64;
-        LevelStream { q, len, scale }
-    }
-
-    fn ones(&self) -> i64 {
-        self.q + (self.len / 2) as i64
-    }
-
-    fn value(&self) -> f64 {
-        self.scale * self.q as f64
-    }
-
-    fn mul(&self, o: &LevelStream) -> Self {
-        LevelStream {
-            q: self.q * o.q,
-            len: self.len * o.len / 2,
-            scale: self.scale * o.scale,
-        }
-    }
-
-    fn sum(streams: &[LevelStream]) -> Self {
-        let q = streams.iter().map(|s| s.q).sum();
-        let len = streams.iter().map(|s| s.len).sum();
-        LevelStream { q, len, scale: streams[0].scale }
-    }
-
-    /// Mirrors `rescale`: strided tap at the mode's phase.
-    fn rescale(&self, s: usize, mode: RescaleMode) -> Self {
-        if s == 1 {
-            return *self;
-        }
-        let out_len = self.len / s;
-        let phase = mode.phase(s) as i64;
-        let ones = self.ones();
-        // count' = #{i in 0..out_len : i*s + phase < ones}
-        let count = if ones <= phase {
-            0
-        } else {
-            (((ones - phase - 1) / s as i64) + 1).min(out_len as i64)
-        };
-        LevelStream { q: count - (out_len / 2) as i64, len: out_len, scale: self.scale * s as f64 }
-    }
-
-    /// Mirrors `resample`: per-tap positions over the sorted stream.
-    fn resample(&self, out_len: usize, mode: RescaleMode) -> Self {
-        let l = self.len;
-        let ones = self.ones();
-        let mut count = 0i64;
-        for j in 0..out_len {
-            let pos = sc_core::rescale::resample_tap(j, l, out_len, mode);
-            if (pos as i64) < ones {
-                count += 1;
-            }
-        }
-        LevelStream {
-            q: count - (out_len / 2) as i64,
-            len: out_len,
-            scale: self.scale * l as f64 / out_len as f64,
-        }
-    }
-
-    /// Mirrors `align_scale` (nearest even tap count + exact relabel).
-    fn align_scale(&self, target: f64, mode: RescaleMode) -> Self {
-        let ideal = self.scale * self.len as f64 / target;
-        let mut out_len = (ideal / 2.0).round() as usize * 2;
-        if out_len < 2 {
-            out_len = 2;
-        }
-        let mut r = self.resample(out_len, mode);
-        r.scale = target;
-        r
-    }
-
-    fn negate(&self) -> Self {
-        LevelStream { q: -self.q, ..*self }
-    }
-
-    fn truncate_center(&self, out_len: usize) -> Self {
-        let half = (out_len / 2) as i64;
-        LevelStream { q: self.q.clamp(-half, half), len: out_len, scale: self.scale }
-    }
-}
-
-impl IterSoftmaxBlock {
-    /// Level-domain fast path: identical results to [`IterSoftmaxBlock::run`]
-    /// (property-tested) at a fraction of the cost. Use for design-space
-    /// sweeps and in-loop inference.
+    /// Level-domain path: the compiled program, identical to
+    /// [`IterSoftmaxBlock::run`] (property-tested) at a fraction of the
+    /// cost. Use for design-space sweeps.
     ///
     /// # Errors
     ///
     /// Returns [`ScError::LengthMismatch`] if `x.len() != m`.
     pub fn run_levels(&self, x: &[f64]) -> Result<Vec<f64>, ScError> {
-        let c = &self.config;
-        if x.len() != c.m {
-            return Err(ScError::LengthMismatch { left: x.len(), right: c.m });
-        }
-        let xs: Vec<LevelStream> =
-            x.iter().map(|&v| LevelStream::encode(v, c.bx, c.ax)).collect();
-        let y0 = LevelStream::encode(1.0 / c.m as f64, c.by, c.ay);
-        let mut ys = vec![y0; c.m];
-        for _ in 0..c.k {
-            let zs: Vec<LevelStream> = xs.iter().zip(ys.iter()).map(|(a, b)| a.mul(b)).collect();
-            let sum_z = LevelStream::sum(&zs).rescale(c.s1, c.mode);
-            let mut next = Vec::with_capacity(c.m);
-            for (yi, zi) in ys.iter().zip(zs.iter()) {
-                let wi = yi.mul(&sum_z).rescale(c.s2, c.mode);
-                let mut zk = *zi;
-                zk.scale /= c.k as f64;
-                let zk = zk.align_scale(c.ay, c.mode);
-                let mut wk = wi;
-                wk.scale /= c.k as f64;
-                let wk = wk.align_scale(c.ay, c.mode).negate();
-                let acc = LevelStream::sum(&[*yi, zk, wk]);
-                next.push(acc.truncate_center(c.by));
-            }
-            ys = next;
-        }
-        Ok(ys.iter().map(LevelStream::value).collect())
+        self.check_len(x.len())?;
+        let p = &self.program;
+        let xq: Vec<i64> = x.iter().map(|&v| p.encode(v)).collect();
+        let mut yq = Vec::with_capacity(xq.len());
+        p.iterate(&xq, &mut yq);
+        Ok(yq.iter().map(|&q| p.decode(q)).collect())
     }
 
-    /// MAE via the level-domain fast path.
+    /// Runs the compiled program on an `f32` logit row in place — the SC
+    /// engine's attention softmax. Each input is encoded from `v as f64`
+    /// and each output written back as the `f64` result cast to `f32`, so
+    /// the row ends up exactly as [`IterSoftmaxBlock::run_levels`] would
+    /// leave it; `levels` is reused across calls and nothing is allocated
+    /// once it has grown to `m`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::LengthMismatch`] if `row.len() != m`.
+    pub fn run_in_place(
+        &self,
+        row: &mut [f32],
+        levels: &mut SoftmaxLevels,
+    ) -> Result<(), ScError> {
+        self.check_len(row.len())?;
+        let p = &self.program;
+        levels.x.clear();
+        levels.x.extend(row.iter().map(|&v| p.encode(v as f64)));
+        p.iterate(&levels.x, &mut levels.y);
+        for (dst, &q) in row.iter_mut().zip(&levels.y) {
+            *dst = p.decode(q) as f32;
+        }
+        Ok(())
+    }
+
+    fn check_len(&self, len: usize) -> Result<(), ScError> {
+        if len != self.config.m {
+            return Err(ScError::LengthMismatch { left: len, right: self.config.m });
+        }
+        Ok(())
+    }
+
+    /// The internal datapath widths (stream lengths) — the numbers the
+    /// hardware cost model needs. Lengths are data-independent, fixed when
+    /// the block is compiled.
+    pub fn dims(&self) -> IterSoftmaxDims {
+        self.program.dims
+    }
+
+    /// Mean absolute error per element of the bit-level circuit against
+    /// exact softmax, averaged over a batch of logit rows.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`IterSoftmaxBlock::run`] errors; rejects an empty batch.
+    pub fn mae(&self, rows: &[Vec<f64>]) -> Result<f64, ScError> {
+        mae_of(rows, |row| self.run(row))
+    }
+
+    /// MAE via the compiled program; equal to [`IterSoftmaxBlock::mae`].
     ///
     /// # Errors
     ///
     /// Propagates [`IterSoftmaxBlock::run_levels`] errors; rejects an empty
     /// batch.
     pub fn mae_levels(&self, rows: &[Vec<f64>]) -> Result<f64, ScError> {
-        if rows.is_empty() {
-            return Err(ScError::InvalidParam {
-                name: "rows",
-                reason: "need at least one test vector".into(),
-            });
+        mae_of(rows, |row| self.run_levels(row))
+    }
+}
+
+/// Mean absolute error of `run` against exact softmax over `rows`.
+fn mae_of(
+    rows: &[Vec<f64>],
+    run: impl Fn(&[f64]) -> Result<Vec<f64>, ScError>,
+) -> Result<f64, ScError> {
+    if rows.is_empty() {
+        return Err(ScError::InvalidParam {
+            name: "rows",
+            reason: "need at least one test vector".into(),
+        });
+    }
+    let mut total = 0.0;
+    let mut count = 0usize;
+    for row in rows {
+        let got = run(row)?;
+        let want = crate::ref_fn::softmax(row);
+        for (g, w) in got.iter().zip(want.iter()) {
+            total += (g - w).abs();
+            count += 1;
         }
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for row in rows {
-            let got = self.run_levels(row)?;
-            let want = crate::ref_fn::softmax(row);
-            for (g, w) in got.iter().zip(want.iter()) {
-                total += (g - w).abs();
+    }
+    Ok(total / count as f64)
+}
+
+/// The Fig. 5 circuit on real bitstreams.
+fn run_bits(
+    c: &IterSoftmaxConfig,
+    in_codec: &Thermometer,
+    state_codec: &Thermometer,
+    x: &[f64],
+) -> Result<Vec<f64>, ScError> {
+    if x.len() != c.m {
+        return Err(ScError::LengthMismatch { left: x.len(), right: c.m });
+    }
+    // Encode inputs once (clamped to the αx·Bx/2 range).
+    let xs: Vec<ThermStream> = x.iter().map(|&v| in_codec.encode(v)).collect();
+    // y⁰ = 1/m on the state grid.
+    let y0 = state_codec.encode(1.0 / c.m as f64);
+    let mut ys: Vec<ThermStream> = vec![y0; c.m];
+
+    for _ in 0..c.k {
+        // MUL①: z_i = x_i · y_i (truth-table, exact).
+        let zs: Vec<ThermStream> = xs
+            .iter()
+            .zip(ys.iter())
+            .map(|(xi, yi)| ttmul::mul(xi, yi))
+            .collect::<Result<_, _>>()?;
+        // BSN①: sum(z), then sub-sample by s1.
+        let z_refs: Vec<&ThermStream> = zs.iter().collect();
+        let sum_z = bsn::add(&z_refs)?;
+        let sum_z = rescale(&sum_z, c.s1, c.mode)?;
+
+        let mut next = Vec::with_capacity(c.m);
+        for (yi, zi) in ys.iter().zip(zs.iter()) {
+            // MUL②: w_i = y_i · sum(z), then sub-sample by s2.
+            let wi = ttmul::mul(yi, &sum_z)?;
+            let wi = rescale(&wi, c.s2, c.mode)?;
+
+            // ÷k by scale folding (free), then re-scale onto αy.
+            let zk = zi.with_scale(zi.scale() / c.k as f64)?;
+            let zk = align_scale(&zk, c.ay, c.mode)?;
+            let wk = wi.with_scale(wi.scale() / c.k as f64)?;
+            let wk = align_scale(&wk, c.ay, c.mode)?;
+
+            // BSN②: y_i + z_i/k − w_i/k, saturate back into By bits.
+            let acc = bsn::add(&[yi, &zk, &wk.negate()])?;
+            next.push(truncate_center(&acc, c.by)?);
+        }
+        ys = next;
+    }
+    Ok(ys.iter().map(ThermStream::value).collect())
+}
+
+/// Reusable level buffers for [`IterSoftmaxBlock::run_in_place`]: the
+/// encoded input row and the iterated state, one level per element.
+#[derive(Debug, Clone, Default)]
+pub struct SoftmaxLevels {
+    x: Vec<i64>,
+    y: Vec<i64>,
+}
+
+impl SoftmaxLevels {
+    /// Buffers pre-sized for rows of length `m`.
+    pub fn with_capacity(m: usize) -> Self {
+        SoftmaxLevels { x: Vec::with_capacity(m), y: Vec::with_capacity(m) }
+    }
+}
+
+/// `rescale` by `s` of a sorted `len`-bit stream, on levels: tapping bit
+/// `phase` of every `s`-group keeps `#{i < len/s : i·s + phase < ones}`
+/// ones, which is a closed form in `ones`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SubSample {
+    in_half: i64,
+    s: i64,
+    phase: i64,
+    out_len: i64,
+}
+
+impl SubSample {
+    fn new(len: usize, s: usize, mode: RescaleMode) -> Self {
+        SubSample {
+            in_half: (len / 2) as i64,
+            s: s as i64,
+            phase: mode.phase(s) as i64,
+            out_len: (len / s) as i64,
+        }
+    }
+
+    fn out_len(&self) -> usize {
+        self.out_len as usize
+    }
+
+    /// Output level for input level `q` (`s = 1` is the identity).
+    fn apply(&self, q: i64) -> i64 {
+        let ones = q + self.in_half;
+        let count = if ones <= self.phase {
+            0
+        } else {
+            ((ones - self.phase - 1) / self.s + 1).min(self.out_len)
+        };
+        count - self.out_len / 2
+    }
+}
+
+/// `align_scale` of a sorted `len`-bit stream at `scale` onto `target`,
+/// tabulated: the output length and the output level for every input
+/// `ones ∈ 0..=len`.
+///
+/// Output tap `j` reads input bit `resample_tap(j)`, which is a one iff
+/// that position is below `ones`. Tap positions are non-decreasing in
+/// `j`, so the count is non-decreasing in `ones` and one sweep over both
+/// builds the whole table in `O(len + out_len)`.
+fn align_table(len: usize, scale: f64, target: f64, mode: RescaleMode) -> (usize, Vec<i64>) {
+    let ideal = scale * len as f64 / target;
+    let out_len = ((ideal / 2.0).round() as usize * 2).max(2);
+    let out_half = (out_len / 2) as i64;
+    let mut count = 0;
+    let table = (0..=len)
+        .map(|ones| {
+            while count < out_len && resample_tap(count, len, out_len, mode) < ones {
                 count += 1;
             }
+            count as i64 - out_half
+        })
+        .collect();
+    (out_len, table)
+}
+
+/// Thermometer level of `x` at `scale`: rounded, then clamped to
+/// `±half` (`Thermometer::encode`).
+fn quantize(x: f64, scale: f64, half: f64) -> i64 {
+    (x / scale).round().clamp(-half, half) as i64
+}
+
+/// The block compiled to integers. Every stream length, scale, tap phase
+/// and tap position of the `k`-step circuit depends only on the
+/// configuration; only the levels vary per row. The program keeps the
+/// encode/decode grids, the closed-form `s1`/`s2` sub-samples, and one
+/// `ones → level` table per `÷k` re-scaling leg (`z/k` and `y·sum(z)/k`),
+/// so one iteration costs a handful of integer operations per element.
+#[derive(Debug, Clone, PartialEq)]
+struct Program {
+    k: usize,
+    /// Input scale `αx` and clamp `Bx/2`.
+    ax: f64,
+    x_half: f64,
+    /// State scale `αy`, clamp `By/2` and initial level `y⁰ = 1/m`.
+    ay: f64,
+    y_half: i64,
+    y0: i64,
+    /// `sum(z)` → `s1`.
+    sum_sub: SubSample,
+    /// `y·sum(z)` → `s2`.
+    w_sub: SubSample,
+    /// `z/k` onto `αy`, indexed by `z + z_half`.
+    z_half: i64,
+    zk: Vec<i64>,
+    /// `y·sum(z)/k` onto `αy`, indexed by `w + w_half` (after `s2`).
+    w_half: i64,
+    wk: Vec<i64>,
+    dims: IterSoftmaxDims,
+}
+
+impl Program {
+    /// Compiles a configuration whose bit-level dry run succeeded. Lengths
+    /// and scales follow the bit-level ops: a truth-table multiply halves
+    /// the product of the lengths and multiplies the scales, a BSN adds
+    /// lengths at a shared scale, a sub-sample by `s` divides the length
+    /// and multiplies the scale by `s`.
+    fn compile(c: &IterSoftmaxConfig) -> Program {
+        let y_half = (c.by / 2) as i64;
+        let y0 = quantize(1.0 / c.m as f64, c.ay, y_half as f64);
+        // MUL① then BSN① and s1.
+        let z_len = c.bx * c.by / 2;
+        let z_scale = c.ax * c.ay;
+        let sum_len = c.m * z_len;
+        let sum_sub = SubSample::new(sum_len, c.s1, c.mode);
+        let sum_scale = z_scale * c.s1 as f64;
+        // MUL② then s2.
+        let w_len = c.by * sum_sub.out_len() / 2;
+        let w_sub = SubSample::new(w_len, c.s2, c.mode);
+        let w_scale = c.ay * sum_scale * c.s2 as f64;
+        // ÷k by scale folding, then align onto αy.
+        let k = c.k as f64;
+        let (zk_len, zk) = align_table(z_len, z_scale / k, c.ay, c.mode);
+        let (wk_len, wk) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode);
+        Program {
+            k: c.k,
+            ax: c.ax,
+            x_half: (c.bx / 2) as f64,
+            ay: c.ay,
+            y_half,
+            y0,
+            sum_sub,
+            w_sub,
+            z_half: (z_len / 2) as i64,
+            zk,
+            w_half: (w_sub.out_len() / 2) as i64,
+            wk,
+            dims: IterSoftmaxDims {
+                z_len,
+                sum_len,
+                sum_sub_len: sum_sub.out_len(),
+                w_len,
+                w_sub_len: w_sub.out_len(),
+                zk_len,
+                wk_len,
+                acc_len: c.by + zk_len + wk_len,
+            },
         }
-        Ok(total / count as f64)
+    }
+
+    /// Input level of logit `v`.
+    fn encode(&self, v: f64) -> i64 {
+        quantize(v, self.ax, self.x_half)
+    }
+
+    /// Value of state level `q`.
+    fn decode(&self, q: i64) -> f64 {
+        self.ay * q as f64
+    }
+
+    /// Runs the `k` steps from `y⁰` on input levels `x`, leaving the state
+    /// levels in `y`. Each `y_i` update reads only `y_i`, `x_i` and
+    /// `sum(z)` of the previous state, so the state updates in place.
+    fn iterate(&self, x: &[i64], y: &mut Vec<i64>) {
+        y.clear();
+        y.resize(x.len(), self.y0);
+        for _ in 0..self.k {
+            // MUL① + BSN①, then s1.
+            let sum_z = x.iter().zip(y.iter()).map(|(xi, yi)| xi * yi).sum::<i64>();
+            let sum_z = self.sum_sub.apply(sum_z);
+            for (xi, yi) in x.iter().zip(y.iter_mut()) {
+                // MUL② then s2; both ÷k legs by table; BSN② and saturation.
+                let w = self.w_sub.apply(*yi * sum_z);
+                let zk = self.zk[(xi * *yi + self.z_half) as usize];
+                let wk = self.wk[(w + self.w_half) as usize];
+                *yi = (*yi + zk - wk).clamp(-self.y_half, self.y_half);
+            }
+        }
     }
 }
 
@@ -631,7 +729,7 @@ mod tests {
     #[test]
     fn dims_are_consistent() {
         let block = IterSoftmaxBlock::new(IterSoftmaxConfig::default()).unwrap();
-        let d = block.dims().unwrap();
+        let d = block.dims();
         let c = block.config();
         assert_eq!(d.z_len, c.bx * c.by / 2);
         assert_eq!(d.sum_len, c.m * d.z_len);
@@ -647,10 +745,11 @@ mod tests {
         let block = small_block(4);
         assert!(block.mae(&[]).is_err());
     }
+
     #[test]
     fn level_sim_matches_bit_sim_exactly() {
-        // The fast twin must agree bit-for-bit (in decoded values) with the
-        // bit-accurate simulator across configurations and inputs.
+        // The compiled program must agree bit-for-bit (in decoded values)
+        // with the bit-accurate simulator across configurations and inputs.
         let configs = [
             IterSoftmaxConfig::default(),
             IterSoftmaxConfig { m: 8, k: 2, bx: 4, ax: 0.5, by: 16, ay: 0.0625, s1: 4, s2: 8, mode: RescaleMode::Floor },
@@ -665,9 +764,29 @@ mod tests {
                 let bits = block.run(&x).unwrap();
                 let levels = block.run_levels(&x).unwrap();
                 for (b, l) in bits.iter().zip(levels.iter()) {
-                    assert!((b - l).abs() < 1e-12, "cfg {cfg:?}: {b} vs {l}");
+                    assert_eq!(b.to_bits(), l.to_bits(), "cfg {cfg:?}: {b} vs {l}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn in_place_f32_run_matches_run_levels() {
+        let block = IterSoftmaxBlock::new(IterSoftmaxConfig::default()).unwrap();
+        let mut levels = SoftmaxLevels::default();
+        for seed in 0..4u64 {
+            let row: Vec<f32> =
+                (0..64).map(|i| ((i as f32 + seed as f32 * 2.3) * 0.41).sin() * 3.0).collect();
+            let wide: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+            let want: Vec<f32> =
+                block.run_levels(&wide).unwrap().iter().map(|&v| v as f32).collect();
+            let mut got = row.clone();
+            block.run_in_place(&mut got, &mut levels).unwrap();
+            assert_eq!(got, want, "seed {seed}");
+        }
+        assert!(matches!(
+            block.run_in_place(&mut [0.0; 3], &mut levels).unwrap_err(),
+            ScError::LengthMismatch { left: 3, right: 64 }
+        ));
     }
 }

@@ -51,38 +51,6 @@ proptest! {
         prop_assert!(gate_err <= naive_err + 1e-9, "gate {} vs naive {}", gate_err, naive_err);
     }
 
-    /// The softmax block's level-domain twin matches the bit-level circuit
-    /// on randomized configurations and inputs.
-    #[test]
-    fn softmax_level_twin_matches_bits(
-        m in prop::sample::select(vec![4usize, 8, 16]),
-        k in 1usize..=4,
-        by in prop::sample::select(vec![8usize, 16]),
-        seed in 0u64..50,
-    ) {
-        let cfg = IterSoftmaxConfig {
-            m,
-            k,
-            bx: 4,
-            ax: 1.0,
-            by,
-            ay: 1.0 / m as f64,
-            s1: 2,
-            s2: 2,
-            mode: RescaleMode::Round,
-        };
-        if let Ok(block) = IterSoftmaxBlock::new(cfg) {
-            let x: Vec<f64> = (0..m)
-                .map(|i| ((i as f64 + seed as f64) * 0.77).sin() * 1.5)
-                .collect();
-            let bits = block.run(&x).unwrap();
-            let levels = block.run_levels(&x).unwrap();
-            for (b, l) in bits.iter().zip(levels.iter()) {
-                prop_assert!((b - l).abs() < 1e-12);
-            }
-        }
-    }
-
     /// Softmax block outputs stay within the representable state range and
     /// are deterministic.
     #[test]
@@ -106,6 +74,47 @@ proptest! {
         let bound = 0.125 * 8.0 + 1e-12;
         for v in a {
             prop_assert!(v.abs() <= bound, "out of state range: {}", v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The softmax block's compiled program matches the bit-level circuit
+    /// exactly — every rounding mode, sub-sample rates from none to the
+    /// paper's 32, odd and even row lengths up to the engine's m = 65 (so
+    /// the long `y·sum(z)/k` re-scaling legs are reached), engine-like
+    /// grids (`αx = 2·range/Bx`, `αy = (2/By)·{¼, ½, 1}`), and logits
+    /// past the `±αx·Bx/2` input clamp. Infeasible configurations are
+    /// skipped, as construction rejects them.
+    #[test]
+    fn softmax_level_twin_matches_bits(
+        mode in prop::sample::select(vec![RescaleMode::Floor, RescaleMode::Round, RescaleMode::Ceil]),
+        s1 in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
+        s2 in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
+        m in prop::sample::select(vec![4usize, 5, 16, 17, 64, 65]),
+        k in 1usize..=4,
+        bx in prop::sample::select(vec![2usize, 4]),
+        by in prop::sample::select(vec![4usize, 8, 16]),
+        range in 0.5f64..4.0,
+        ay_mult in prop::sample::select(vec![0.25f64, 0.5, 1.0]),
+        overdrive in 1.0f64..3.0,
+        seed in 0u64..1000,
+    ) {
+        let ax = 2.0 * range / bx as f64;
+        let cfg = IterSoftmaxConfig { m, k, bx, ax, by, ay: 2.0 / by as f64 * ay_mult, s1, s2, mode };
+        if let Ok(block) = IterSoftmaxBlock::new(cfg) {
+            // Amplitudes up to 3x the clamp: most rows saturate some inputs.
+            let amp = overdrive * ax * (bx / 2) as f64;
+            let x: Vec<f64> = (0..m)
+                .map(|i| ((i as f64 + seed as f64) * 0.77).sin() * amp)
+                .collect();
+            let bits = block.run(&x).unwrap();
+            let levels = block.run_levels(&x).unwrap();
+            for (i, (b, l)) in bits.iter().zip(levels.iter()).enumerate() {
+                prop_assert_eq!(b.to_bits(), l.to_bits(), "{:?} element {}: {} vs {}", cfg, i, b, l);
+            }
         }
     }
 }

@@ -31,7 +31,7 @@ fn table3_shape_gate_si_beats_bernstein_on_adp_and_mae() {
 #[test]
 fn table4_shape_iterative_beats_fsm_on_adp() {
     let ours = IterSoftmaxBlock::new(IterSoftmaxConfig::default()).unwrap();
-    let ours_cost = blocks::iter_softmax(&lib(), &ours).unwrap();
+    let ours_cost = blocks::iter_softmax(&lib(), &ours);
     let fsm_cost = blocks::fsm_softmax(
         &lib(),
         &FsmSoftmaxConfig { bsl: 1024, ..Default::default() },
@@ -56,7 +56,7 @@ fn softmax_area_scales_superlinearly_in_by() {
             ..IterSoftmaxConfig::default()
         })
         .unwrap();
-        blocks::iter_softmax(&lib(), &block).unwrap().area_um2
+        blocks::iter_softmax(&lib(), &block).area_um2
     };
     let a4 = cost_for(4);
     let a16 = cost_for(16);
