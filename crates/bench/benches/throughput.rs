@@ -15,9 +15,8 @@
 //!   handful of monotonic-clock reads and relaxed atomic adds per
 //!   forward, nothing on the per-element path).
 //!
-//! The run also merges a `"throughput"` record into `BENCH_serve.json`
-//! at the repo root (see `ascend_obs::BenchRecord`), tracking images/s
-//! and instrumentation overhead across PRs.
+//! These are micro-benchmarks only and write no file; end-to-end serving
+//! numbers come from the `perfbench` harness declared in `BENCHMARK.json`.
 
 use ascend::engine::EngineConfig;
 use ascend::fixture::{engine_or_load, FixtureRecipe};
@@ -27,17 +26,6 @@ use ascend::InferenceBackend;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Times `f` over `iters` calls and returns images/second.
-fn images_per_second(images_per_call: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: first call pays lazy init, keep it out of the timing
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    (images_per_call * iters) as f64 / start.elapsed().as_secs_f64()
-}
 
 fn bench_throughput(c: &mut Criterion) {
     // Checkpoint-cached fixture: 1 FP epoch, calibrate, no QAT — bench
@@ -101,46 +89,6 @@ fn bench_throughput(c: &mut Criterion) {
     c.bench_function("forward_instrumented_batch32", |b| {
         b.iter(|| black_box(instrumented.forward(black_box(&patches), n).expect("forward")))
     });
-
-    // The "throughput" perf-trajectory record: serial vs pooled images/s,
-    // the instrumented/bare overhead ratio, and the pool's queue-wait
-    // split, merged into BENCH_serve.json at the repo root.
-    const ITERS: usize = 10;
-    let serial = images_per_second(n, ITERS, || {
-        black_box(engine.forward(black_box(&patches), n).expect("forward"));
-    });
-    let wrapped = images_per_second(n, ITERS, || {
-        black_box(instrumented.forward(black_box(&patches), n).expect("forward"));
-    });
-    let pool = ServePool::new(
-        Arc::clone(&engine),
-        ServeConfig { workers: 4, micro_batch: 4, queue_depth: 0 },
-    )
-    .expect("pool builds");
-    let pooled = images_per_second(n, ITERS, || {
-        black_box(pool.run_batch(black_box(&patches), n).expect("run_batch"));
-    });
-    let obs = pool.obs();
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let record = ascend_obs::BenchRecord::new("throughput")
-        .num("serial_images_per_s", serial)
-        .num("pool_w4_images_per_s", pooled)
-        .num("instrumented_images_per_s", wrapped)
-        .num("instrumented_over_bare", if serial > 0.0 { wrapped / serial } else { 0.0 })
-        .num("queue_wait_p50_ms", ms(obs.queue_wait().snapshot().percentile(50.0)))
-        .num("queue_wait_p95_ms", ms(obs.queue_wait().snapshot().percentile(95.0)))
-        .num("service_p50_ms", ms(obs.service().snapshot().percentile(50.0)))
-        .num("service_p95_ms", ms(obs.service().snapshot().percentile(95.0)))
-        .int("batch_images", n as u64)
-        .int("iters", ITERS as u64)
-        .text("backend", engine.name());
-    // Benches run with the package dir as cwd; anchor the artifact at the
-    // workspace root regardless.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    match record.write_merged(&path) {
-        Ok(()) => println!("merged \"throughput\" record into {}", path.display()),
-        Err(e) => println!("BENCH_serve.json not written: {e}"),
-    }
 }
 
 criterion_group!(benches, bench_throughput);

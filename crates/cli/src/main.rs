@@ -56,18 +56,20 @@ SUBCOMMANDS:
              --rounds 1 (repeated rounds reuse one worker pool)
              --data-seed 7
              With --listen ADDR:PORT, serve over HTTP/1.1 instead of the
-             built-in smoke traffic (port 0 picks a free port):
+             built-in smoke traffic (port 0 picks a free port); --engine
+             becomes the model `default`, warmed before the listener opens
+             and also served at POST /v1/infer:
              --listen 127.0.0.1:8080  --conn-workers 4
              --keep-alive-requests 1024
              --port-file PATH (write the bound address for scripts)
              --duration-secs 0 (0 = run until killed; otherwise drain
              gracefully after that many seconds)
+             --memory-budget-mb 0 (0 = unlimited; otherwise LRU-evict
+             idle models to stay under the budget)
              With repeated --artifact NAME=PATH pairs (instead of
              --engine), host many models behind one listener; each stays
              cold until its first POST /v1/models/NAME/infer:
              --artifact alpha=a.sceng --artifact beta=b.sceng
-             --memory-budget-mb 0 (0 = unlimited; otherwise LRU-evict
-             idle models to stay under the budget)
     profile  Per-stage timing breakdown of the forward pass
              --engine PATH (required; engine artifact, or checkpoint)
              --backend sc|ref (sc)  --images 16  --batch 4
@@ -477,71 +479,16 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `serve --listen ADDR:PORT`: the HTTP/1.1 front-end over the session's
-/// persistent pool — non-blocking admission, load shedding with `503
+/// `serve --listen ADDR:PORT`: the HTTP/1.1 front-end over a model
+/// registry — non-blocking admission, load shedding with `503
 /// Retry-After`, live `/metrics`, graceful drain.
 ///
-/// With one or more `--artifact name=path` pairs the server hosts a
-/// model registry instead of a single eager session: each model stays
-/// cold until its first `POST /v1/models/{name}/infer`, and an optional
+/// `--engine PATH` registers one model `default`, warmed here so a broken
+/// artifact fails before the listener opens and `POST /v1/infer` serves
+/// it. Repeated `--artifact name=path` pairs register many models, each
+/// cold until its first `POST /v1/models/{name}/infer`. An optional
 /// `--memory-budget-mb` bounds total residency via LRU eviction.
 fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
-    use ascend_http::{HttpConfig, HttpServer};
-
-    if !flags.get_all("artifact").is_empty() {
-        return cmd_serve_http_registry(flags);
-    }
-    let engine_path = PathBuf::from(flags.require("engine")?);
-    let backend = parse_backend(&flags)?;
-    let listen = flags.require("listen")?.to_string();
-    let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
-    // Absent --queue-depth keeps the session's bounded default
-    // (4 × workers); `--queue-depth 0` is the explicit unbounded opt-in.
-    let queue_depth: Option<usize> = match flags.get("queue-depth") {
-        None => None,
-        Some(_) => Some(flags.get_parsed("queue-depth", 0)?),
-    };
-    let conn_workers: usize = flags.get_parsed("conn-workers", 4)?;
-    let keep_alive_requests: usize = flags.get_parsed("keep-alive-requests", 1024)?;
-    let port_file = flags.get("port-file").map(PathBuf::from);
-    let duration_secs: u64 = flags.get_parsed("duration-secs", 0)?;
-    flags.reject_unknown()?;
-
-    let mut builder = Session::builder()
-        .artifact(&engine_path)
-        .backend(backend)
-        .workers(workers)
-        .micro_batch(micro_batch);
-    if let Some(depth) = queue_depth {
-        builder = builder.queue_depth(depth);
-    }
-    let session = std::sync::Arc::new(builder.build()?);
-
-    let mut http = HttpConfig::new(listen);
-    http.conn_workers = conn_workers;
-    http.keep_alive_requests = keep_alive_requests;
-    let server = HttpServer::bind(std::sync::Arc::clone(&session), http)?;
-    let addr = server.local_addr();
-    let pool = session.runner()?;
-    println!(
-        "serving `{}` over http on {addr} — POST /v1/infer, GET /metrics \
-         ({} pool workers, queue depth {}, {} connection handlers)",
-        session.backend().name(),
-        pool.workers(),
-        if pool.queue_capacity() == 0 {
-            "unbounded".to_string()
-        } else {
-            pool.queue_capacity().to_string()
-        },
-        conn_workers,
-    );
-    run_http_server(server, port_file, duration_secs)
-}
-
-/// Multi-model `serve --listen`: every `--artifact name=path` registers a
-/// lazily-warmed model behind `POST /v1/models/{name}/infer`.
-fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     use ascend_http::{HttpConfig, HttpServer};
     use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 
@@ -559,7 +506,10 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
         }
         models.push((name.to_string(), PathBuf::from(path)));
     }
-    if flags.get("engine").is_some() {
+    let engine = models.is_empty();
+    if engine {
+        models.push(("default".into(), PathBuf::from(flags.require("engine")?)));
+    } else if flags.get("engine").is_some() {
         return Err(CliError::Usage(
             "--engine serves a single model; with --artifact name=path every model \
              comes from the registry"
@@ -570,6 +520,8 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
     let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
+    // Absent --queue-depth keeps the session's bounded default
+    // (4 × workers); `--queue-depth 0` is the explicit unbounded opt-in.
     let queue_depth: Option<usize> = match flags.get("queue-depth") {
         None => None,
         Some(_) => Some(flags.get_parsed("queue-depth", 0)?),
@@ -581,7 +533,6 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let memory_budget_mb: usize = flags.get_parsed("memory-budget-mb", 0)?;
     flags.reject_unknown()?;
 
-    // Same bounded default as the single-model path: 4 × resolved workers.
     let base = ascend::serve::ServeConfig { workers, micro_batch, queue_depth: 0 };
     let serve = ascend::serve::ServeConfig {
         queue_depth: queue_depth.unwrap_or(4 * base.resolved_workers()),
@@ -595,6 +546,9 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
         registry
             .register(ModelSpec::artifact(name.as_str(), path.as_path()).backend(backend).serve(serve))?;
     }
+    if engine {
+        registry.acquire("default")?;
+    }
 
     let mut http = HttpConfig::new(listen);
     http.conn_workers = conn_workers;
@@ -602,30 +556,23 @@ fn cmd_serve_http_registry(flags: Flags) -> Result<(), CliError> {
     let server = HttpServer::bind_registry(std::sync::Arc::clone(&registry), http)?;
     let addr = server.local_addr();
     println!(
-        "serving {} models over http on {addr} — POST /v1/models/{{name}}/infer, \
-         GET /healthz, GET /metrics (memory budget {}, {} connection handlers)",
+        "serving {} model(s) over http on {addr} — POST /v1/models/{{name}}/infer \
+         (`default` also at POST /v1/infer), GET /healthz, GET /metrics \
+         ({} pool workers and queue depth {} per model, memory budget {}, \
+         {conn_workers} connection handlers)",
         models.len(),
+        serve.resolved_workers(),
+        if serve.queue_depth == 0 { "unbounded".to_string() } else { serve.queue_depth.to_string() },
         if memory_budget_mb == 0 {
             "unlimited".to_string()
         } else {
             format!("{memory_budget_mb} MiB")
         },
-        conn_workers,
     );
     for (name, path) in &models {
-        println!("  model `{name}` <- {} (cold; warms on first request)", path.display());
+        let state = if engine { "warm" } else { "cold; warms on first request" };
+        println!("  model `{name}` <- {} ({state})", path.display());
     }
-    run_http_server(server, port_file, duration_secs)
-}
-
-/// Shared tail of both HTTP serving modes: publish the bound address for
-/// scripts, then either drain after a deadline or run until killed.
-fn run_http_server(
-    server: ascend_http::HttpServer,
-    port_file: Option<PathBuf>,
-    duration_secs: u64,
-) -> Result<(), CliError> {
-    let addr = server.local_addr();
     if let Some(path) = port_file {
         // Written atomically-enough for scripts: the address only appears
         // once the listener is live.
@@ -1057,18 +1004,24 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "server never wrote --port-file");
             std::thread::sleep(std::time::Duration::from_millis(20));
         };
-        let stream = std::net::TcpStream::connect_timeout(
-            &addr,
-            std::time::Duration::from_secs(2),
-        )
-        .expect("connect to served address");
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        ascend_http::client::write_request(&mut writer, "GET", "/metrics", &[], true)
-            .expect("metrics request");
-        let response =
-            ascend_http::client::read_response(&mut reader).expect("metrics response");
+        // `--engine` is the registry model `default`, warmed before the
+        // listener opened: ready before any inference, and served at the
+        // `POST /v1/infer` alias.
+        let health = http_roundtrip(addr, "GET", "/healthz", &[]);
+        assert_eq!(health.status, 200, "a pre-warmed `default` must make the process ready");
+        let body = String::from_utf8(health.body).unwrap();
+        assert!(body.contains("default=warm"), "{body}");
+        // Trained at the defaults: 8×8 image, 4×4 patches → 4 patches of
+        // 3·4·4 floats each.
+        let payload = ascend_http::encode_infer_request(&vec![0.1f32; 4 * 48], 1);
+        let infer = http_roundtrip(addr, "POST", "/v1/infer", &payload);
+        assert_eq!(
+            infer.status,
+            200,
+            "POST /v1/infer failed: {}",
+            String::from_utf8_lossy(&infer.body)
+        );
+        let response = http_roundtrip(addr, "GET", "/metrics", &[]);
         assert_eq!(response.status, 200, "GET /metrics over `serve --listen` failed");
         let text = String::from_utf8(response.body).unwrap();
         assert!(text.contains("ascend_queue_capacity 4\n"), "{text}");
@@ -1099,9 +1052,6 @@ mod tests {
         };
         // Everything is cold, so the process reports not-ready.
         assert_eq!(http_roundtrip(addr, "GET", "/healthz", &[]).status, 503);
-        // Trained at the defaults: 8×8 image, 4×4 patches → 4 patches of
-        // 3·4·4 floats each.
-        let payload = ascend_http::encode_infer_request(&vec![0.1f32; 4 * 48], 1);
         let ok = http_roundtrip(addr, "POST", "/v1/models/alpha/infer", &payload);
         assert_eq!(
             ok.status,

@@ -170,11 +170,9 @@ pub struct ServeReport {
 impl ServeReport {
     /// Assembles a report from raw parts: per-request service latencies,
     /// the run's wall clock, total images, and the worker count that served
-    /// it. This is how front-ends that collect their own timings (the
-    /// `ascend-http` `/metrics` exporter, the loadgen binary) reuse the
+    /// it, so a caller that collected its own timings can reuse the
     /// percentile/throughput/summary machinery instead of re-deriving it.
-    /// Queue waits are empty; use [`ServeReport::from_split_parts`] when
-    /// the caller also measured time-in-queue.
+    /// Queue waits are empty.
     pub fn from_parts(
         latencies: Vec<Duration>,
         wall: Duration,
@@ -182,18 +180,6 @@ impl ServeReport {
         workers: usize,
     ) -> Self {
         ServeReport { latencies, queue_waits: Vec::new(), wall, images, workers }
-    }
-
-    /// [`ServeReport::from_parts`] with the queue-wait split: one queue
-    /// wait per request, index-aligned with `latencies`.
-    pub fn from_split_parts(
-        latencies: Vec<Duration>,
-        queue_waits: Vec<Duration>,
-        wall: Duration,
-        images: usize,
-        workers: usize,
-    ) -> Self {
-        ServeReport { latencies, queue_waits, wall, images, workers }
     }
 
     /// Number of requests served.

@@ -184,12 +184,21 @@ pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Reque
         return Err(ParseError::NotImplemented("transfer-encoding".into()));
     }
 
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => None,
-        Some((_, v)) => {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| ParseError::BadRequest(format!("bad content-length `{v}`")))?;
+    // Strict framing: exactly one `Content-Length`, and its value is
+    // `1*DIGIT` (`u64::from_str` alone would also take `+5`). A repeated
+    // header could frame the body two ways, so it is refused outright.
+    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => None,
+        (Some(_), Some(_)) => {
+            return Err(ParseError::BadRequest("repeated content-length".into()));
+        }
+        (Some((_, v)), None) => {
+            let bad = || ParseError::BadRequest(format!("bad content-length `{v}`"));
+            if !v.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n: u64 = v.parse().map_err(|_| bad())?;
             Some(usize::try_from(n).map_err(|_| ParseError::BodyTooLarge)?)
         }
     };
@@ -400,6 +409,16 @@ mod tests {
         ));
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\ncontent-length: ten\r\n\r\n"),
+            Err(ParseError::BadRequest(_))
+        ));
+        // A signed length, and a second length that would re-frame the
+        // stream, are both malformed rather than read leniently.
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello"),
+            Err(ParseError::BadRequest(_))
+        ));
+        assert!(matches!(
+            parse(b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 50\r\n\r\nhello"),
             Err(ParseError::BadRequest(_))
         ));
         assert!(matches!(

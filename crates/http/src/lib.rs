@@ -10,8 +10,9 @@
 //! `POST /v1/models/{name}/infer` route (`POST /v1/infer` is
 //! `/v1/models/default/infer`) running length-prefixed patch payloads
 //! through the model's pool, a `GET /metrics` endpoint exporting
-//! `ServeReport`-style latency percentiles plus the live queue depth, and
-//! graceful drain on shutdown.
+//! Prometheus histograms with log2 buckets (request latency, and each
+//! warm pool's queue wait and service time) plus the live queue depth,
+//! and graceful drain on shutdown.
 //!
 //! The load-bearing design rule is **non-blocking admission**: socket
 //! threads submit work with `ServePool::try_submit`, so a full bounded

@@ -21,9 +21,9 @@
 //!   attention, softmax, GELU, MLP, head) without ever reading a clock;
 //!   the [`StageTimer`] implementation here is the sanctioned place where
 //!   those events become durations.
-//! - [`bench_json`] — the `BENCH_serve.json` perf-trajectory writer shared
-//!   by loadgen and the throughput bench: each tool merges its own record
-//!   into the file without clobbering the others.
+//!
+//! Benchmarking lives outside this crate: the stand-alone `perfbench`
+//! harness declared by `BENCHMARK.json` reads these metrics and traces.
 //!
 //! The crate is std-only, dependency-free, `#![forbid(unsafe_code)]`, and
 //! held to the hot-path (panic-free) lint class: a metrics update must never
@@ -32,12 +32,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod metrics;
 pub mod stage;
 pub mod trace;
 
-pub use bench_json::BenchRecord;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, Registry, HIST_BUCKETS};
 pub use stage::{NoopObserver, Stage, StageObserver, StageTimer};
 pub use trace::{chrome_json, Span, TraceBuffer, TraceId};

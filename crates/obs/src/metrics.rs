@@ -184,11 +184,6 @@ impl HistSnapshot {
     pub fn percentile_ns(&self, p: f64) -> u64 {
         self.percentile_bounds_ns(p).1
     }
-
-    /// Conservative nearest-rank percentile as a duration.
-    pub fn percentile(&self, p: f64) -> Duration {
-        Duration::from_nanos(self.percentile_ns(p))
-    }
 }
 
 enum Metric {
