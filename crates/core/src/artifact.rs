@@ -36,7 +36,7 @@ use sc_core::ScError;
 use sc_nonlinear::gate_si::GateAssistedSi;
 use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig};
 
-use crate::engine::{EngineConfig, LayerPlan, QuantLayerSnapshot, QuantLinear, ScEngine};
+use crate::engine::{EngineConfig, FrozenNet, QuantLayerSnapshot, QuantLinear, ScEngine};
 
 const TAG_ENGINE_CONFIG: [u8; 4] = *b"ECFG";
 const TAG_SOFTMAX: [u8; 4] = *b"SMAX";
@@ -73,8 +73,9 @@ impl ScEngine {
         let mut w = ArtifactWriter::new(ArtifactKind::Engine);
 
         let mut cfg = SectionWriter::new();
-        put_vit_config(&mut cfg, &self.vit);
-        put_plan(&mut cfg, &self.plan);
+        let net = &self.net;
+        put_vit_config(&mut cfg, &net.vit);
+        put_plan(&mut cfg, &net.plan);
         put_engine_config(&mut cfg, &self.config);
         w.add_section(TAG_ENGINE_CONFIG, cfg);
 
@@ -83,12 +84,11 @@ impl ScEngine {
         w.add_section(TAG_SOFTMAX, smax);
 
         let mut layr = SectionWriter::new();
-        layr.put_usize(self.layers.len());
-        for lp in &self.layers {
-            let sn = &lp.snap;
+        layr.put_usize(net.layers.len());
+        for (sn, gelu) in net.layers.iter().zip(&self.gelu) {
             put_affine(&mut layr, &sn.norm1_affine);
             put_affine(&mut layr, &sn.norm2_affine);
-            put_gelu(&mut layr, &lp.gelu);
+            put_gelu(&mut layr, gelu);
             for lin in [&sn.q, &sn.k, &sn.v, &sn.proj, &sn.fc1, &sn.fc2] {
                 put_linear(&mut layr, lin);
             }
@@ -103,11 +103,11 @@ impl ScEngine {
         w.add_section(TAG_LAYERS, layr);
 
         let mut head = SectionWriter::new();
-        put_affine(&mut head, &self.head_affine);
-        put_linear(&mut head, &self.patch_embed);
-        put_linear(&mut head, &self.head);
-        head.put_tensor(&self.cls_token);
-        head.put_tensor(&self.pos_embedding);
+        put_affine(&mut head, &net.head_affine);
+        put_linear(&mut head, &net.patch_embed);
+        put_linear(&mut head, &net.head);
+        head.put_tensor(&net.cls_token);
+        head.put_tensor(&net.pos_embedding);
         w.add_section(TAG_HEAD, head);
 
         w
@@ -157,6 +157,7 @@ impl ScEngine {
             return Err(corrupt(format!("implausible layer count {n}")));
         }
         let mut layers = Vec::with_capacity(n);
+        let mut gelus = Vec::with_capacity(n);
         for _ in 0..n {
             let norm1_affine = get_affine(&mut layr)?;
             let norm2_affine = get_affine(&mut layr)?;
@@ -176,25 +177,23 @@ impl ScEngine {
             // (`Thermometer::new(act_bsl, mlp_mid_step)`), so the stored
             // codec scale *is* the step — exact for any f32-valued step.
             let mlp_mid_step = gelu.output().scale() as f32;
-            layers.push(LayerPlan {
-                snap: QuantLayerSnapshot {
-                    norm1_affine,
-                    norm2_affine,
-                    q,
-                    k,
-                    v,
-                    proj,
-                    fc1,
-                    fc2,
-                    attn_in_step,
-                    attn_out_step,
-                    res1_step,
-                    res2_step,
-                    mlp_in_step,
-                    mlp_mid_step,
-                },
-                gelu,
+            layers.push(QuantLayerSnapshot {
+                norm1_affine,
+                norm2_affine,
+                q,
+                k,
+                v,
+                proj,
+                fc1,
+                fc2,
+                attn_in_step,
+                attn_out_step,
+                res1_step,
+                res2_step,
+                mlp_in_step,
+                mlp_mid_step,
             });
+            gelus.push(gelu);
         }
         layr.expect_end()?;
 
@@ -208,16 +207,19 @@ impl ScEngine {
         head.expect_end()?;
 
         let engine = ScEngine {
-            vit,
-            plan,
             config,
             softmax,
-            layers,
-            head_affine,
-            patch_embed,
-            head: head_lin,
-            cls_token,
-            pos_embedding,
+            gelu: gelus,
+            net: FrozenNet {
+                vit,
+                plan,
+                layers,
+                head_affine,
+                patch_embed,
+                head: head_lin,
+                cls_token,
+                pos_embedding,
+            },
         };
         validate_engine(&engine)?;
         Ok(engine)
@@ -250,7 +252,8 @@ impl ScEngine {
 /// Cross-checks every decoded section against the stored geometry, so a
 /// well-formed container with *inconsistent* contents surfaces as a typed
 /// error at load time rather than a panic at inference time.
-fn validate_engine(e: &ScEngine) -> Result<(), ScError> {
+fn validate_engine(engine: &ScEngine) -> Result<(), ScError> {
+    let e = &engine.net;
     let cfg = &e.vit;
     let (d, hidden) = (cfg.dim, cfg.dim * cfg.mlp_ratio);
     let bad = |what: String| Err(corrupt(what));
@@ -283,15 +286,14 @@ fn validate_engine(e: &ScEngine) -> Result<(), ScError> {
             cfg.layers
         ));
     }
-    if e.softmax.config().m != cfg.seq_len() {
+    if engine.softmax.config().m != cfg.seq_len() {
         return bad(format!(
             "softmax block row length {} does not match sequence length {}",
-            e.softmax.config().m,
+            engine.softmax.config().m,
             cfg.seq_len()
         ));
     }
-    for (i, lp) in e.layers.iter().enumerate() {
-        let sn = &lp.snap;
+    for (i, sn) in e.layers.iter().enumerate() {
         affine(&format!("layer {i} norm1"), &sn.norm1_affine)?;
         affine(&format!("layer {i} norm2"), &sn.norm2_affine)?;
         for (name, lin) in [("q", &sn.q), ("k", &sn.k), ("v", &sn.v), ("proj", &sn.proj)] {
@@ -492,7 +494,7 @@ mod tests {
     #[test]
     fn inconsistent_cls_token_is_rejected_at_load_not_inference() {
         let mut engine = tiny_engine();
-        engine.cls_token = ascend_tensor::Tensor::zeros(&[3]);
+        engine.net.cls_token = ascend_tensor::Tensor::zeros(&[3]);
         let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
         let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
@@ -501,7 +503,8 @@ mod tests {
     #[test]
     fn layer_count_mismatch_is_rejected_at_load() {
         let mut engine = tiny_engine();
-        engine.layers.pop();
+        engine.net.layers.pop();
+        engine.gelu.pop();
         let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
         let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
@@ -510,7 +513,7 @@ mod tests {
     #[test]
     fn truncated_weight_matrix_is_rejected_at_load() {
         let mut engine = tiny_engine();
-        engine.layers[0].snap.fc1.w = ascend_tensor::Tensor::zeros(&[1, 1]);
+        engine.net.layers[0].fc1.w = ascend_tensor::Tensor::zeros(&[1, 1]);
         let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
         let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");

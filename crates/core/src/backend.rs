@@ -15,14 +15,17 @@
 //!   fake-quantized weights, folded BN affines, and quantizer steps, but
 //!   exact float softmax and float GELU. Orders of magnitude faster than
 //!   bit-level execution, and the golden oracle SC drift is measured
-//!   against (`tests/backend_parity.rs`).
+//!   against (`tests/backend_parity.rs`). Both engine backends run the one
+//!   encoder kernel of [`crate::engine`], differing only in the nonlinear
+//!   blocks they plug into it.
 //! * [`FaultInjectingBackend`] — a composable decorator that flips
 //!   thermometer input bits at a configurable rate before delegating to any
 //!   inner backend: the fault-tolerance scenario as a wrapper, not a fork.
 //!
 //! Every backend supplies exactly one per-image method,
-//! [`InferenceBackend::forward_one`]: it takes the image's patches by
-//! value and reports stage boundaries to a [`StageObserver`], so plain,
+//! [`InferenceBackend::forward_one`]: it borrows the image's patches as a
+//! `&[f32]` slice of the request's buffer (the framing loop copies
+//! nothing) and reports stage boundaries to a [`StageObserver`], so plain,
 //! fault-injected and profiled forwards all run through it. The batched
 //! [`InferenceBackend::forward`] / [`InferenceBackend::accuracy`] framing
 //! loops are *provided methods* over it, so the per-image framing — the
@@ -32,16 +35,12 @@
 
 use std::ops::Deref;
 
-use ascend_obs::{NoopObserver, Stage, StageObserver};
+use ascend_obs::{NoopObserver, StageObserver};
 use ascend_tensor::Tensor;
-use ascend_vit::norm::Norm;
 use ascend_vit::{NormKind, VitModel};
 use sc_core::ScError;
 
-use crate::engine::{
-    affine, assemble_sequence, fake_quant, linear, merge_heads, split_heads, ForwardScratch,
-    QuantLayerSnapshot, QuantLinear,
-};
+use crate::engine::{FloatBlocks, ForwardScratch, FrozenNet};
 
 /// The execution contract every backend implements.
 ///
@@ -84,10 +83,11 @@ pub trait InferenceBackend: Send + Sync {
     /// Runs inference for **one image**, returning its logits row — the one
     /// per-image entry point every backend implements.
     ///
-    /// `patches` is the image's `[num_patches, patch_dim]` patch matrix,
-    /// passed by value: the batched framing loop already owns each image's
-    /// copy, so a decorator that modifies the input
-    /// ([`FaultInjectingBackend`]) perturbs it in place instead of cloning.
+    /// `patches` is the image's `num_patches · patch_dim` patch values,
+    /// row-major, borrowed: the batched framing loop hands each image over
+    /// as a slice of the request's buffer without copying it, and a
+    /// decorator that modifies the input ([`FaultInjectingBackend`]) copies
+    /// it first, and only when it does modify it.
     ///
     /// `observer` receives clock-free [`StageObserver`] `enter`/`exit`
     /// events around each forward stage (patch-embed, attention, softmax,
@@ -100,12 +100,12 @@ pub trait InferenceBackend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Backend-specific execution errors ([`ScError`]); size validation
-    /// happens in the batched entry points, which return
-    /// [`ScError::InvalidParam`] instead of panicking.
+    /// Backend-specific execution errors ([`ScError`]); the engine backends
+    /// return [`ScError::InvalidParam`] for a `patches` slice that is not
+    /// one image of their geometry.
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError>;
@@ -128,13 +128,9 @@ pub trait InferenceBackend: Send + Sync {
     ) -> Result<Tensor, ScError> {
         let cfg = self.vit_config();
         check_patch_count("patches", patches.data().len(), batch, cfg)?;
-        let (p, pd, classes) = (cfg.num_patches(), cfg.patch_dim(), cfg.classes);
+        let (per_image, classes) = (cfg.num_patches() * cfg.patch_dim(), cfg.classes);
         let mut out = Vec::with_capacity(batch * classes);
-        for bi in 0..batch {
-            let img = Tensor::from_vec(
-                patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
-                &[p, pd],
-            );
+        for img in patches.data().chunks_exact(per_image) {
             out.extend(self.forward_one(img, scratch, &mut NoopObserver)?);
         }
         Ok(Tensor::from_vec(out, &[batch, classes]))
@@ -245,7 +241,7 @@ where
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -273,14 +269,7 @@ where
 /// backend to use for accuracy exploration, with [`crate::ScEngine`] as the
 /// final word.
 pub struct RefEngine {
-    vit: ascend_vit::VitConfig,
-    plan: ascend_vit::PrecisionPlan,
-    layers: Vec<QuantLayerSnapshot>,
-    head_affine: (Vec<f32>, Vec<f32>),
-    patch_embed: QuantLinear,
-    head: QuantLinear,
-    cls_token: Tensor,
-    pos_embedding: Tensor,
+    pub(crate) net: FrozenNet,
 }
 
 impl RefEngine {
@@ -302,26 +291,10 @@ impl RefEngine {
                     .into(),
             });
         }
-        let plan = model.plan();
-        let folded = |n: &Norm| n.folded_affine();
-        // The very same per-layer capture the SC engine compiles from —
-        // the "same frozen state" premise of `tests/backend_parity.rs` is
-        // held by construction, not by parallel maintenance.
-        let layers = model
-            .blocks()
-            .iter()
-            .map(|block| QuantLayerSnapshot::capture(block, &plan))
-            .collect();
-        Ok(RefEngine {
-            vit: model.config,
-            plan,
-            layers,
-            head_affine: folded(model.head_norm()),
-            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
-            head: QuantLinear::compile(model.head(), plan.weights),
-            cls_token: model.cls_token().clone(),
-            pos_embedding: model.pos_embedding().clone(),
-        })
+        // The very same capture the SC engine compiles from — the "same
+        // frozen state" premise of `tests/backend_parity.rs` is held by
+        // construction, not by parallel maintenance.
+        Ok(RefEngine { net: FrozenNet::capture(model) })
     }
 
     /// Compiles the reference backend from a persisted model checkpoint —
@@ -339,7 +312,7 @@ impl RefEngine {
 
     /// Number of compiled encoder layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.net.layers.len()
     }
 }
 
@@ -349,84 +322,30 @@ impl InferenceBackend for RefEngine {
     }
 
     fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
+        &self.net.vit
     }
 
     fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     fn resident_bytes(&self) -> usize {
-        let f32s = std::mem::size_of::<f32>();
-        self.layers.iter().map(QuantLayerSnapshot::resident_bytes).sum::<usize>()
-            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
-            + self.patch_embed.resident_bytes()
-            + self.head.resident_bytes()
-            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+        self.net.resident_bytes()
     }
 
     fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch::empty()
+        ForwardScratch::for_geometry(&self.net.vit)
     }
 
+    /// Runs the encoder kernel with exact float softmax and float GELU,
+    /// fake-quantized at the MLP mid site.
     fn forward_one(
         &self,
-        patches: Tensor,
-        _scratch: &mut ForwardScratch,
+        patches: &[f32],
+        scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let cfg = &self.vit;
-        let plan = &self.plan;
-        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-
-        observer.enter(Stage::PatchEmbed);
-        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
-        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
-        observer.exit(Stage::PatchEmbed);
-
-        for lp in &self.layers {
-            // --- MSA with exact float softmax ---
-            observer.enter(Stage::Attention);
-            let n1 = affine(&x, &lp.norm1_affine);
-            let xq = fake_quant(&n1, lp.attn_in_step, plan.acts);
-            let q = split_heads(&linear(&xq, &lp.q.w, &lp.q.b), 1, s, h, dh);
-            let k = split_heads(&linear(&xq, &lp.k.w, &lp.k.b), 1, s, h, dh);
-            let v = split_heads(&linear(&xq, &lp.v.w, &lp.v.b), 1, s, h, dh);
-            let scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            observer.exit(Stage::Attention);
-            observer.enter(Stage::Softmax);
-            let probs = scores.softmax_last();
-            observer.exit(Stage::Softmax);
-            observer.enter(Stage::Attention);
-            let ctx = merge_heads(&probs.batched_matmul(&v), 1, s, h, dh);
-            let ctxq = fake_quant(&ctx, lp.attn_out_step, plan.acts);
-            let attn_out = linear(&ctxq, &lp.proj.w, &lp.proj.b);
-            x = fake_quant(&x.add(&attn_out), lp.res1_step, plan.residual);
-            observer.exit(Stage::Attention);
-
-            // --- MLP with float GELU, fake-quantized at the mid site ---
-            observer.enter(Stage::Mlp);
-            let n2 = affine(&x, &lp.norm2_affine);
-            let hq = fake_quant(&n2, lp.mlp_in_step, plan.acts);
-            let pre = linear(&hq, &lp.fc1.w, &lp.fc1.b);
-            observer.exit(Stage::Mlp);
-            observer.enter(Stage::Gelu);
-            let gelu = pre.map(ascend_tensor::graph::gelu_f);
-            observer.exit(Stage::Gelu);
-            observer.enter(Stage::Mlp);
-            let act = fake_quant(&gelu, lp.mlp_mid_step, plan.acts);
-            let out = linear(&act, &lp.fc2.w, &lp.fc2.b);
-            x = fake_quant(&x.add(&out), lp.res2_step, plan.residual);
-            observer.exit(Stage::Mlp);
-        }
-
-        observer.enter(Stage::Head);
-        let hn = affine(&x, &self.head_affine);
-        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
-        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
-        observer.exit(Stage::Head);
-        Ok(logits)
+        self.net.forward(patches, scratch, &mut FloatBlocks::new(&self.net), observer)
     }
 }
 
@@ -450,7 +369,7 @@ impl InferenceBackend for RefEngine {
 /// patch bits, never from call order. Parallel serving through
 /// [`crate::serve::ServePool`] therefore stays bit-identical to serial
 /// execution even with faults enabled, and `rate == 0.0` is bit-identical
-/// to the inner backend (the input tensor is passed through untouched).
+/// to the inner backend (the input slice is passed through, never copied).
 pub struct FaultInjectingBackend<B> {
     inner: B,
     rate: f64,
@@ -509,31 +428,28 @@ impl<B: InferenceBackend> FaultInjectingBackend<B> {
     }
 
     /// Decodes `patches` through the modelled faulty thermometer streams,
-    /// **in place** — the fault path mutates the request's owned copy
-    /// instead of allocating a second full patch tensor, so peak memory
-    /// under load stays one tensor per in-flight request.
+    /// **in place** (on the fault path's one copy of the image).
     ///
     /// The RNG stream is seeded from the *pre-fault* bits (hashed in a
     /// first read-only pass), so mutating in place cannot change which
     /// faults are drawn.
-    fn perturb_in_place(&self, patches: &mut Tensor) {
+    fn perturb_in_place(&self, patches: &mut [f32]) {
         let half = (self.bsl / 2) as f64;
         let absmax = patches
-            .data()
             .iter()
             .fold(0.0f64, |m, v| m.max(v.abs() as f64))
             .max(1e-6);
         let step = absmax / half;
         // Schedule-independent stream: seed ⊕ FNV-1a over the image's bits.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in patches.data() {
+        for v in patches.iter() {
             for b in v.to_bits().to_le_bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         }
         let mut state = self.seed ^ h;
-        for v in patches.data_mut() {
+        for v in patches.iter_mut() {
             let level = ((*v as f64 / step).round().clamp(-half, half) + half) as i64;
             let ones = level;
             let mut delta = 0i64;
@@ -575,15 +491,17 @@ impl<B: InferenceBackend> InferenceBackend for FaultInjectingBackend<B> {
 
     fn forward_one(
         &self,
-        mut patches: Tensor,
+        patches: &[f32],
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        // Bit-identity contract: rate 0 never touches the input.
-        if self.rate != 0.0 {
-            self.perturb_in_place(&mut patches);
+        // Bit-identity contract: rate 0 never touches (or copies) the input.
+        if self.rate == 0.0 {
+            return self.inner.forward_one(patches, scratch, observer);
         }
-        self.inner.forward_one(patches, scratch, observer)
+        let mut faulted = patches.to_vec();
+        self.perturb_in_place(&mut faulted);
+        self.inner.forward_one(&faulted, scratch, observer)
     }
 }
 
@@ -729,9 +647,9 @@ mod tests {
         let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
         let patches = train.patches(&[0], 4);
         let mut a = patches.clone();
-        wrapper.perturb_in_place(&mut a);
+        wrapper.perturb_in_place(a.data_mut());
         let mut b = patches.clone();
-        wrapper.perturb_in_place(&mut b);
+        wrapper.perturb_in_place(b.data_mut());
         for (x, y) in a.data().iter().zip(b.data().iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "same image ⇒ same faults");
         }
@@ -748,7 +666,7 @@ mod tests {
         // A different seed draws a different fault universe.
         let other = FaultInjectingBackend::new(&engine, 0.05, 43).unwrap();
         let mut c = patches.clone();
-        other.perturb_in_place(&mut c);
+        other.perturb_in_place(c.data_mut());
         assert!(
             a.data().iter().zip(c.data().iter()).any(|(x, y)| x != y),
             "seeds 42 and 43 produced identical faults"
@@ -765,7 +683,7 @@ mod tests {
         let patches = train.patches(&[0], 4);
         let absmax = patches.data().iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
         let mut p = patches.clone();
-        wrapper.perturb_in_place(&mut p);
+        wrapper.perturb_in_place(p.data_mut());
         for v in p.data() {
             assert!(v.abs() <= absmax + 1e-4, "{v} decodes outside ±{absmax}");
         }

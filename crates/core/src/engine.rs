@@ -23,17 +23,44 @@
 //! The one float-domain remnant is LayerNorm, which cannot fold into static
 //! scale factors; the engine therefore requires a BatchNorm model — exactly
 //! the constraint that motivates the paper's LN→BN swap (§V).
+//!
+//! # One encoder kernel
+//!
+//! The SC engine, the float reference ([`crate::RefEngine`]) and the
+//! calibration probe inside [`ScEngine::compile`] all run one per-image
+//! kernel over one frozen network state (`FrozenNet`). The kernel is generic
+//! over the two nonlinear blocks: the SC softmax program plus the gate-SI
+//! GELU table, or float softmax plus float GELU plus the MLP mid-site
+//! fake-quant — the latter, with a recording hook, *is* the calibration
+//! probe. It borrows the image's patches as `&[f32]` and works in the
+//! caller's [`ForwardScratch`], so a forward allocates nothing but its
+//! logits row once the scratch has grown. Per encoder layer it
+//!
+//! 1. writes the normed, quantized block input once and Q/K/V from it in
+//!    one pass, K straight into its transpose;
+//! 2. computes each head's score rows against that transposed K, runs the
+//!    softmax stage over them in place, and accumulates `·V` straight into
+//!    the merged, quantized context;
+//! 3. folds bias, residual add and fake-quant into the epilogue of each
+//!    output row of the projection, fc1 and fc2 passes.
+//!
+//! Every output element keeps the float order of the `Tensor`-op dataflow
+//! it replaced, so logits are bit-identical to it: a linear accumulates
+//! from 0 over its inputs in order (`ikj`), skipping zero inputs, and then
+//! adds the bias; scores are scaled by `1/√dh` in a separate multiply; no
+//! fused multiply-add, and no scale is folded into a weight.
 
-use ascend_obs::{Stage, StageObserver};
+use ascend_obs::{NoopObserver, Stage, StageObserver};
 use ascend_tensor::Tensor;
-use ascend_vit::norm::Norm;
-use ascend_vit::{NormKind, VitModel};
+use ascend_vit::{NormKind, VitConfig, VitModel};
+use sc_core::encoding::Thermometer;
 use sc_core::rescale::RescaleMode;
 use sc_core::ScError;
 use sc_nonlinear::gate_si::GateAssistedSi;
 use sc_nonlinear::ref_fn;
 use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig, SoftmaxLevels};
-use sc_core::encoding::Thermometer;
+
+use crate::backend::check_patch_count;
 
 /// Hardware configuration of the engine's nonlinear blocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,10 +117,8 @@ pub(crate) struct QuantLinear {
 
 impl QuantLinear {
     pub(crate) fn compile(lin: &ascend_vit::model::Linear, bsl: Option<usize>) -> QuantLinear {
-        QuantLinear {
-            w: fake_quant(&lin.w, lin.w_site.step_value(), bsl),
-            b: lin.b.clone(),
-        }
+        let q = Quant::new(lin.w_site.step_value(), bsl);
+        QuantLinear { w: lin.w.map(|v| q.apply(v)), b: lin.b.clone() }
     }
 
     /// Bytes of the materialized weight + bias buffers.
@@ -105,12 +130,6 @@ impl QuantLinear {
 /// The frozen per-layer network state every backend executes: folded norm
 /// affines, pre-quantized linears, and the quantizer step sizes snapshot
 /// from the model's sites.
-///
-/// This is **the** definition of "same frozen state" that the SC engine
-/// and the float reference share — both compile paths capture layers
-/// through [`QuantLayerSnapshot::capture`], so a change to a quantization
-/// site or to affine folding can never reach one backend and not the
-/// other (`tests/backend_parity.rs` rests on that).
 pub(crate) struct QuantLayerSnapshot {
     pub(crate) norm1_affine: (Vec<f32>, Vec<f32>),
     pub(crate) norm2_affine: (Vec<f32>, Vec<f32>),
@@ -170,11 +189,354 @@ impl QuantLayerSnapshot {
     }
 }
 
-/// Per-layer compiled artifacts of the SC engine: the shared frozen
-/// snapshot plus the SC-only GELU transfer table.
-pub(crate) struct LayerPlan {
-    pub(crate) snap: QuantLayerSnapshot,
-    pub(crate) gelu: GateAssistedSi,
+/// The frozen network every backend executes — geometry, precision plan,
+/// per-layer snapshots, head affine, embeddings — and the one encoder
+/// kernel over it ([`FrozenNet::forward`]).
+///
+/// This is **the** definition of "same frozen state" that the SC engine
+/// and the float reference share: both compile through
+/// [`FrozenNet::capture`], so a change to a quantization site or to affine
+/// folding can never reach one backend and not the other
+/// (`tests/backend_parity.rs` rests on that).
+pub(crate) struct FrozenNet {
+    pub(crate) vit: VitConfig,
+    pub(crate) plan: ascend_vit::PrecisionPlan,
+    pub(crate) layers: Vec<QuantLayerSnapshot>,
+    pub(crate) head_affine: (Vec<f32>, Vec<f32>),
+    pub(crate) patch_embed: QuantLinear,
+    pub(crate) head: QuantLinear,
+    pub(crate) cls_token: Tensor,
+    pub(crate) pos_embedding: Tensor,
+}
+
+impl FrozenNet {
+    /// Snapshots everything inference needs from a trained model at its
+    /// current precision plan; the model is not retained.
+    pub(crate) fn capture(model: &VitModel) -> FrozenNet {
+        let plan = model.plan();
+        FrozenNet {
+            vit: model.config,
+            plan,
+            layers: model
+                .blocks()
+                .iter()
+                .map(|b| QuantLayerSnapshot::capture(b, &plan))
+                .collect(),
+            head_affine: model.head_norm().folded_affine(),
+            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
+            head: QuantLinear::compile(model.head(), plan.weights),
+            cls_token: model.cls_token().clone(),
+            pos_embedding: model.pos_embedding().clone(),
+        }
+    }
+
+    /// Bytes of every materialized buffer.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let f32s = std::mem::size_of::<f32>();
+        self.layers.iter().map(QuantLayerSnapshot::resident_bytes).sum::<usize>()
+            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
+            + self.patch_embed.resident_bytes()
+            + self.head.resident_bytes()
+            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+    }
+
+    /// The encoder kernel: one image's `[num_patches · patch_dim]` patch
+    /// values to its logits row, with `blocks` supplying softmax and GELU
+    /// (see the module docs for the dataflow and its float-order contract).
+    /// Emits [`StageObserver`] events around patch embedding, attention
+    /// linear algebra, softmax, GELU, MLP linear algebra and the head — the
+    /// paper's fig. 8 cost-split axes; the compute never reads a clock.
+    ///
+    /// # Errors
+    ///
+    /// [`ScError::InvalidParam`] if `patches` is not one image of this
+    /// geometry; propagates `blocks` errors.
+    pub(crate) fn forward<N: Nonlinear>(
+        &self,
+        patches: &[f32],
+        scratch: &mut ForwardScratch,
+        blocks: &mut N,
+        observer: &mut dyn StageObserver,
+    ) -> Result<Vec<f32>, ScError> {
+        let cfg = &self.vit;
+        check_patch_count("patches", patches.len(), 1, cfg)?;
+        let (s, d, dh) = (cfg.seq_len(), cfg.dim, cfg.head_dim());
+        let hd = cfg.dim * cfg.mlp_ratio;
+        let (acts, residual) = (self.plan.acts, self.plan.residual);
+        let inv_sqrt_dh = 1.0 / (dh as f32).sqrt();
+        scratch.fit(cfg);
+        let ForwardScratch { softmax, x, xq, q, kt, v, scores, hidden, acc } = scratch;
+
+        // Patch embedding: row 0 is cls + pos, row 1 + i is token i + pos.
+        observer.enter(Stage::PatchEmbed);
+        let pos = self.pos_embedding.data();
+        for ((o, &c), &p) in x[..d].iter_mut().zip(self.cls_token.data()).zip(pos) {
+            *o = c + p;
+        }
+        let (w, b) = (self.patch_embed.w.data(), self.patch_embed.b.data());
+        for ((img, xr), pr) in patches
+            .chunks_exact(cfg.patch_dim())
+            .zip(x[d..].chunks_exact_mut(d))
+            .zip(pos[d..].chunks_exact(d))
+        {
+            matvec(img, w, d, xr);
+            for ((o, &bj), &pj) in xr.iter_mut().zip(b).zip(pr) {
+                *o = *o + bj + pj;
+            }
+        }
+        observer.exit(Stage::PatchEmbed);
+
+        for (li, l) in self.layers.iter().enumerate() {
+            // --- MSA (softmax carved out as its own stage) ---
+            observer.enter(Stage::Attention);
+            norm_quant(x, &l.norm1_affine, Quant::new(l.attn_in_step, acts), xq, d);
+            for (i, xr) in xq.chunks_exact(d).enumerate() {
+                let (qr, vr) = (&mut q[i * d..(i + 1) * d], &mut v[i * d..(i + 1) * d]);
+                matvec(xr, l.q.w.data(), d, qr);
+                add_bias(qr, l.q.b.data());
+                matvec(xr, l.v.w.data(), d, vr);
+                add_bias(vr, l.v.b.data());
+                matvec(xr, l.k.w.data(), d, acc);
+                for (c, (&kv, &kb)) in acc.iter().zip(l.k.b.data()).enumerate() {
+                    kt[c * s + i] = kv + kb;
+                }
+            }
+            for (hh, head_scores) in scores.chunks_exact_mut(s * s).enumerate() {
+                let kt_h = &kt[hh * dh * s..];
+                for (i, srow) in head_scores.chunks_exact_mut(s).enumerate() {
+                    matvec(&q[i * d + hh * dh..i * d + (hh + 1) * dh], kt_h, s, srow);
+                    for e in srow.iter_mut() {
+                        *e *= inv_sqrt_dh;
+                    }
+                }
+            }
+            observer.exit(Stage::Attention);
+            observer.enter(Stage::Softmax);
+            blocks.softmax(li, scores, s, softmax)?;
+            observer.exit(Stage::Softmax);
+            observer.enter(Stage::Attention);
+            // `·V` straight into the merged context (reusing `xq`).
+            let ctx_q = Quant::new(l.attn_out_step, acts);
+            for (hh, head_probs) in scores.chunks_exact(s * s).enumerate() {
+                let v_h = &v[hh * dh..];
+                for (i, prow) in head_probs.chunks_exact(s).enumerate() {
+                    let crow = &mut xq[i * d + hh * dh..i * d + (hh + 1) * dh];
+                    matvec(prow, v_h, d, crow);
+                    for c in crow.iter_mut() {
+                        *c = ctx_q.apply(*c);
+                    }
+                }
+            }
+            residual_linear(xq, &l.proj, x, Quant::new(l.res1_step, residual), acc);
+            observer.exit(Stage::Attention);
+
+            // --- MLP (GELU carved out as its own stage) ---
+            observer.enter(Stage::Mlp);
+            norm_quant(x, &l.norm2_affine, Quant::new(l.mlp_in_step, acts), xq, d);
+            for (xr, hr) in xq.chunks_exact(d).zip(hidden.chunks_exact_mut(hd)) {
+                matvec(xr, l.fc1.w.data(), hd, hr);
+                add_bias(hr, l.fc1.b.data());
+            }
+            observer.exit(Stage::Mlp);
+            observer.enter(Stage::Gelu);
+            blocks.gelu(li, hidden);
+            observer.exit(Stage::Gelu);
+            observer.enter(Stage::Mlp);
+            residual_linear(hidden, &l.fc2, x, Quant::new(l.res2_step, residual), acc);
+            observer.exit(Stage::Mlp);
+        }
+
+        // Head: the folded head norm on the cls row, then the classifier.
+        observer.enter(Stage::Head);
+        let (scale, shift) = &self.head_affine;
+        let cls = &mut xq[..d];
+        for (((o, &xv), &sc), &sh) in cls.iter_mut().zip(&x[..d]).zip(scale).zip(shift) {
+            *o = xv * sc + sh;
+        }
+        let mut logits = vec![0.0f32; cfg.classes];
+        matvec(cls, self.head.w.data(), cfg.classes, &mut logits);
+        add_bias(&mut logits, self.head.b.data());
+        observer.exit(Stage::Head);
+        Ok(logits)
+    }
+}
+
+/// `out = row · W` for one input row, where row `p` of `W` is the first
+/// `out.len()` values of `w[p·stride..]`: `out` is zeroed, then every
+/// non-zero input `a = row[p]` adds `a · W[p]` in `p` order — the `ikj`
+/// loop of [`Tensor::matmul`], so each output keeps its summation order.
+/// `stride` lets `W` be a column block of a wider matrix (one head of V,
+/// one head of the transposed K).
+#[inline]
+fn matvec(row: &[f32], w: &[f32], stride: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for (&a, wrow) in row.iter().zip(w.chunks(stride)) {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(wrow) {
+            *o += a * b;
+        }
+    }
+}
+
+#[inline]
+fn add_bias(row: &mut [f32], b: &[f32]) {
+    for (o, &bj) in row.iter_mut().zip(b) {
+        *o += bj;
+    }
+}
+
+/// `out = q(x · scale + shift)` row by row: a folded norm affine and the
+/// following activation fake-quant in one pass.
+fn norm_quant(
+    x: &[f32],
+    (scale, shift): &(Vec<f32>, Vec<f32>),
+    q: Quant,
+    out: &mut [f32],
+    d: usize,
+) {
+    for (xr, or) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        for (((o, &v), &sc), &sh) in or.iter_mut().zip(xr).zip(scale).zip(shift) {
+            *o = q.apply(v * sc + sh);
+        }
+    }
+}
+
+/// `x = q(x + (input · W + b))` row by row: a linear whose bias, residual
+/// add and residual fake-quant run as the epilogue of each output row,
+/// accumulated in `acc`.
+fn residual_linear(input: &[f32], lin: &QuantLinear, x: &mut [f32], q: Quant, acc: &mut [f32]) {
+    let d = acc.len();
+    for (ir, xr) in input.chunks_exact(lin.w.shape()[0]).zip(x.chunks_exact_mut(d)) {
+        matvec(ir, lin.w.data(), d, acc);
+        for ((xv, &a), &b) in xr.iter_mut().zip(acc.iter()).zip(lin.b.data()) {
+            *xv = q.apply(*xv + (a + b));
+        }
+    }
+}
+
+/// One activation quantizer site: eval-mode LSQ,
+/// `round(clamp(v/step, −L/2, L/2))·step`, or pass-through in full
+/// precision.
+#[derive(Clone, Copy)]
+struct Quant {
+    step: f32,
+    half: Option<f32>,
+}
+
+impl Quant {
+    fn new(step: f32, bsl: Option<usize>) -> Self {
+        Quant { step, half: bsl.map(|l| (l / 2) as f32) }
+    }
+
+    #[inline]
+    fn apply(self, v: f32) -> f32 {
+        match self.half {
+            None => v,
+            Some(half) => (v / self.step).clamp(-half, half).round() * self.step,
+        }
+    }
+}
+
+/// The two nonlinear blocks the encoder kernel is generic over.
+pub(crate) trait Nonlinear {
+    /// Turns layer `layer`'s scaled attention scores — `heads · s` rows of
+    /// `s`, head-major — into attention weights in place.
+    fn softmax(
+        &mut self,
+        layer: usize,
+        scores: &mut [f32],
+        s: usize,
+        levels: &mut SoftmaxLevels,
+    ) -> Result<(), ScError>;
+
+    /// Turns layer `layer`'s fc1 outputs into fc2 inputs in place.
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]);
+}
+
+/// The SC blocks: the compiled softmax program and the per-layer gate-SI
+/// GELU tables.
+struct ScBlocks<'a> {
+    softmax: &'a IterSoftmaxBlock,
+    gelu: &'a [GateAssistedSi],
+}
+
+impl Nonlinear for ScBlocks<'_> {
+    fn softmax(
+        &mut self,
+        _layer: usize,
+        scores: &mut [f32],
+        s: usize,
+        levels: &mut SoftmaxLevels,
+    ) -> Result<(), ScError> {
+        for row in scores.chunks_exact_mut(s) {
+            self.softmax.run_in_place(row, levels)?;
+        }
+        Ok(())
+    }
+
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) {
+        let block = &self.gelu[layer];
+        let table = block.ones_table();
+        let in_scale = block.input().scale();
+        let in_half = (block.input().len() / 2) as f64;
+        let out_scale = block.output().scale();
+        let out_half = (block.output().len() / 2) as i64;
+        for v in hidden.iter_mut() {
+            let t = ((*v as f64 / in_scale).round().clamp(-in_half, in_half) + in_half) as usize;
+            *v = (out_scale * (table[t] as i64 - out_half) as f64) as f32;
+        }
+    }
+}
+
+/// The float blocks: exact softmax, float GELU fake-quantized at the MLP
+/// mid site, and an optional calibration recorder.
+pub(crate) struct FloatBlocks<'a> {
+    net: &'a FrozenNet,
+    probe: Option<&'a mut Probe>,
+}
+
+impl<'a> FloatBlocks<'a> {
+    pub(crate) fn new(net: &'a FrozenNet) -> Self {
+        FloatBlocks { net, probe: None }
+    }
+}
+
+impl Nonlinear for FloatBlocks<'_> {
+    fn softmax(
+        &mut self,
+        layer: usize,
+        scores: &mut [f32],
+        s: usize,
+        _levels: &mut SoftmaxLevels,
+    ) -> Result<(), ScError> {
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.record_scores(layer, scores, s);
+        }
+        for row in scores.chunks_exact_mut(s) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            for v in row.iter_mut() {
+                *v /= sum;
+            }
+        }
+        Ok(())
+    }
+
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) {
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.record_gelu_input(layer, hidden);
+        }
+        let q = Quant::new(self.net.layers[layer].mlp_mid_step, self.net.plan.acts);
+        for v in hidden.iter_mut() {
+            *v = q.apply(ascend_tensor::graph::gelu_f(*v));
+        }
+    }
 }
 
 /// The compiled SC inference engine.
@@ -187,28 +549,43 @@ pub(crate) struct LayerPlan {
 /// and the [`crate::serve`] runtime fans a request queue out over a worker
 /// pool sharing one engine by reference — no cloning, no locking.
 pub struct ScEngine {
-    pub(crate) vit: ascend_vit::VitConfig,
-    pub(crate) plan: ascend_vit::PrecisionPlan,
     pub(crate) config: EngineConfig,
     pub(crate) softmax: IterSoftmaxBlock,
-    pub(crate) layers: Vec<LayerPlan>,
-    pub(crate) head_affine: (Vec<f32>, Vec<f32>),
-    pub(crate) patch_embed: QuantLinear,
-    pub(crate) head: QuantLinear,
-    pub(crate) cls_token: Tensor,
-    pub(crate) pos_embedding: Tensor,
+    /// One compiled GELU table per encoder layer.
+    pub(crate) gelu: Vec<GateAssistedSi>,
+    pub(crate) net: FrozenNet,
 }
 
 /// Reusable per-thread scratch buffers for
 /// [`InferenceBackend::forward_one`](crate::backend::InferenceBackend::forward_one).
 ///
 /// Holding the scratch outside the per-image loop keeps the hot path free
-/// of repeated allocations; each serving worker owns one instance. The
-/// buffers are backend-specific capacity, not state: any backend accepts a
-/// scratch made by any other backend of the same geometry (buffers are
-/// resized on use), so decorators can delegate scratch allocation freely.
+/// of allocations; each serving worker owns one instance. The buffers are
+/// capacity, not state: every forward resizes them to its geometry and
+/// overwrites what it reads, so any backend accepts a scratch made by any
+/// other, of any geometry, and decorators can delegate scratch allocation
+/// freely. For sequence length `s`, width `d`, `h` heads and MLP width
+/// `hd`, the encoder kernel uses:
+///
+/// * `x` `[s, d]` — the residual stream;
+/// * `xq` `[s, d]` — the normed, quantized block input, then the merged
+///   attention context, then the head input;
+/// * `q`, `v` `[s, d]` and `kt` `[d, s]` — Q, V and K transposed;
+/// * `scores` `[h·s, s]` — head-major score rows, softmaxed in place;
+/// * `hidden` `[s, hd]` — fc1 outputs, GELU'd in place;
+/// * `acc` `[d]` — one output row of K, the projection or fc2;
+/// * `softmax` — the SC softmax program's level buffers.
+#[derive(Default)]
 pub struct ForwardScratch {
-    pub(crate) softmax: SoftmaxLevels,
+    softmax: SoftmaxLevels,
+    x: Vec<f32>,
+    xq: Vec<f32>,
+    q: Vec<f32>,
+    kt: Vec<f32>,
+    v: Vec<f32>,
+    scores: Vec<f32>,
+    hidden: Vec<f32>,
+    acc: Vec<f32>,
 }
 
 impl ForwardScratch {
@@ -217,7 +594,35 @@ impl ForwardScratch {
     /// implementations outside this crate (buffers grow on first use if a
     /// backend does touch them).
     pub fn empty() -> Self {
-        ForwardScratch { softmax: SoftmaxLevels::default() }
+        ForwardScratch::default()
+    }
+
+    /// A scratch pre-sized for `cfg`'s geometry.
+    pub(crate) fn for_geometry(cfg: &VitConfig) -> Self {
+        let mut scratch = ForwardScratch {
+            softmax: SoftmaxLevels::with_capacity(cfg.seq_len()),
+            ..ForwardScratch::default()
+        };
+        scratch.fit(cfg);
+        scratch
+    }
+
+    /// Resizes every float buffer to `cfg`'s geometry (a no-op when it
+    /// already fits, as on every forward after a worker's first).
+    fn fit(&mut self, cfg: &VitConfig) {
+        let (s, d) = (cfg.seq_len(), cfg.dim);
+        for (buf, len) in [
+            (&mut self.x, s * d),
+            (&mut self.xq, s * d),
+            (&mut self.q, s * d),
+            (&mut self.kt, d * s),
+            (&mut self.v, s * d),
+            (&mut self.scores, cfg.heads * s * s),
+            (&mut self.hidden, s * d * cfg.mlp_ratio),
+            (&mut self.acc, d),
+        ] {
+            buf.resize(len, 0.0);
+        }
     }
 }
 
@@ -225,13 +630,14 @@ impl ScEngine {
     /// Compiles the engine for a trained BatchNorm model.
     ///
     /// `calib_patches`/`calib_batch` supply one representative batch used to
-    /// calibrate the GELU input range and the softmax logit scale.
+    /// calibrate the GELU input range and the softmax logit scale; the
+    /// float kernel runs it image by image with a recording hook.
     ///
     /// # Errors
     ///
     /// Returns [`ScError::InvalidParam`] if the model uses LayerNorm (not
-    /// SC-mappable; see module docs) or a softmax configuration is
-    /// infeasible.
+    /// SC-mappable; see module docs), `calib_patches` does not hold exactly
+    /// `calib_batch` images, or a softmax configuration is infeasible.
     pub fn compile(
         model: &VitModel,
         config: EngineConfig,
@@ -244,11 +650,9 @@ impl ScEngine {
                 reason: "SC engine requires a BatchNorm model (paper §V LN→BN swap)".into(),
             });
         }
-        let seq = model.config.seq_len();
-
-        // Calibrate: observe attention-score and GELU-input magnitudes with
-        // a float probe pass.
-        let probe = Probe::collect(model, calib_patches, calib_batch);
+        // After this capture the engine never touches the model again.
+        let net = FrozenNet::capture(model);
+        let probe = calibrate(&net, calib_patches, calib_batch)?;
 
         // Softmax block: αx sized so Bx/2 levels cover the observed score
         // range; αy sized so By/2 levels cover [0, 1]. The requested s1/s2
@@ -262,7 +666,7 @@ impl ScEngine {
         let mut softmax: Option<(f64, IterSoftmaxBlock)> = None;
         for mult in [0.25, 0.5, 1.0] {
             let candidate = feasible_softmax(IterSoftmaxConfig {
-                m: seq,
+                m: net.vit.seq_len(),
                 k: config.softmax_k,
                 bx: config.softmax_bx,
                 ax,
@@ -306,34 +710,21 @@ impl ScEngine {
             })?
             .1;
 
-        // Per-layer folded affines, GELU tables, pre-quantized weights, and
-        // quantizer-step snapshots: after this loop the engine never touches
-        // the model again.
-        let plan = model.plan();
-        let mut layers = Vec::with_capacity(model.blocks().len());
-        for (li, block) in model.blocks().iter().enumerate() {
-            let snap = QuantLayerSnapshot::capture(block, &plan);
-            let gelu_in =
-                Thermometer::with_range(config.gelu_bx, probe.gelu_absmax[li].max(0.5))?;
-            let act_bsl = plan.acts.unwrap_or(16);
-            let gelu_out = Thermometer::new(act_bsl, snap.mlp_mid_step as f64)?;
-            let gelu = GateAssistedSi::compile(ref_fn::gelu, gelu_in, gelu_out)?;
-            layers.push(LayerPlan { snap, gelu });
-        }
-        let head_affine = folded(model.head_norm());
+        // Per-layer GELU tables: wide thermometer in over the probed range,
+        // the MLP mid-site activation grid out.
+        let act_bsl = net.plan.acts.unwrap_or(16);
+        let gelu = net
+            .layers
+            .iter()
+            .zip(&probe.gelu_absmax)
+            .map(|(snap, &absmax)| {
+                let gelu_in = Thermometer::with_range(config.gelu_bx, absmax.max(0.5))?;
+                let gelu_out = Thermometer::new(act_bsl, snap.mlp_mid_step as f64)?;
+                GateAssistedSi::compile(ref_fn::gelu, gelu_in, gelu_out)
+            })
+            .collect::<Result<Vec<_>, ScError>>()?;
 
-        Ok(ScEngine {
-            vit: model.config,
-            plan,
-            config,
-            softmax,
-            layers,
-            head_affine,
-            patch_embed: QuantLinear::compile(model.patch_embed(), plan.weights),
-            head: QuantLinear::compile(model.head(), plan.weights),
-            cls_token: model.cls_token().clone(),
-            pos_embedding: model.pos_embedding().clone(),
-        })
+        Ok(ScEngine { config, softmax, gelu, net })
     }
 
     /// The engine configuration.
@@ -343,12 +734,12 @@ impl ScEngine {
 
     /// The precision plan the engine was compiled at.
     pub fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     /// Number of compiled encoder layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.net.layers.len()
     }
 
     /// The compiled softmax block (e.g. for hardware costing).
@@ -358,39 +749,12 @@ impl ScEngine {
 
     /// The compiled per-layer GELU blocks.
     pub fn gelu_blocks(&self) -> Vec<&GateAssistedSi> {
-        self.layers.iter().map(|l| &l.gelu).collect()
+        self.gelu.iter().collect()
     }
 
     /// The ViT geometry the engine was compiled for.
-    pub fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
-    }
-
-    /// Applies the SC softmax block in place to every row of `[n, s, s]`
-    /// scores, with the level buffers in the caller-provided scratch.
-    fn sc_softmax_rows(
-        &self,
-        scores: &mut Tensor,
-        levels: &mut SoftmaxLevels,
-    ) -> Result<(), ScError> {
-        let s = scores.shape()[2];
-        for row in scores.data_mut().chunks_exact_mut(s) {
-            self.softmax.run_in_place(row, levels)?;
-        }
-        Ok(())
-    }
-
-    /// Applies the compiled gate-SI GELU transfer elementwise.
-    fn sc_gelu(&self, x: &Tensor, block: &GateAssistedSi) -> Tensor {
-        let table = block.ones_table();
-        let in_scale = block.input().scale();
-        let in_half = (block.input().len() / 2) as f64;
-        let out_scale = block.output().scale();
-        let out_half = (block.output().len() / 2) as i64;
-        x.map(|v| {
-            let t = ((v as f64 / in_scale).round().clamp(-in_half, in_half) + in_half) as usize;
-            (out_scale * (table[t] as i64 - out_half) as f64) as f32
-        })
+    pub fn vit_config(&self) -> &VitConfig {
+        &self.net.vit
     }
 }
 
@@ -399,110 +763,39 @@ impl crate::backend::InferenceBackend for ScEngine {
         "sc-exact"
     }
 
-    fn vit_config(&self) -> &ascend_vit::VitConfig {
-        &self.vit
+    fn vit_config(&self) -> &VitConfig {
+        &self.net.vit
     }
 
     fn plan(&self) -> &ascend_vit::PrecisionPlan {
-        &self.plan
+        &self.net.plan
     }
 
     fn resident_bytes(&self) -> usize {
-        let f32s = std::mem::size_of::<f32>();
-        let layers: usize = self
-            .layers
-            .iter()
-            .map(|lp| {
-                lp.snap.resident_bytes() + std::mem::size_of_val(lp.gelu.ones_table())
-            })
-            .sum();
-        layers
-            + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
-            + self.patch_embed.resident_bytes()
-            + self.head.resident_bytes()
-            + (self.cls_token.numel() + self.pos_embedding.numel()) * f32s
+        self.net.resident_bytes()
+            + self.gelu.iter().map(|g| std::mem::size_of_val(g.ones_table())).sum::<usize>()
     }
 
     fn make_scratch(&self) -> ForwardScratch {
-        ForwardScratch { softmax: SoftmaxLevels::with_capacity(self.vit.seq_len()) }
+        ForwardScratch::for_geometry(&self.net.vit)
     }
 
-    /// Runs SC inference for one image, emitting [`StageObserver`] events
-    /// around patch embedding, per-layer attention linear algebra, the SC
-    /// softmax, the SC GELU, the MLP linear algebra, and the head — the
-    /// paper's fig. 8 cost-split axes. The compute itself never reads a
-    /// clock (events carry no timestamps).
+    /// Runs SC inference for one image through the encoder kernel with the
+    /// SC softmax program and gate-SI GELU tables.
     ///
     /// # Errors
     ///
-    /// Propagates softmax-block errors (infeasible configurations are
-    /// rejected at [`ScEngine::compile`] time, so this is unexpected).
-    ///
-    /// # Panics
-    ///
-    /// Panics (like the tensor ops it is built from) if `patches` is not
-    /// `[num_patches, patch_dim]`; the batched entry points validate sizes
-    /// and return [`ScError::InvalidParam`] instead.
+    /// [`ScError::InvalidParam`] if `patches` is not one image of the
+    /// engine's geometry; softmax-block errors (infeasible configurations
+    /// are rejected at [`ScEngine::compile`] time, so this is unexpected).
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let cfg = &self.vit;
-        let plan = &self.plan;
-        let (s, d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-
-        // Patch embedding (+ cls, + pos), then the residual grid.
-        observer.enter(Stage::PatchEmbed);
-        let tokens = linear(&patches, &self.patch_embed.w, &self.patch_embed.b);
-        let mut x = assemble_sequence(&tokens, &self.cls_token, &self.pos_embedding, 1, cfg);
-        observer.exit(Stage::PatchEmbed);
-
-        for lp in &self.layers {
-            let sn = &lp.snap;
-            // --- MSA (softmax carved out as its own stage) ---
-            observer.enter(Stage::Attention);
-            let n1 = affine(&x, &sn.norm1_affine);
-            let xq = fake_quant(&n1, sn.attn_in_step, plan.acts);
-            let q = split_heads(&linear(&xq, &sn.q.w, &sn.q.b), 1, s, h, dh);
-            let k = split_heads(&linear(&xq, &sn.k.w, &sn.k.b), 1, s, h, dh);
-            let v = split_heads(&linear(&xq, &sn.v.w, &sn.v.b), 1, s, h, dh);
-            let mut scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            observer.exit(Stage::Attention);
-            observer.enter(Stage::Softmax);
-            self.sc_softmax_rows(&mut scores, &mut scratch.softmax)?;
-            observer.exit(Stage::Softmax);
-            observer.enter(Stage::Attention);
-            let ctx = merge_heads(&scores.batched_matmul(&v), 1, s, h, dh);
-            let ctxq = fake_quant(&ctx, sn.attn_out_step, plan.acts);
-            let attn_out = linear(&ctxq, &sn.proj.w, &sn.proj.b);
-            x = fake_quant(&x.add(&attn_out), sn.res1_step, plan.residual);
-            observer.exit(Stage::Attention);
-
-            // --- MLP with gate-assisted SI GELU ---
-            observer.enter(Stage::Mlp);
-            let n2 = affine(&x, &sn.norm2_affine);
-            let hq = fake_quant(&n2, sn.mlp_in_step, plan.acts);
-            let pre = linear(&hq, &sn.fc1.w, &sn.fc1.b);
-            observer.exit(Stage::Mlp);
-            observer.enter(Stage::Gelu);
-            let act = self.sc_gelu(&pre, &lp.gelu);
-            observer.exit(Stage::Gelu);
-            observer.enter(Stage::Mlp);
-            let out = linear(&act, &sn.fc2.w, &sn.fc2.b);
-            x = fake_quant(&x.add(&out), sn.res2_step, plan.residual);
-            observer.exit(Stage::Mlp);
-        }
-
-        // Head.
-        observer.enter(Stage::Head);
-        let hn = affine(&x, &self.head_affine);
-        let cls = hn.reshape(&[1, s, d]).select_axis1(0);
-        let logits = linear(&cls, &self.head.w, &self.head.b).into_data();
-        observer.exit(Stage::Head);
-        Ok(logits)
+        let mut blocks = ScBlocks { softmax: &self.softmax, gelu: &self.gelu };
+        self.net.forward(patches, scratch, &mut blocks, observer)
     }
 }
 
@@ -532,143 +825,109 @@ fn feasible_softmax(mut cfg: IterSoftmaxConfig) -> Result<IterSoftmaxBlock, ScEr
     })
 }
 
-/// Eval-mode LSQ: `round(clamp(x/s, −L/2, L/2))·s`, or pass-through in FP.
-pub(crate) fn fake_quant(x: &Tensor, step: f32, bsl: Option<usize>) -> Tensor {
-    match bsl {
-        None => x.clone(),
-        Some(l) => {
-            let half = (l / 2) as f32;
-            x.map(|v| (v / step).clamp(-half, half).round() * step)
-        }
-    }
+/// What calibration measures on the float forward of the calibration batch.
+#[derive(Debug)]
+pub(crate) struct Calibration {
+    /// 98th percentile of |score| over every layer — robust to outliers,
+    /// which merely clamp (softmax saturates for them anyway).
+    pub(crate) score_scale: f64,
+    /// Per layer, the largest |fc1 output| (the GELU input range).
+    pub(crate) gelu_absmax: Vec<f64>,
+    /// A sample of score rows for the αy search, layer-major.
+    pub(crate) score_rows: Vec<Vec<f64>>,
 }
 
-pub(crate) fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = x.matmul(w);
-    let (n, m) = (out.shape()[0], out.shape()[1]);
-    for i in 0..n {
-        for j in 0..m {
-            out.data_mut()[i * m + j] += b.data()[j];
-        }
-    }
-    out
-}
-
-pub(crate) fn affine(x: &Tensor, (scale, shift): &(Vec<f32>, Vec<f32>)) -> Tensor {
-    let (n, m) = (x.shape()[0], x.shape()[1]);
-    let mut out = x.clone();
-    for i in 0..n {
-        for j in 0..m {
-            let v = &mut out.data_mut()[i * m + j];
-            *v = *v * scale[j] + shift[j];
-        }
-    }
-    out
-}
-
-fn folded(norm: &Norm) -> (Vec<f32>, Vec<f32>) {
-    norm.folded_affine()
-}
-
-pub(crate) fn split_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
-    x.reshape(&[batch, s, h, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch * h, s, dh])
-}
-
-pub(crate) fn merge_heads(x: &Tensor, batch: usize, s: usize, h: usize, dh: usize) -> Tensor {
-    x.reshape(&[batch, h, s, dh]).permute(&[0, 2, 1, 3]).reshape(&[batch * s, h * dh])
-}
-
-pub(crate) fn assemble_sequence(
-    tokens: &Tensor,
-    cls: &Tensor,
-    pos: &Tensor,
+/// Runs the float kernel over the `batch` calibration images with a
+/// recording [`Probe`].
+///
+/// # Errors
+///
+/// [`ScError::InvalidParam`] unless `patches` holds exactly `batch` images.
+pub(crate) fn calibrate(
+    net: &FrozenNet,
+    patches: &Tensor,
     batch: usize,
-    cfg: &ascend_vit::VitConfig,
-) -> Tensor {
-    let (p, s, d) = (cfg.num_patches(), cfg.seq_len(), cfg.dim);
-    let mut out = vec![0.0f32; batch * s * d];
-    for bi in 0..batch {
-        out[bi * s * d..bi * s * d + d].copy_from_slice(cls.data());
-        out[bi * s * d + d..(bi + 1) * s * d]
-            .copy_from_slice(&tokens.data()[bi * p * d..(bi + 1) * p * d]);
-        for j in 0..s * d {
-            out[bi * s * d + j] += pos.data()[j];
-        }
+) -> Result<Calibration, ScError> {
+    let cfg = &net.vit;
+    check_patch_count("calib_patches", patches.numel(), batch, cfg)?;
+    let mut probe = Probe::new(cfg, batch, net.layers.len());
+    let mut scratch = ForwardScratch::for_geometry(cfg);
+    let per_image = cfg.num_patches() * cfg.patch_dim();
+    for img in patches.data().chunks_exact(per_image) {
+        let mut blocks = FloatBlocks { net, probe: Some(&mut probe) };
+        net.forward(img, &mut scratch, &mut blocks, &mut NoopObserver)?;
+        probe.image += 1;
     }
-    Tensor::from_vec(out, &[batch * s, d])
+    Ok(probe.finish())
 }
 
-/// Calibration probe: float forward capturing score/GELU-input magnitudes
-/// and a sample of attention-score rows for scale selection.
+/// The calibration recording hook. It sees one image at a time, yet
+/// records exactly what a forward over the whole batch stacked together
+/// would: all |scores|, the per-layer GELU-input maxima, and the sampled
+/// score rows in that forward's order — every `step`-th of the batch's
+/// `batch·heads·s` stacked rows per layer, layers in order, until 64 rows
+/// are held at a layer boundary. Row order matters: the αy search sums
+/// per-row errors in `f64`, and that order decides near-ties.
 struct Probe {
-    /// 98th percentile of |score| — robust to outliers, which merely clamp
-    /// (softmax saturates for them anyway).
-    score_scale: f64,
+    /// Index of the image being recorded.
+    image: usize,
+    /// Score rows per image per layer (`heads · s`).
+    rows_per_image: usize,
+    /// Row sampling stride over the batch's stacked rows.
+    step: usize,
+    /// Rows sampled from each layer that is sampled at all.
+    rows_per_layer: usize,
+    abs_scores: Vec<f32>,
     gelu_absmax: Vec<f64>,
-    score_rows: Vec<Vec<f64>>,
+    score_rows: Vec<Vec<Vec<f64>>>,
 }
 
 impl Probe {
-    fn collect(model: &VitModel, patches: &Tensor, batch: usize) -> Probe {
-        // Mirror the engine's own dataflow in float (exact softmax, float
-        // GELU) and record magnitudes.
-        let cfg = &model.config;
-        let plan = model.plan();
-        let (s, _d, h, dh) = (cfg.seq_len(), cfg.dim, cfg.heads, cfg.head_dim());
-        let wq = |lin: &ascend_vit::model::Linear| -> Tensor {
-            fake_quant(&lin.w, lin.w_site.step_value(), plan.weights)
-        };
-        let tokens = linear(patches, &wq(model.patch_embed()), &model.patch_embed().b);
-        let mut x =
-            assemble_sequence(&tokens, model.cls_token(), model.pos_embedding(), batch, cfg);
-        // Every |score| of every layer: `batch·h` score maps of `s×s` each.
-        let mut score_samples: Vec<f32> =
-            Vec::with_capacity(model.blocks().len() * batch * h * s * s);
-        let mut gelu_absmax = Vec::new();
-        let mut score_rows: Vec<Vec<f64>> = Vec::new();
-        for block in model.blocks() {
-            let (n1, n2) = block.norms();
-            let (in_site_a, out_site_a) = block.attn().sites();
-            let (res1, res2) = block.res_sites();
-            let xq = fake_quant(&affine(&x, &n1.folded_affine()), in_site_a.step_value(), plan.acts);
-            let q = split_heads(&linear(&xq, &wq(block.attn().q()), &block.attn().q().b), batch, s, h, dh);
-            let k = split_heads(&linear(&xq, &wq(block.attn().k()), &block.attn().k().b), batch, s, h, dh);
-            let v = split_heads(&linear(&xq, &wq(block.attn().v()), &block.attn().v().b), batch, s, h, dh);
-            let scores =
-                q.batched_matmul(&k.batched_transpose()).scale(1.0 / (dh as f32).sqrt());
-            score_samples.extend(scores.data().iter().map(|v| v.abs()));
-            if score_rows.len() < 64 {
-                let rows = scores.numel() / s;
-                for r in (0..rows).step_by((rows / 8).max(1)) {
-                    score_rows.push(
-                        scores.data()[r * s..(r + 1) * s].iter().map(|v| *v as f64).collect(),
-                    );
-                }
-            }
-            let probs = scores.softmax_last();
-            let ctx = merge_heads(&probs.batched_matmul(&v), batch, s, h, dh);
-            let ctxq = fake_quant(&ctx, out_site_a.step_value(), plan.acts);
-            let attn_out = linear(&ctxq, &wq(block.attn().proj()), &block.attn().proj().b);
-            x = fake_quant(&x.add(&attn_out), res1.step_value(), plan.residual);
+    /// Rows held before a layer boundary that stop further sampling.
+    const ROW_CAP: usize = 64;
 
-            let (mlp_in, mlp_mid) = block.mlp().sites();
-            let hq = fake_quant(&affine(&x, &n2.folded_affine()), mlp_in.step_value(), plan.acts);
-            let pre = linear(&hq, &wq(block.mlp().fc1()), &block.mlp().fc1().b);
-            let mut mx = 0.0f64;
-            for v in pre.data() {
-                mx = mx.max(v.abs() as f64);
-            }
-            gelu_absmax.push(mx);
-            let act = fake_quant(
-                &pre.map(ascend_tensor::graph::gelu_f),
-                mlp_mid.step_value(),
-                plan.acts,
-            );
-            let out = linear(&act, &wq(block.mlp().fc2()), &block.mlp().fc2().b);
-            x = fake_quant(&x.add(&out), res2.step_value(), plan.residual);
+    fn new(cfg: &VitConfig, batch: usize, layers: usize) -> Probe {
+        let s = cfg.seq_len();
+        let rows_per_image = cfg.heads * s;
+        let rows = batch * rows_per_image;
+        let step = (rows / 8).max(1);
+        Probe {
+            image: 0,
+            rows_per_image,
+            step,
+            rows_per_layer: rows.div_ceil(step),
+            abs_scores: Vec::with_capacity(layers * rows * s),
+            gelu_absmax: vec![0.0; layers],
+            score_rows: vec![Vec::new(); layers],
         }
-        let score_scale = percentile_98(&mut score_samples);
-        Probe { score_scale, gelu_absmax, score_rows }
+    }
+
+    fn record_scores(&mut self, layer: usize, scores: &[f32], s: usize) {
+        self.abs_scores.extend(scores.iter().map(|v| v.abs()));
+        if layer * self.rows_per_layer >= Self::ROW_CAP {
+            return;
+        }
+        let base = self.image * self.rows_per_image;
+        let first = base.div_ceil(self.step) * self.step;
+        for r in (first..base + self.rows_per_image).step_by(self.step) {
+            let row = &scores[(r - base) * s..(r - base + 1) * s];
+            self.score_rows[layer].push(row.iter().map(|&v| v as f64).collect());
+        }
+    }
+
+    fn record_gelu_input(&mut self, layer: usize, pre: &[f32]) {
+        let mx = &mut self.gelu_absmax[layer];
+        for v in pre {
+            *mx = mx.max(v.abs() as f64);
+        }
+    }
+
+    fn finish(mut self) -> Calibration {
+        Calibration {
+            score_scale: percentile_98(&mut self.abs_scores),
+            gelu_absmax: self.gelu_absmax,
+            score_rows: self.score_rows.into_iter().flatten().collect(),
+        }
     }
 }
 
@@ -739,6 +998,49 @@ mod tests {
         let model = VitModel::new(cfg);
         let calib = Tensor::zeros(&[4, cfg.patch_dim()]);
         assert!(ScEngine::compile(&model, EngineConfig::default(), &calib, 1).is_err());
+    }
+
+    fn tiny_bn_model() -> VitModel {
+        VitModel::new(VitConfig {
+            image: 8,
+            patch: 4,
+            dim: 16,
+            layers: 2,
+            heads: 2,
+            classes: 2,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn compile_rejects_a_calibration_batch_its_patches_do_not_hold() {
+        // One image of patches declared as three used to index past the
+        // patch tensor and panic; it must be a typed error, directly and
+        // through a checkpoint's calibration section.
+        let model = tiny_bn_model();
+        let (train, _) = ascend_vit::data::synth_cifar(2, 2, 2, 8, 3);
+        let one = train.patches(&[0], 4);
+        let invalid = |r: Result<ScEngine, ScError>| matches!(r, Err(ScError::InvalidParam { .. }));
+        assert!(invalid(ScEngine::compile(&model, EngineConfig::default(), &one, 3)));
+        let ckpt = ascend_io::ModelCheckpoint::capture(&model).with_calib(one, 3);
+        assert!(invalid(ScEngine::compile_from_checkpoint(&ckpt, EngineConfig::default())));
+    }
+
+    #[test]
+    fn an_empty_calibration_batch_compiles_at_the_default_ranges() {
+        // No images: score scale 1.0 and a zero GELU maximum per layer,
+        // so αx and every GELU input range sit at their floors.
+        let model = tiny_bn_model();
+        let none = Tensor::zeros(&[0, model.config.patch_dim()]);
+        let config = EngineConfig::default();
+        let engine = ScEngine::compile(&model, config, &none, 0).unwrap();
+        let ax = engine.softmax_block().config().ax;
+        assert_eq!(ax, 2.0 * 1.0 / config.softmax_bx as f64);
+        let want = Thermometer::with_range(config.gelu_bx, 0.5).unwrap();
+        assert_eq!(engine.gelu_blocks().len(), 2);
+        for gelu in engine.gelu_blocks() {
+            assert_eq!(gelu.input().scale().to_bits(), want.scale().to_bits());
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 use std::sync::Arc;
 
 use ascend_obs::{HistSnapshot, Histogram, Registry, Stage, StageObserver, StageTimer};
-use ascend_tensor::Tensor;
 use sc_core::ScError;
 
 use crate::backend::InferenceBackend;
@@ -219,7 +218,7 @@ impl<B: InferenceBackend> InferenceBackend for InstrumentedBackend<B> {
     /// never timing the same forward twice.
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         scratch: &mut ForwardScratch,
         _observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {

@@ -69,6 +69,8 @@ pub mod backend;
 pub mod engine;
 pub mod fixture;
 pub mod instrument;
+#[cfg(test)]
+mod oracle;
 pub mod pipeline;
 pub mod report;
 pub mod serve;

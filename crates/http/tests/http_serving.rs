@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 use ascend::serve::ServeConfig;
 use ascend::{ForwardScratch, InferenceBackend, Session};
 use ascend_http::{client, HttpConfig, HttpServer};
-use ascend_tensor::Tensor;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
 
@@ -68,7 +67,7 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -83,7 +82,7 @@ impl InferenceBackend for GatedBackend {
             };
         }
         drop(open);
-        let sum: f32 = patches.data().iter().sum();
+        let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])
     }
 }
@@ -110,7 +109,7 @@ impl InferenceBackend for PanickingBackend {
     }
     fn forward_one(
         &self,
-        _patches: Tensor,
+        _patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {

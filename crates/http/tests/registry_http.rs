@@ -15,7 +15,6 @@ use ascend::serve::ServeConfig;
 use ascend::{ForwardScratch, InferenceBackend};
 use ascend_http::{client, HttpConfig, HttpServer};
 use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
-use ascend_tensor::Tensor;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
 
@@ -56,11 +55,11 @@ impl InferenceBackend for ScaledBackend {
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let sum: f32 = patches.data().iter().sum::<f32>() * self.scale;
+        let sum: f32 = patches.iter().sum::<f32>() * self.scale;
         Ok(vec![sum, -sum])
     }
 }

@@ -796,11 +796,11 @@ mod tests {
         }
         fn forward_one(
             &self,
-            patches: ascend_tensor::Tensor,
+            patches: &[f32],
             _scratch: &mut ForwardScratch,
             _observer: &mut dyn ascend_obs::StageObserver,
         ) -> Result<Vec<f32>, ScError> {
-            let sum: f32 = patches.data().iter().sum();
+            let sum: f32 = patches.iter().sum();
             Ok(vec![sum, -sum])
         }
     }

@@ -185,7 +185,7 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -200,7 +200,7 @@ impl InferenceBackend for GatedBackend {
             };
         }
         drop(open);
-        let sum: f32 = patches.data().iter().sum();
+        let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])
     }
 }
@@ -235,7 +235,7 @@ impl InferenceBackend for StubBackend {
     }
     fn forward_one(
         &self,
-        _patches: Tensor,
+        _patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -319,7 +319,7 @@ fn prop_registry() -> ModelRegistry {
         }
         fn forward_one(
             &self,
-            _patches: Tensor,
+            _patches: &[f32],
             _scratch: &mut ForwardScratch,
             _observer: &mut dyn ascend_obs::StageObserver,
         ) -> Result<Vec<f32>, ScError> {

@@ -158,7 +158,7 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -167,7 +167,7 @@ impl InferenceBackend for GatedBackend {
             open = self.opened.wait(open).expect("gate wait");
         }
         drop(open);
-        let sum: f32 = patches.data().iter().sum();
+        let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])
     }
 }

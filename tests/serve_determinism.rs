@@ -239,7 +239,7 @@ impl InferenceBackend for GatedBackend {
     }
     fn forward_one(
         &self,
-        patches: Tensor,
+        patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -248,7 +248,7 @@ impl InferenceBackend for GatedBackend {
             open = self.opened.wait(open).unwrap();
         }
         drop(open);
-        let sum: f32 = patches.data().iter().sum();
+        let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])
     }
 }
@@ -391,7 +391,7 @@ impl InferenceBackend for PanickingBackend {
     }
     fn forward_one(
         &self,
-        _patches: Tensor,
+        _patches: &[f32],
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
@@ -478,11 +478,7 @@ fn forward_one_composes_to_batched_forward() {
     for (label, backend, stats) in cases {
         let mut scratch = backend.make_scratch();
         let mut rows = Vec::new();
-        for bi in 0..n {
-            let img = Tensor::from_vec(
-                patches.data()[bi * p * pd..(bi + 1) * p * pd].to_vec(),
-                &[p, pd],
-            );
+        for img in patches.data().chunks_exact(p * pd) {
             rows.extend(
                 backend.forward_one(img, &mut scratch, &mut NoopObserver).expect("forward_one"),
             );
