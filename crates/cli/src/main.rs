@@ -20,7 +20,6 @@
 use std::path::{Path, PathBuf};
 
 use ascend::engine::{EngineConfig, ScEngine};
-use ascend::serve::ServeRequest;
 use ascend::{BackendKind, Session};
 use ascend_io::format::Artifact;
 use ascend_io::ModelCheckpoint;
@@ -51,8 +50,8 @@ SUBCOMMANDS:
              [--fault-seed 7]  --test-n 48  --data-seed 7  --batch 16
     serve    Run the persistent serving pool on a saved artifact
              --engine PATH (required; engine artifact, or checkpoint)
-             --backend sc|ref (sc)  --requests 8  --images 4
-             --workers 0 (auto)  --micro-batch 4  --queue-depth 2
+             --backend sc|ref (sc)  --requests 8  --images 4 (per request)
+             --workers 0 (auto)  --queue-depth 2
              --rounds 1 (repeated rounds reuse one worker pool)
              --data-seed 7
              With --listen ADDR:PORT, serve over HTTP/1.1 instead of the
@@ -403,7 +402,6 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
     let requests: usize = flags.get_parsed("requests", 8)?;
     let images: usize = flags.get_parsed("images", 4)?;
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
     let queue_depth: usize = flags.get_parsed("queue-depth", 2)?;
     let rounds: usize = flags.get_parsed("rounds", 1)?;
     let data_seed: u64 = flags.get_parsed("data-seed", 7)?;
@@ -414,21 +412,19 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
         ));
     }
 
+    // The pool's batch helper carves the `requests × images` traffic into
+    // requests of `micro_batch = images` images each.
     let session = Session::builder()
         .artifact(&engine_path)
         .backend(backend)
         .workers(workers)
-        .micro_batch(micro_batch)
+        .micro_batch(images)
         .queue_depth(queue_depth)
         .build()?;
     let cfg = *session.backend().vit_config();
     let n = requests * images;
     let (_, test) = synth_cifar(cfg.classes, 1, n, cfg.image, data_seed);
-    let mut reqs = Vec::with_capacity(requests);
-    for r in 0..requests {
-        let idx: Vec<usize> = (r * images..(r + 1) * images).collect();
-        reqs.push(ServeRequest::new(test.patches(&idx, cfg.patch), images));
-    }
+    let patches = test.patches(&(0..n).collect::<Vec<_>>(), cfg.patch);
     // One persistent pool for every round: the workers spawn here, once.
     let pool = session.runner()?;
     println!(
@@ -437,46 +433,52 @@ fn cmd_serve(flags: Flags) -> Result<(), CliError> {
         pool.workers(),
         if queue_depth == 0 { "unbounded".to_string() } else { queue_depth.to_string() },
     );
-    let mut outcome = pool.run(&reqs)?;
-    println!("round 1/{rounds}: {}", outcome.report.summary());
+    let shape = format!("{n} images in {requests} requests of {images}");
+    let logits = session.serve_batch(&patches, n)?;
+    println!("round 1/{rounds}: {shape}");
     for round in 2..=rounds {
-        let again = pool.run(&reqs)?;
-        println!("round {round}/{rounds}: {}", again.report.summary());
         // Pool reuse must be invisible to the numerics: every round's
         // logits match round 1 bit for bit.
-        let stable = outcome.logits.iter().zip(again.logits.iter()).all(|(a, b)| {
-            a.data().iter().zip(b.data().iter()).all(|(x, y)| x.to_bits() == y.to_bits())
-        });
-        if !stable {
+        if !same_bits(session.serve_batch(&patches, n)?.data(), logits.data()) {
             return Err(CliError::Runtime(format!(
                 "round {round} diverged from round 1 on the reused pool"
             )));
         }
-        outcome.report = again.report;
+        println!("round {round}/{rounds}: {shape}, bit-stable");
     }
-    println!(
-        "request latencies: p50 {:.2} ms | p95 {:.2} ms | max {:.2} ms",
-        outcome.report.latency_percentile(50.0).as_secs_f64() * 1e3,
-        outcome.report.latency_percentile(95.0).as_secs_f64() * 1e3,
-        outcome.report.latency_percentile(100.0).as_secs_f64() * 1e3,
-    );
+    // Latency comes from the pool's own histograms: an exact mean, and
+    // percentiles as the bounds of the log2 bucket that holds them.
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let obs = pool.obs();
+    for (label, hist) in [("service", obs.service()), ("queue wait", obs.queue_wait())] {
+        let snap = hist.snapshot();
+        let count = snap.count();
+        let (p50_lo, p50_hi) = snap.percentile_bounds_ns(50.0);
+        let (p95_lo, p95_hi) = snap.percentile_bounds_ns(95.0);
+        println!(
+            "{label}: {count} requests, mean {:.3} ms, p50 within [{:.3}, {:.3}] ms, \
+             p95 within [{:.3}, {:.3}] ms (log2 bucket bounds)",
+            ms(snap.sum_ns.checked_div(count).unwrap_or(0)),
+            ms(p50_lo),
+            ms(p50_hi),
+            ms(p95_lo),
+            ms(p95_hi),
+        );
+    }
 
     // Serving is only trustworthy if parallel == serial, bit for bit —
     // for every backend, not just the SC engine.
-    let mut identical = true;
-    for (req, got) in reqs.iter().zip(outcome.logits.iter()) {
-        let want = session.forward(&req.patches, req.images)?;
-        identical &= want
-            .data()
-            .iter()
-            .zip(got.data().iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    }
+    let identical = same_bits(session.forward(&patches, n)?.data(), logits.data());
     println!("bit-identical to serial forward: {identical}");
     if !identical {
         return Err(CliError::Runtime("parallel serving diverged from serial logits".into()));
     }
     Ok(())
+}
+
+/// Whether two logit buffers agree bit for bit.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// `serve --listen ADDR:PORT`: the HTTP/1.1 front-end over a model
@@ -519,7 +521,6 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let backend = parse_backend(&flags)?;
     let listen = flags.require("listen")?.to_string();
     let workers: usize = flags.get_parsed("workers", 0)?;
-    let micro_batch: usize = flags.get_parsed("micro-batch", 4)?;
     // Absent --queue-depth keeps the session's bounded default
     // (4 × workers); `--queue-depth 0` is the explicit unbounded opt-in.
     let queue_depth: Option<usize> = match flags.get("queue-depth") {
@@ -533,7 +534,7 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let memory_budget_mb: usize = flags.get_parsed("memory-budget-mb", 0)?;
     flags.reject_unknown()?;
 
-    let base = ascend::serve::ServeConfig { workers, micro_batch, queue_depth: 0 };
+    let base = ascend::serve::ServeConfig { workers, queue_depth: 0, ..Default::default() };
     let serve = ascend::serve::ServeConfig {
         queue_depth: queue_depth.unwrap_or(4 * base.resolved_workers()),
         ..base
@@ -637,12 +638,7 @@ fn cmd_profile(flags: Flags) -> Result<(), CliError> {
     for chunk in idx.chunks(batch) {
         let patches = test.patches(chunk, cfg.patch);
         let instrumented = session.forward(&patches, chunk.len())?;
-        let reference = bare.forward(&patches, chunk.len())?;
-        identical &= instrumented
-            .data()
-            .iter()
-            .zip(reference.data().iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+        identical &= same_bits(instrumented.data(), bare.forward(&patches, chunk.len())?.data());
     }
 
     println!(
@@ -954,7 +950,7 @@ mod tests {
         // queue (backpressure path) and must stay bit-stable.
         let serve_rounds = [
             "serve", "--engine", &eng, "--requests", "3", "--images", "1", "--workers", "2",
-            "--rounds", "3", "--queue-depth", "1", "--micro-batch", "1",
+            "--rounds", "3", "--queue-depth", "1",
         ]
         .map(String::from);
         assert_eq!(run(&serve_rounds), 0, "serve --rounds over a bounded queue failed");

@@ -606,9 +606,7 @@ mod tests {
             ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 },
         )
         .unwrap();
-        let request = ServeRequest::new(one.clone(), images);
-        assert!(invalid(pool.submit(request.clone()).map(drop)), "submit");
-        assert!(invalid(pool.run(&[request]).map(drop)), "run");
+        assert!(invalid(pool.submit(ServeRequest::new(one.clone(), images)).map(drop)), "submit");
         assert!(invalid(pool.run_batch(&one, images).map(drop)), "run_batch");
     }
 

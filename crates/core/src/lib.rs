@@ -81,8 +81,5 @@ pub use backend::{FaultInjectingBackend, InferenceBackend, RefEngine};
 pub use engine::{EngineConfig, ForwardScratch, ScEngine};
 pub use instrument::{InstrumentedBackend, StageStats};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineReport};
-pub use serve::{
-    JobTiming, PoolObs, ServeConfig, ServeHandle, ServeOutcome, ServePool, ServeReport,
-    ServeRequest,
-};
+pub use serve::{JobTiming, PoolObs, ServeConfig, ServeHandle, ServePool, ServeRequest};
 pub use session::{load_backend, BackendKind, Session, SessionBuilder};

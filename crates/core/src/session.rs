@@ -14,8 +14,8 @@
 //!     .backend(BackendKind::Sc)     // or BackendKind::Ref for the float oracle
 //!     .workers(0)                   // 0 = auto
 //!     .build()?;
-//! let (logits, report) = session.serve_batch(patches, 64)?;
-//! println!("{} served: {}", session.backend().name(), report.summary());
+//! let logits = session.serve_batch(patches, 64)?;
+//! println!("{} served {:?}", session.backend().name(), logits.shape());
 //! # Ok(()) }
 //! ```
 //!
@@ -43,7 +43,7 @@ use sc_core::ScError;
 use crate::backend::{FaultInjectingBackend, InferenceBackend, RefEngine};
 use crate::engine::{EngineConfig, ScEngine};
 use crate::instrument::{InstrumentedBackend, StageStats};
-use crate::serve::{ServeConfig, ServePool, ServeReport};
+use crate::serve::{ServeConfig, ServePool};
 
 /// Which implementation of [`InferenceBackend`] a [`Session`] executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,12 +229,7 @@ impl SessionBuilder {
             self.queue_depth.unwrap_or_else(|| 4 * serve.resolved_workers());
         // Validate the serving shape and fault parameters up front — a bad
         // knob must fail before the expensive load/compile, not after.
-        if serve.micro_batch == 0 {
-            return Err(ScError::InvalidParam {
-                name: "micro_batch",
-                reason: "micro-batch size must be at least 1".into(),
-            });
-        }
+        serve.validate()?;
         if let Some((rate, _)) = self.fault {
             if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
                 return Err(ScError::InvalidParam {
@@ -360,12 +355,7 @@ impl Session {
         backend: Arc<dyn InferenceBackend>,
         serve: ServeConfig,
     ) -> Result<Session, ScError> {
-        if serve.micro_batch == 0 {
-            return Err(ScError::InvalidParam {
-                name: "micro_batch",
-                reason: "micro-batch size must be at least 1".into(),
-            });
-        }
+        serve.validate()?;
         Ok(Session { backend, serve, pool: OnceLock::new(), stats: None })
     }
 
@@ -432,18 +422,15 @@ impl Session {
     }
 
     /// Serves one large batch through the session's persistent pool,
-    /// returning `[images, classes]` logits in input order plus the
-    /// serving report; see [`ServePool::run_batch`]. Repeated calls reuse
-    /// the same long-lived workers.
+    /// returning `[images, classes]` logits in input order; see
+    /// [`ServePool::run_batch`]. Repeated calls reuse the same long-lived
+    /// workers, and per-request latency lands in the pool's
+    /// [`ServePool::obs`] histograms.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ServePool::run_batch`].
-    pub fn serve_batch(
-        &self,
-        patches: &Tensor,
-        images: usize,
-    ) -> Result<(Tensor, ServeReport), ScError> {
+    pub fn serve_batch(&self, patches: &Tensor, images: usize) -> Result<Tensor, ScError> {
         self.runner()?.run_batch(patches, images)
     }
 }

@@ -235,8 +235,11 @@ fn run() -> Result<(), String> {
             .map_err(|_| format!("--budget wants a byte count or `single`, got `{v}`"))?,
     };
 
-    let serve_cfg =
-        ServeConfig { workers: args.workers, micro_batch: 4, queue_depth: args.queue_depth };
+    let serve_cfg = ServeConfig {
+        workers: args.workers,
+        queue_depth: args.queue_depth,
+        ..ServeConfig::default()
+    };
     let registry = Arc::new(ModelRegistry::new(RegistryConfig {
         memory_budget_bytes: budget_bytes,
         ..Default::default()

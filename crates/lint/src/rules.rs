@@ -141,7 +141,7 @@ fn in_forward_scope(rel: &str) -> bool {
 /// all durations flow through its `StageTimer`/histograms/trace ring),
 /// the linter itself, and per-crate tooling bins under `src/bin/`.
 /// Serving code is in scope on purpose: its few sanctioned timestamp
-/// sites (the ServeReport metrics, the queue-wait/service split, the
+/// sites (the admission stamp, the queue-wait/service split, the
 /// `/metrics` uptime anchor) each carry an explicit waiver stating why
 /// the read can never reach the logits.
 fn in_wallclock_scope(rel: &str) -> bool {

@@ -166,8 +166,7 @@ impl HistSnapshot {
             return (0, 0);
         }
         let p = p.clamp(0.0, 100.0);
-        // Nearest-rank: rank = ceil(p/100 * n), clamped to [1, n] — the same
-        // definition ServeReport::latency_percentile uses.
+        // Nearest-rank: rank = ceil(p/100 * n), clamped to [1, n].
         let rank = ((p / 100.0 * n as f64).ceil() as u64).clamp(1, n);
         let mut cum = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! Property tests for the log2 histogram: cumulative monotonicity and
-//! nearest-rank percentile agreement with an exact sorted-sample oracle
-//! (the same nearest-rank definition `ServeReport::latency_percentile`
-//! uses, so bracketing the oracle here is what makes the `/metrics`
-//! percentiles trustworthy against the report's).
+//! nearest-rank percentile agreement with an exact sorted-sample oracle.
+//! The histogram is the workspace's one latency record, so bracketing
+//! the exact percentile here is what makes its `/metrics` percentiles
+//! trustworthy.
 
 use ascend_obs::{HistSnapshot, Histogram, HIST_BUCKETS};
 use proptest::prelude::*;
@@ -17,8 +17,8 @@ fn cumulative(snap: &HistSnapshot) -> Vec<u64> {
     cum
 }
 
-/// Exact nearest-rank percentile over raw samples (the ServeReport rule).
-fn exact_nearest_rank(sorted: &[u64], p: f64) -> u64 {
+/// Exact nearest-rank percentile over raw samples.
+fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
     let n = sorted.len();
     let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
     sorted[rank - 1]
@@ -53,7 +53,7 @@ proptest! {
         }
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        let exact = exact_nearest_rank(&sorted, p);
+        let exact = exact_percentile(&sorted, p);
         let (lo, hi) = h.snapshot().percentile_bounds_ns(p);
         prop_assert!(
             lo <= exact && exact <= hi,

@@ -80,7 +80,7 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
     let patches = test.patches(&[0, 1, 2], patch);
     let want = engine.forward(&patches, 3).expect("serial forward");
     for handle in [&alpha, &beta] {
-        let (got, _report) = handle.session().serve_batch(&patches, 3).expect("served batch");
+        let got = handle.session().serve_batch(&patches, 3).expect("served batch");
         assert_bit_identical(&got, &want, &format!("model {}", handle.name()));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -109,7 +109,7 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
     let patches = test.patches(&[3, 4], patch);
 
     let first = registry.acquire("a").expect("first warm of a");
-    let out_first = first.session().serve_batch(&patches, 2).expect("first serve").0;
+    let out_first = first.session().serve_batch(&patches, 2).expect("first serve");
     drop(first);
 
     registry.acquire("b").expect("warm b evicts a");
@@ -119,7 +119,7 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
     let again = registry.acquire("a").expect("re-warm a evicts b");
     assert_eq!(registry.state("b"), Some(ModelState::Cold));
     assert_eq!(registry.loads_total("a"), Some(2), "re-warm is a fresh lazy load");
-    let out_again = again.session().serve_batch(&patches, 2).expect("re-warmed serve").0;
+    let out_again = again.session().serve_batch(&patches, 2).expect("re-warmed serve");
     assert_bit_identical(&out_again, &out_first, "re-warm after eviction");
 
     assert!(registry.resident_bytes() <= registry.budget_bytes());

@@ -48,8 +48,14 @@ fn main() {
         .expect("session builds");
     let demo = test.patches(&(0..8).collect::<Vec<_>>(), 4);
     for round in 1..=3 {
-        let (_, report) = session.serve_batch(&demo, 8).expect("session serves");
-        println!("`{}` round {round}: {}", session.backend().name(), report.summary());
+        let t0 = Instant::now();
+        let logits = session.serve_batch(&demo, 8).expect("session serves");
+        println!(
+            "`{}` round {round}: {:?} logits in {:.1} ms",
+            session.backend().name(),
+            logits.shape(),
+            t0.elapsed().as_secs_f64() * 1e3
+        );
     }
     std::fs::remove_file(&artifact).ok();
 
@@ -75,16 +81,32 @@ fn main() {
         // Two rounds on the SAME pool: the long-lived workers (one
         // reusable scratch each) must be numerically invisible.
         for round in 1..=2 {
-            let (logits, report) = pool.run_batch(&patches, n).expect("parallel run");
+            let t0 = Instant::now();
+            let logits = pool.run_batch(&patches, n).expect("parallel run");
+            let wall = t0.elapsed();
             let identical = logits
                 .data()
                 .iter()
                 .zip(serial.data().iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            println!("workers={workers} round {round}: {}", report.summary());
+            println!(
+                "workers={workers} round {round}: {n} images in {:.1} ms — {:.1} images/s",
+                wall.as_secs_f64() * 1e3,
+                n as f64 / wall.as_secs_f64()
+            );
             println!("          bit-identical to serial: {identical}");
             assert!(identical, "parallel output diverged from serial");
         }
+        // Per-request latency is the pool's own record: log2-bucket
+        // histograms, so percentiles come out as bucket bounds.
+        let service = pool.obs().service().snapshot();
+        let (lo, hi) = service.percentile_bounds_ns(95.0);
+        println!(
+            "          {} requests served, service p95 within [{:.2}, {:.2}] ms",
+            service.count(),
+            lo as f64 / 1e6,
+            hi as f64 / 1e6
+        );
         pool.shutdown(); // graceful: queue closes, workers join
     }
 

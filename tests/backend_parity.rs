@@ -134,9 +134,9 @@ fn parallel_serving_is_bit_identical_for_every_backend() {
     let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
     for (session, label) in [(&sc, "sc"), (&reference, "ref")] {
         let serial = session.forward(&patches, n).expect("serial forward");
-        let (parallel, report) = session.serve_batch(&patches, n).expect("parallel serve");
+        let parallel = session.serve_batch(&patches, n).expect("parallel serve");
+        // Shapes are compared too: one row of logits per served image.
         assert_bit_identical(&parallel, &serial, &format!("{label} parallel vs serial"));
-        assert_eq!(report.images(), n);
     }
 }
 
@@ -161,8 +161,8 @@ fn fault_injecting_backend_stays_deterministic_on_a_reused_pool() {
     let serial = session.forward(&patches, n).expect("serial faulted forward");
     for round in 0..3 {
         // Every round reuses the session's one pool (same worker threads).
-        let (parallel, report) = session.serve_batch(&patches, n).expect("faulted serve");
+        let parallel = session.serve_batch(&patches, n).expect("faulted serve");
         assert_bit_identical(&parallel, &serial, &format!("faulted pool reuse round {round}"));
-        assert_eq!(report.workers(), 2);
+        assert_eq!(session.runner().expect("session pool").workers(), 2);
     }
 }

@@ -1,16 +1,17 @@
 //! Tier-1 determinism contract of the serving runtime: the persistent
 //! [`ServePool`] must produce **bit-for-bit** the same logits as the
 //! serial [`ScEngine::forward`] for the same inputs, across worker counts,
-//! odd batch sizes that do not divide evenly into micro-batches, and —
-//! since the pool is long-lived — across successive runs on one pool.
+//! odd batch sizes that do not divide evenly into `micro_batch`-sized
+//! requests, and — since the pool is long-lived — across successive runs
+//! on one pool.
 //!
 //! This is what makes the runtime safe to drop into accuracy experiments:
 //! parallelism is purely a scheduling concern and never a numerics one.
 //! The same file proves the pool's queueing semantics: a bounded queue
 //! blocks submitters (real backpressure) without ever dropping or
-//! reordering a request.
+//! reordering a request, and the `queued` gauge never wraps below zero.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use ascend::engine::{EngineConfig, ScEngine};
@@ -49,8 +50,8 @@ use support::assert_bit_identical;
 #[test]
 fn batch_runner_is_bit_identical_across_worker_counts() {
     let (engine, test) = tiny_engine();
-    // Odd batch sizes: 7 = 4 + 3 and 13 = 3·4 + 1 leave ragged final
-    // micro-batches at micro_batch = 4.
+    // Odd batch sizes: 7 = 4 + 3 and 13 = 3·4 + 1 leave a ragged final
+    // request at micro_batch = 4.
     for &n in &[7usize, 13] {
         let idx: Vec<usize> = (0..n).collect();
         let patches = test.patches(&idx, 4);
@@ -61,13 +62,15 @@ fn batch_runner_is_bit_identical_across_worker_counts() {
                 ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
             )
             .expect("runner builds");
-            let (parallel, report) = runner.run_batch(&patches, n).expect("parallel run");
+            let before = runner.obs().service().snapshot().count();
+            let parallel = runner.run_batch(&patches, n).expect("parallel run");
             assert_bit_identical(&parallel, &serial, &format!("n={n} workers={workers}"));
-            assert_eq!(report.images(), n);
-            assert_eq!(report.requests(), n.div_ceil(4));
-            // The report states the pool size that actually served the
-            // run: the number of long-lived threads, exactly as asked.
-            assert_eq!(report.workers(), workers);
+            assert_eq!(parallel.shape()[0], n);
+            // One request per `micro_batch` images, each recorded once in
+            // the pool's service histogram.
+            let served = runner.obs().service().snapshot().count() - before;
+            assert_eq!(served, n.div_ceil(4) as u64);
+            // The pool runs exactly the long-lived threads asked for.
             assert_eq!(runner.workers(), workers);
         }
     }
@@ -90,15 +93,14 @@ fn request_queue_matches_per_request_serial_forward() {
         ServeConfig { workers: 3, micro_batch: 4, queue_depth: 2 },
     )
     .expect("pool builds");
-    let outcome = pool.run(&requests).expect("queue run");
-    assert_eq!(outcome.logits.len(), sizes.len());
-    assert_eq!(outcome.report.requests(), sizes.len());
-    assert_eq!(outcome.report.images(), sizes.iter().sum::<usize>());
-    assert_eq!(outcome.report.latencies().len(), sizes.len());
-    for (req, got) in requests.iter().zip(outcome.logits.iter()) {
+    let handles: Vec<_> =
+        requests.iter().map(|req| pool.submit(req.clone()).expect("submit")).collect();
+    for (req, handle) in requests.iter().zip(handles) {
+        let (got, _) = handle.collect().expect("collect");
         let want = engine.forward(&req.patches, req.images).expect("serial forward");
-        assert_bit_identical(got, &want, &format!("request of {} images", req.images));
+        assert_bit_identical(&got, &want, &format!("request of {} images", req.images));
     }
+    assert_eq!(pool.obs().service().snapshot().count(), sizes.len() as u64);
 }
 
 #[test]
@@ -106,7 +108,7 @@ fn pool_reuse_is_bit_identical_to_fresh_pools_for_both_backends() {
     // The acceptance bar of the persistent pool: successive `run_batch`
     // calls on ONE pool must match both the serial forward and a freshly
     // spawned pool per call, bit for bit, for the SC and ref backends
-    // alike, across worker counts and a ragged micro-batch split.
+    // alike, across worker counts and a ragged `micro_batch` split.
     let recipe = tiny_recipe();
     let (ckpt, _, test) = ascend::fixture::checkpoint_or_load(&recipe);
     let sc: Arc<dyn InferenceBackend> = Arc::new(
@@ -122,17 +124,16 @@ fn pool_reuse_is_bit_identical_to_fresh_pools_for_both_backends() {
             let cfg = ServeConfig { workers, micro_batch: 4, queue_depth: 0 };
             let reused = ServePool::new(Arc::clone(backend), cfg).expect("pool builds");
             for round in 0..3 {
-                let (from_reused, report) =
-                    reused.run_batch(&patches, n).expect("reused-pool run");
+                let from_reused = reused.run_batch(&patches, n).expect("reused-pool run");
                 assert_bit_identical(
                     &from_reused,
                     &serial,
                     &format!("{label} reused pool round {round} workers={workers}"),
                 );
-                assert_eq!(report.workers(), workers);
+                assert_eq!(reused.workers(), workers);
                 // A spawn-per-call pool must agree with the reused one.
                 let fresh = ServePool::new(Arc::clone(backend), cfg).expect("fresh pool");
-                let (from_fresh, _) = fresh.run_batch(&patches, n).expect("fresh-pool run");
+                let from_fresh = fresh.run_batch(&patches, n).expect("fresh-pool run");
                 assert_bit_identical(
                     &from_fresh,
                     &from_reused,
@@ -185,11 +186,12 @@ fn pool_with_more_workers_than_requests_drains_cleanly() {
     .expect("pool builds");
     let patches = test.patches(&[0, 1], 4);
     let serial = engine.forward(&patches, 2).expect("serial forward");
-    let outcome = pool
-        .run(&[ServeRequest::new(patches.clone(), 2)])
+    let (logits, _) = pool
+        .submit(ServeRequest::new(patches, 2))
+        .and_then(|handle| handle.collect())
         .expect("underfull pool run");
-    assert_bit_identical(&outcome.logits[0], &serial, "workers > requests");
-    assert_eq!(outcome.report.workers(), 8, "report must state the real pool size");
+    assert_bit_identical(&logits, &serial, "workers > requests");
+    assert_eq!(pool.workers(), 8, "the pool runs the threads asked for");
     // Idle workers must not wedge shutdown.
     pool.shutdown();
 }
@@ -370,6 +372,65 @@ fn try_submit_sheds_on_a_full_queue_and_the_gauges_track_it() {
     pool.shutdown();
 }
 
+#[test]
+fn queued_gauge_never_wraps_below_zero() {
+    // A worker that claims a job before its submitter has counted it
+    // decrements the gauge below zero, and `queued()` reads `usize::MAX`
+    // until the submitter catches up. That window is a few instructions
+    // wide; many short round trips on an echo backend, watched by a
+    // spinning sampler, hit it within milliseconds if it exists.
+    const SUBMITTERS: usize = 4;
+    const ROUND_TRIPS: usize = 25_000; // per submitter
+    let backend = Arc::new(GatedBackend::new());
+    backend.open(); // an echo backend: every request is served at once
+    let (p, pd) = (backend.cfg.num_patches(), backend.cfg.patch_dim());
+    let patches = Tensor::from_vec(vec![1.0; p * pd], &[p, pd]);
+    let pool = ServePool::new(
+        Arc::clone(&backend),
+        ServeConfig { workers: 2, micro_batch: 1, queue_depth: 0 },
+    )
+    .expect("pool builds");
+    let worst = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut seen = 0;
+            while !done.load(Ordering::Relaxed) {
+                let now = pool.queued();
+                if now > seen {
+                    seen = now;
+                    worst.store(seen, Ordering::Relaxed);
+                }
+            }
+        });
+        // Each submitter keeps one request outstanding at a time, so at
+        // most SUBMITTERS requests are ever queued.
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..ROUND_TRIPS {
+                        if worst.load(Ordering::Relaxed) > SUBMITTERS {
+                            break;
+                        }
+                        let request = ServeRequest::new(patches.clone(), 1);
+                        pool.submit(request).expect("submit").collect().expect("collect");
+                    }
+                })
+            })
+            .collect();
+        // Stop the sampler before re-raising a submitter's panic, or the
+        // scope would wait on it forever.
+        let joined: Vec<_> = submitters.into_iter().map(|s| s.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        for result in joined {
+            result.expect("submitter thread");
+        }
+    });
+    let worst = worst.into_inner();
+    assert!(worst <= SUBMITTERS, "queued() read {worst} with {SUBMITTERS} requests outstanding");
+    pool.shutdown();
+}
+
 /// A backend whose worker dies on first contact, for the pool-loss path.
 struct PanickingBackend {
     cfg: VitConfig,
@@ -516,15 +577,18 @@ fn session_facade_preserves_the_bit_identity_contract() {
         let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
         let serial = session.forward(&patches, n).expect("serial forward");
         for round in 0..2 {
-            let (parallel, report) = session.serve_batch(&patches, n).expect("parallel serve");
+            let pool = session.runner().expect("session pool");
+            let before = pool.obs().service().snapshot().count();
+            let parallel = session.serve_batch(&patches, n).expect("parallel serve");
             assert_bit_identical(
                 &parallel,
                 &serial,
                 &format!("session workers={workers} round={round}"),
             );
-            assert_eq!(report.images(), n);
-            assert_eq!(report.requests(), n.div_ceil(4));
-            assert_eq!(report.workers(), workers, "session pool size must be stable");
+            assert_eq!(parallel.shape()[0], n);
+            let served = pool.obs().service().snapshot().count() - before;
+            assert_eq!(served, n.div_ceil(4) as u64);
+            assert_eq!(pool.workers(), workers, "session pool size must be stable");
         }
     }
 }
@@ -560,11 +624,13 @@ fn runner_rejects_malformed_configs_and_requests() {
     let pool = ServePool::new(Arc::clone(&engine), ServeConfig::auto()).expect("pool builds");
     // Claiming 3 images while providing 2 images' worth of patches.
     let two = test.patches(&[0, 1], 4);
-    assert!(pool.run(&[ServeRequest::new(two.clone(), 3)]).is_err());
     assert!(pool.run_batch(&two, 3).is_err());
     assert!(pool.submit(ServeRequest::new(two.clone(), 3)).is_err());
     // A rejected request must not poison the pool for valid ones.
     let serial = engine.forward(&two, 2).expect("serial forward");
-    let outcome = pool.run(&[ServeRequest::new(two, 2)]).expect("valid run after reject");
-    assert_bit_identical(&outcome.logits[0], &serial, "pool healthy after rejection");
+    let (logits, _) = pool
+        .submit(ServeRequest::new(two, 2))
+        .and_then(|handle| handle.collect())
+        .expect("valid run after reject");
+    assert_bit_identical(&logits, &serial, "pool healthy after rejection");
 }
