@@ -884,6 +884,19 @@ mod tests {
         let compile = ["compile", "--model", &ckpt, "--out", &eng].map(String::from);
         assert_eq!(run(&compile), 0, "compile failed");
 
+        // The SC softmax configuration is a compile flag; `info` reads the
+        // result back.
+        let eng_k4 = dir.join("e-k4.sceng").display().to_string();
+        let compile_k4 = [
+            "compile", "--model", &ckpt, "--out", &eng_k4, "--by", "8", "--s1", "32", "--s2",
+            "8", "--k", "4",
+        ]
+        .map(String::from);
+        assert_eq!(run(&compile_k4), 0, "compile with SC flags failed");
+        assert_eq!(run(&["info", "--path", &eng_k4].map(String::from)), 0, "info on k4 failed");
+        let k4 = ScEngine::load(Path::new(&eng_k4)).unwrap();
+        assert_eq!(k4.softmax_block().config().k, 4, "--k must reach the compiled engine");
+
         let eval = ["eval", "--engine", &eng, "--test-n", "16", "--model", &ckpt]
             .map(String::from);
         assert_eq!(run(&eval), 0, "eval failed");

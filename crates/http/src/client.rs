@@ -1,6 +1,6 @@
-//! A minimal blocking HTTP/1.1 client — just enough for the `loadgen`
-//! stress binary and the integration tests to talk to [`crate::HttpServer`]
-//! without duplicating request/response plumbing. Not a general client:
+//! A minimal blocking HTTP/1.1 client — just enough for the integration
+//! tests and the CLI's tests to talk to [`crate::HttpServer`] without
+//! duplicating request/response plumbing. Not a general client:
 //! it only understands `Content-Length` bodies, which is all the server
 //! emits.
 
@@ -45,7 +45,7 @@ pub fn write_request(
 ) -> io::Result<()> {
     write!(
         w,
-        "{method} {target} HTTP/1.1\r\nhost: loadgen\r\ncontent-length: {}\r\n",
+        "{method} {target} HTTP/1.1\r\nhost: ascend-client\r\ncontent-length: {}\r\n",
         body.len()
     )?;
     if close {

@@ -126,6 +126,11 @@ fn read_line<R: BufRead>(
     }
 }
 
+/// Whether `b` is an RFC 9110 `tchar`, the alphabet of a header name.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
 /// Reads and validates one full request (line, headers, body) under the
 /// given limits.
 ///
@@ -174,7 +179,10 @@ pub fn read_request<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             return Err(ParseError::BadRequest(format!("header without colon: `{line}`")));
         };
-        if name.is_empty() || name.contains(' ') {
+        // A field name is a `token` (RFC 9110 §5.1): any other byte, even
+        // whitespace before the colon, is a 400 (RFC 9112 §5.1), never a
+        // name that silently fails to match `content-length`.
+        if name.is_empty() || !name.bytes().all(is_tchar) {
             return Err(ParseError::BadRequest(format!("malformed header name `{name}`")));
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
@@ -429,6 +437,21 @@ mod tests {
             parse(b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"),
             Err(ParseError::NotImplemented(_))
         ));
+        // Whitespace before the colon is malformed (RFC 9112 §5.1): read
+        // leniently, a tab would hide the header from the framing checks,
+        // letting a chunked body or a GET's body through as the next
+        // request.
+        let tab_before_colon: [&[u8]; 3] = [
+            b"POST / HTTP/1.1\r\ntransfer-encoding\t: chunked\r\ncontent-length: 5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\ncontent-length\t: 5\r\n\r\nhello",
+            b"GET / HTTP/1.1\r\ncontent-length\t: 20\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+        ];
+        for raw in tab_before_colon {
+            assert!(
+                matches!(parse(raw), Err(ParseError::BadRequest(_))),
+                "raw = {raw:?}"
+            );
+        }
     }
 
     #[test]

@@ -118,8 +118,8 @@ fn read_u32(body: &[u8], offset: usize) -> Result<usize, ScError> {
 
 /// Encodes an inference request body: `u32 images`, `u32 values`, then
 /// the patch scalars (little-endian `f32`s). The inverse of
-/// [`decode_infer_request`]; the loadgen binary and the tests build their
-/// payloads with this.
+/// [`decode_infer_request`]; clients and tests build their payloads with
+/// this.
 pub fn encode_infer_request(patches: &[f32], images: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + patches.len() * 4);
     out.extend_from_slice(&(images as u32).to_le_bytes());

@@ -3,16 +3,22 @@
 //! capped, a full admission queue sheds with `503 Retry-After` instead of
 //! blocking, a dead pool answers `503` instead of hanging, graceful drain
 //! completes in-flight work, and `200` bodies are bit-identical to the
-//! in-process serial forward.
+//! in-process serial forward — also under a many-connection storm, for
+//! one model and for two models thrashing one memory budget.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ascend::serve::ServeConfig;
-use ascend::{ForwardScratch, InferenceBackend, Session};
+use ascend::engine::EngineConfig;
+use ascend::fixture::{engine_or_load, FixtureRecipe};
+use ascend::serve::{ServeConfig, TRACE_SPAN_CAPACITY};
+use ascend::{ForwardScratch, InferenceBackend, ScEngine, Session};
 use ascend_http::{client, HttpConfig, HttpServer};
+use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
+use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
 
@@ -455,18 +461,20 @@ fn graceful_drain_completes_in_flight_work() {
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
 }
 
-#[test]
-fn http_logits_are_bit_identical_to_the_serial_forward() {
-    use ascend::engine::EngineConfig;
-    use ascend::fixture::{engine_or_load, FixtureRecipe};
-
+/// The cached `http-tiny` SC engine under `config`, plus its test set.
+fn tiny_engine(config: EngineConfig) -> (ScEngine, Dataset) {
     let mut recipe = FixtureRecipe::tiny("http-tiny", 5);
     recipe.n_train = 48;
     recipe.n_test = 24;
     recipe.pre_epochs = 2;
     recipe.qat_epochs = 0;
-    let (engine, _train, test) =
-        engine_or_load(&recipe, EngineConfig::default()).expect("tiny engine compiles");
+    let (engine, _train, test) = engine_or_load(&recipe, config).expect("tiny engine compiles");
+    (engine, test)
+}
+
+#[test]
+fn http_logits_are_bit_identical_to_the_serial_forward() {
+    let (engine, test) = tiny_engine(EngineConfig::default());
     let engine = Arc::new(engine);
 
     let n = 3usize;
@@ -502,4 +510,214 @@ fn http_logits_are_bit_identical_to_the_serial_forward() {
         }
     }
     server.join();
+}
+
+/// One storm route: its path, its payload, and the serial-forward bytes
+/// every `200` on it must equal.
+struct Target {
+    path: String,
+    payload: Vec<u8>,
+    expected: Vec<u8>,
+}
+
+impl Target {
+    /// Image 0 of `test` on `path`, answered as `engine`'s serial forward.
+    fn new(path: &str, engine: &ScEngine, test: &Dataset) -> Self {
+        let patches = test.patches(&[0], engine.vit_config().patch);
+        let serial = engine.forward(&patches, 1).expect("serial forward");
+        Target {
+            path: path.to_string(),
+            payload: ascend_http::encode_infer_request(patches.data(), 1),
+            expected: ascend_http::encode_logits(&serial, 1, engine.vit_config().classes),
+        }
+    }
+}
+
+/// What a storm's clients saw, summed over every client thread.
+#[derive(Debug, Default)]
+struct Tally {
+    ok: usize,
+    shed: usize,
+    shed_without_retry_after: usize,
+    other_status: usize,
+    body_mismatch: usize,
+    dropped: usize,
+}
+
+impl Tally {
+    /// The serving contract under overload: every request is answered
+    /// `200` with the serial-forward bytes, or shed `503 Retry-After`;
+    /// nothing is dropped, and the storm is not all sheds.
+    fn assert_contract(&self, requests: usize) {
+        assert_eq!(self.ok + self.shed, requests, "{self:?}");
+        assert_eq!(self.shed_without_retry_after, 0, "503 without Retry-After: {self:?}");
+        assert_eq!(self.other_status, 0, "status other than 200/503: {self:?}");
+        assert_eq!(self.body_mismatch, 0, "200 body != serial forward bytes: {self:?}");
+        assert_eq!(self.dropped, 0, "request dropped on an i/o error: {self:?}");
+        assert!(self.ok > 0, "no request was served: {self:?}");
+    }
+}
+
+/// Sends `requests` requests from `connections` keep-alive client
+/// threads. Each claims slots off one shared counter and posts slot `i`
+/// to `targets[i % len]`. A client reconnects only when the server
+/// announces a close; a request that meets an i/o error is counted as
+/// dropped, never retried.
+fn storm(addr: SocketAddr, connections: usize, requests: usize, targets: &[Target]) -> Tally {
+    let next = AtomicUsize::new(0);
+    let client = || {
+        let mut tally = Tally::default();
+        let mut conn = None;
+        loop {
+            let slot = next.fetch_add(1, Ordering::Relaxed);
+            if slot >= requests {
+                return tally;
+            }
+            let target = &targets[slot % targets.len()];
+            let (reader, writer) = conn.get_or_insert_with(|| connect(addr));
+            let response =
+                client::write_request(writer, "POST", &target.path, &target.payload, false)
+                    .and_then(|()| client::read_response(reader));
+            let Ok(response) = response else {
+                tally.dropped += 1;
+                conn = None;
+                continue;
+            };
+            match response.status {
+                200 => {
+                    tally.ok += 1;
+                    tally.body_mismatch += usize::from(response.body != target.expected);
+                }
+                503 => {
+                    tally.shed += 1;
+                    tally.shed_without_retry_after +=
+                        usize::from(response.header("retry-after").is_none());
+                }
+                _ => tally.other_status += 1,
+            }
+            if response.wants_close() {
+                conn = None;
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..connections).map(|_| s.spawn(client)).collect();
+        clients.into_iter().fold(Tally::default(), |mut sum, c| {
+            let t = c.join().expect("storm client");
+            sum.ok += t.ok;
+            sum.shed += t.shed;
+            sum.shed_without_retry_after += t.shed_without_retry_after;
+            sum.other_status += t.other_status;
+            sum.body_mismatch += t.body_mismatch;
+            sum.dropped += t.dropped;
+            sum
+        })
+    })
+}
+
+/// A server config with one connection handler per storm client, so the
+/// hand-off backlog never overflows and every `503` is admission's. (A
+/// connection shed at the backlog is closed with its request unread, and
+/// the reset can reach the client before the `503` does.)
+fn storm_config(connections: usize) -> HttpConfig {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = connections;
+    cfg
+}
+
+/// One `GET` on a fresh connection, as text.
+fn fetch_text(addr: SocketAddr, path: &str) -> String {
+    let (mut reader, mut writer) = connect(addr);
+    client::write_request(&mut writer, "GET", path, &[], true).expect("write");
+    let response = client::read_response(&mut reader).expect("response");
+    assert_eq!(response.status, 200, "{path}");
+    String::from_utf8(response.body).expect("utf-8")
+}
+
+#[test]
+fn storm_on_one_model_is_answered_bit_identically_or_shed() {
+    // Eight keep-alive clients against two workers behind a queue of two:
+    // admission sheds, and every 200 still carries the serial bytes.
+    let (engine, test) = tiny_engine(EngineConfig::default());
+    let targets = [Target::new("/v1/infer", &engine, &test)];
+    let session = Arc::new(
+        Session::from_shared_backend(
+            Arc::new(engine) as Arc<dyn InferenceBackend>,
+            ServeConfig { workers: 2, queue_depth: 2, ..ServeConfig::default() },
+        )
+        .expect("session builds"),
+    );
+    let server = HttpServer::bind(session, storm_config(8)).expect("binds");
+    let addr = server.local_addr();
+
+    let requests = 120;
+    let tally = storm(addr, 8, requests, &targets);
+    tally.assert_contract(requests);
+
+    let metrics = fetch_text(addr, "/metrics");
+    assert!(metrics.contains("ascend_model_state{model=\"default\"} 2\n"), "{metrics}");
+    assert!(
+        metrics.contains(&format!("ascend_http_responses_ok_total {}\n", tally.ok)),
+        "server and clients disagree on the 200s ({tally:?}): {metrics}"
+    );
+    // A shed request never reaches a worker, so it leaves no span: while
+    // the ring cannot have wrapped, the spans are exactly the 200s.
+    assert!(2 * tally.ok <= TRACE_SPAN_CAPACITY);
+    let trace = fetch_text(addr, "/debug/trace");
+    assert_eq!(trace.matches("\"name\":\"queue_wait\"").count(), tally.ok, "{tally:?}");
+    assert_eq!(trace.matches("\"name\":\"service\"").count(), tally.ok, "{tally:?}");
+    server.join();
+}
+
+#[test]
+fn storm_across_two_models_under_a_one_model_budget_evicts_and_stays_bit_identical() {
+    // Two SC configurations compiled from one cached checkpoint, served
+    // from artifact files under a budget that admits only the larger:
+    // round-robin clients force LRU eviction and cold re-loads mid-storm.
+    let (alpha, test) = tiny_engine(EngineConfig::default());
+    let (beta, _) = tiny_engine(EngineConfig {
+        softmax_by: 8,
+        softmax_s1: 32,
+        softmax_s2: 8,
+        softmax_k: 4,
+        ..EngineConfig::default()
+    });
+    let targets = [
+        Target::new("/v1/models/alpha/infer", &alpha, &test),
+        Target::new("/v1/models/beta/infer", &beta, &test),
+    ];
+    assert_ne!(
+        targets[0].expected, targets[1].expected,
+        "the two models must answer differently for a mix-up to show"
+    );
+    let dir = std::env::temp_dir().join(format!("ascend-http-storm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let budget = alpha.resident_bytes().max(beta.resident_bytes());
+    let registry = Arc::new(ModelRegistry::new(RegistryConfig {
+        memory_budget_bytes: budget,
+        ..Default::default()
+    }));
+    for (name, engine) in [("alpha", &alpha), ("beta", &beta)] {
+        let path = dir.join(format!("{name}.sceng"));
+        engine.save(&path).expect("save artifact");
+        let serve = ServeConfig { workers: 2, queue_depth: 2, ..ServeConfig::default() };
+        registry.register(ModelSpec::artifact(name, path).serve(serve)).expect("register");
+    }
+    let server =
+        HttpServer::bind_registry(Arc::clone(&registry), storm_config(6)).expect("binds");
+    let addr = server.local_addr();
+
+    let requests = 120;
+    let tally = storm(addr, 6, requests, &targets);
+    tally.assert_contract(requests);
+
+    let metrics = fetch_text(addr, "/metrics");
+    for name in ["alpha", "beta"] {
+        assert!(metrics.contains(&format!("ascend_model_state{{model=\"{name}\"}}")), "{metrics}");
+    }
+    let evictions: u64 =
+        ["alpha", "beta"].iter().map(|n| registry.evictions_total(n).unwrap_or(0)).sum();
+    assert!(evictions >= 1, "a one-model budget under round-robin forced no eviction");
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;

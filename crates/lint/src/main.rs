@@ -3,10 +3,8 @@
 //! ```text
 //! cargo run -p ascend-lint -- --check             # the CI gate
 //! cargo run -p ascend-lint -- --check --format github   # PR annotations
-//! cargo run -p ascend-lint -- --check --format json     # machine-readable
 //! cargo run -p ascend-lint -- --report            # every violation, incl. baselined
 //! cargo run -p ascend-lint -- --update-baseline   # rewrite crates/lint/baseline.tsv
-//! cargo run -p ascend-lint -- --parse-json FILE   # validate emitted JSON
 //! ```
 //!
 //! Exit codes follow the `ascend-cli` convention: 0 clean, 1 violations,
@@ -16,14 +14,13 @@
 
 use std::path::PathBuf;
 
-use ascend_lint::{json, report, workspace};
+use ascend_lint::{report, workspace};
 
 const USAGE: &str = "\
 ascend-lint — static workspace invariant checker (see crates/lint/RULES.md)
 
 USAGE:
     ascend-lint <--check|--report|--update-baseline> [--root PATH] [--format FMT]
-    ascend-lint --parse-json FILE
 
 MODES:
     --check            Fail (exit 1) on any deny-class violation or any
@@ -31,14 +28,11 @@ MODES:
     --report           Print every violation, including baselined ones
     --update-baseline  Rewrite crates/lint/baseline.tsv from the current
                        tree (counts may only be committed if they shrank)
-    --parse-json FILE  Validate that FILE is well-formed JSON (exit 0
-                       valid, 1 malformed) — CI uses this to prove the
-                       `--format json` output round-trips
 
 OPTIONS:
     --root PATH        Workspace root (default: found from the current dir)
-    --format FMT       Output format for --check: text (default), github
-                       (workflow-command annotations), or json
+    --format FMT       Output format for --check: text (default) or github
+                       (workflow-command annotations)
 ";
 
 fn main() {
@@ -49,7 +43,6 @@ fn run(args: &[String]) -> i32 {
     let mut mode: Option<&str> = None;
     let mut root_flag: Option<PathBuf> = None;
     let mut format = "text";
-    let mut parse_json_file: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -76,26 +69,14 @@ fn run(args: &[String]) -> i32 {
                 }
             },
             "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("text" | "github" | "json")) => {
-                    format = match f {
-                        "github" => "github",
-                        "json" => "json",
-                        _ => "text",
-                    };
-                }
+                Some("text") => format = "text",
+                Some("github") => format = "github",
                 Some(other) => {
-                    eprintln!("ascend-lint: unknown format `{other}` (text|github|json)\n{USAGE}");
+                    eprintln!("ascend-lint: unknown format `{other}` (text|github)\n{USAGE}");
                     return 2;
                 }
                 None => {
-                    eprintln!("ascend-lint: `--format` needs a value (text|github|json)\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--parse-json" => match it.next() {
-                Some(p) => parse_json_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ascend-lint: `--parse-json` needs a file\n{USAGE}");
+                    eprintln!("ascend-lint: `--format` needs a value (text|github)\n{USAGE}");
                     return 2;
                 }
             },
@@ -104,29 +85,6 @@ fn run(args: &[String]) -> i32 {
                 return 2;
             }
         }
-    }
-    if let Some(file) = parse_json_file {
-        if mode.is_some() || format != "text" {
-            eprintln!("ascend-lint: `--parse-json` is a standalone mode\n{USAGE}");
-            return 2;
-        }
-        let body = match std::fs::read_to_string(&file) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ascend-lint: cannot read {}: {e}", file.display());
-                return 2;
-            }
-        };
-        return match json::parse(&body) {
-            Ok(_) => {
-                println!("ascend-lint: {} is well-formed JSON", file.display());
-                0
-            }
-            Err(e) => {
-                eprintln!("ascend-lint: {} is malformed: {e}", file.display());
-                1
-            }
-        };
     }
     let Some(mode) = mode else {
         eprint!("{USAGE}");
@@ -202,16 +160,9 @@ fn run(args: &[String]) -> i32 {
         }
         _ => {
             let result = report::check(&outcome, &baseline);
-            match format {
-                "github" => {
-                    print!("{}", report::render_github(&outcome, &baseline));
-                    return i32::from(!result.ok());
-                }
-                "json" => {
-                    print!("{}", report::render_json(&outcome, &baseline));
-                    return i32::from(!result.ok());
-                }
-                _ => {}
+            if format == "github" {
+                print!("{}", report::render_github(&outcome, &baseline));
+                return i32::from(!result.ok());
             }
             for note in &result.notes {
                 println!("ascend-lint: note — {note}");

@@ -1,10 +1,8 @@
-//! Renderings of a lint run: the default text form, GitHub Actions
+//! Renderings of a lint run: the default text form and GitHub Actions
 //! workflow commands (`--format github`, annotations land on the
-//! offending line in the PR diff), and a machine-readable JSON document
-//! (`--format json`).
+//! offending line in the PR diff).
 
 use crate::baseline::{self, Baseline};
-use crate::json;
 use crate::workspace::Outcome;
 
 /// The `--check` result: pass/fail plus the lines to print.
@@ -126,68 +124,9 @@ pub fn render_github(outcome: &Outcome, baseline: &Baseline) -> String {
     out
 }
 
-/// The `--format json` rendering: a single JSON object with the gate
-/// verdict, every deny violation, the per-(rule, crate) ratchet state,
-/// and the same error/note strings the text form prints. Guaranteed to
-/// round-trip through [`crate::json::parse`] (CI asserts this).
-pub fn render_json(outcome: &Outcome, baseline: &Baseline) -> String {
-    let result = check(outcome, baseline);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"ok\": {},\n", result.ok()));
-    out.push_str(&format!("  \"files\": {},\n", outcome.files));
-    out.push_str(&format!("  \"waivers\": {},\n", outcome.waivers));
-    out.push_str("  \"deny\": [");
-    for (i, v) in outcome.deny.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"crate\": \"{}\", \"line\": {}, \"msg\": \"{}\"}}",
-            json::escape(v.rule),
-            json::escape(&v.path),
-            json::escape(&v.crate_name),
-            v.line,
-            json::escape(&v.msg)
-        ));
-    }
-    out.push_str(if outcome.deny.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"ratchet\": [");
-    for (i, ((rule, krate), vs)) in outcome.ratchet.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let allowed = baseline
-            .get(&(rule.clone(), krate.clone()))
-            .copied()
-            .unwrap_or(0);
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"crate\": \"{}\", \"count\": {}, \"baseline\": {}}}",
-            json::escape(rule),
-            json::escape(krate),
-            vs.len(),
-            allowed
-        ));
-    }
-    out.push_str(if outcome.ratchet.is_empty() { "],\n" } else { "\n  ],\n" });
-    for (key, lines) in [("errors", &result.errors), ("notes", &result.notes)] {
-        out.push_str(&format!("  \"{key}\": ["));
-        for (i, line) in lines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    \"{}\"", json::escape(line)));
-        }
-        out.push_str(if lines.is_empty() { "]" } else { "\n  ]" });
-        out.push_str(if key == "errors" { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
     use crate::rules::{Violation, NO_PANIC_HOT, NO_PANIC_LIB};
     use std::collections::BTreeMap;
 
@@ -304,53 +243,5 @@ mod tests {
         let text = render_github(&outcome(Vec::new(), 1), &baseline);
         assert!(text.contains("::notice file=crates/lint/baseline.tsv"), "{text}");
         assert!(text.contains("ascend-lint: OK"), "{text}");
-    }
-
-    #[test]
-    fn json_format_parses_and_carries_the_verdict() {
-        let mut v = hot_violation();
-        v.msg = "quote \" backslash \\ newline\n".into();
-        let baseline: Baseline = [((NO_PANIC_LIB.to_string(), "vit".to_string()), 2)]
-            .into_iter()
-            .collect();
-        let text = render_json(&outcome(vec![v], 2), &baseline);
-        let doc = crate::json::parse(&text).expect("emitted JSON must parse");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
-        assert_eq!(doc.get("files").and_then(JsonValue::as_num), Some(3.0));
-        let deny = doc.get("deny").and_then(JsonValue::items).unwrap();
-        assert_eq!(deny.len(), 1);
-        assert_eq!(
-            deny[0].get("rule").and_then(JsonValue::as_str),
-            Some(NO_PANIC_HOT)
-        );
-        assert_eq!(deny[0].get("line").and_then(JsonValue::as_num), Some(9.0));
-        assert_eq!(
-            deny[0].get("msg").and_then(JsonValue::as_str),
-            Some("quote \" backslash \\ newline\n")
-        );
-        let ratchet = doc.get("ratchet").and_then(JsonValue::items).unwrap();
-        assert_eq!(ratchet[0].get("count").and_then(JsonValue::as_num), Some(2.0));
-        assert_eq!(
-            ratchet[0].get("baseline").and_then(JsonValue::as_num),
-            Some(2.0)
-        );
-        assert_eq!(
-            doc.get("errors").and_then(JsonValue::items).map(<[_]>::len),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn json_format_clean_run_is_ok_with_empty_arrays() {
-        let text = render_json(&outcome(Vec::new(), 0), &Baseline::new());
-        let doc = crate::json::parse(&text).expect("emitted JSON must parse");
-        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
-        for key in ["deny", "ratchet", "errors", "notes"] {
-            assert_eq!(
-                doc.get(key).and_then(JsonValue::items).map(<[_]>::len),
-                Some(0),
-                "{key}"
-            );
-        }
     }
 }

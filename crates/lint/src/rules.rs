@@ -102,10 +102,9 @@ pub fn crate_of(rel_path: &str) -> String {
 }
 
 /// Hot-path modules: the serving/backend/engine forward files, every
-/// `sc-*` kernel crate, the HTTP front-end (`ascend-http` library
-/// code — a panic there kills a socket thread or the listener, so it is
-/// held to the same deny-class bar; the `loadgen` bin is tooling, like
-/// the CLI, and rides the ratchet instead), the model registry
+/// `sc-*` kernel crate, the HTTP front-end (the whole `ascend-http`
+/// crate — a panic there kills a socket thread or the listener, so it is
+/// held to the same deny-class bar), the model registry
 /// (`ascend-registry` — its lock/warm/evict machinery runs on request
 /// threads, and a panic while the slot table is mid-update wedges every
 /// model behind the poisoned mutex), and the `ascend-obs` observability
@@ -124,7 +123,7 @@ fn in_hot_path(rel: &str) -> bool {
         || rel.starts_with("crates/sc-hw/src/")
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/registry/src/")
-        || (rel.starts_with("crates/http/src/") && !rel.starts_with("crates/http/src/bin/"))
+        || rel.starts_with("crates/http/src/")
 }
 
 /// Crates whose outputs must be bit-identical across runs and worker
@@ -624,6 +623,7 @@ mod tests {
     const HOT: &str = "crates/core/src/serve.rs";
     const LIB: &str = "crates/vit/src/model.rs";
     const IO: &str = "crates/io/src/format.rs";
+    const TOOLING_BIN: &str = "crates/bench/src/bin/fig8_dse.rs";
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
         lint_source(path, src).into_iter().map(|v| v.rule).collect()
@@ -639,24 +639,21 @@ mod tests {
     }
 
     #[test]
-    fn http_library_code_is_hot_path_but_loadgen_is_not() {
+    fn http_code_is_hot_path_but_tooling_bins_are_not() {
         // A panic in the HTTP front-end kills a socket thread: the whole
-        // `ascend-http` library is deny-class. The loadgen bin is tooling
-        // and stays on the ratchet, but — being its own crate root — it
-        // must carry `#![forbid(unsafe_code)]` itself.
+        // `ascend-http` crate is deny-class. A tooling bin stays on the
+        // ratchet, but — being its own crate root — it must carry
+        // `#![forbid(unsafe_code)]` itself.
         let src = "fn f() { x.unwrap(); }";
         for file in ["crates/http/src/server.rs", "crates/http/src/http1.rs"] {
             let vs = lint_source(file, src);
             assert_eq!(vs.len(), 1, "{file}");
             assert_eq!(vs[0].rule, NO_PANIC_HOT, "{file}");
         }
-        let vs = lint_source("crates/http/src/bin/loadgen.rs", src);
+        let vs = lint_source(TOOLING_BIN, src);
         assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_LIB).count(), 1);
         assert_eq!(vs.iter().filter(|v| v.rule == MISSING_FORBID_UNSAFE).count(), 1);
-        let clean = lint_source(
-            "crates/http/src/bin/loadgen.rs",
-            "#![forbid(unsafe_code)]\nfn f() {}",
-        );
+        let clean = lint_source(TOOLING_BIN, "#![forbid(unsafe_code)]\nfn f() {}");
         assert!(clean.is_empty());
     }
 
@@ -716,8 +713,8 @@ mod tests {
         assert!(lint_source("crates/obs/src/stage.rs", src)
             .iter()
             .all(|v| v.rule != NO_WALLCLOCK));
-        // Tooling bins (loadgen, bench figures) measure time by nature.
-        assert!(lint_source("crates/http/src/bin/loadgen.rs", src)
+        // Tooling bins (the bench figures) measure time by nature.
+        assert!(lint_source(TOOLING_BIN, src)
             .iter()
             .all(|v| v.rule != NO_WALLCLOCK));
     }
