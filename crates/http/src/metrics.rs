@@ -103,12 +103,16 @@ impl ServerMetrics {
         self.request_seconds.observe(timing.total());
     }
 
-    /// Tallies a non-`200` response under the right counter.
+    /// Tallies an error response under the right counter: `503` as shed,
+    /// other `4xx` and `5xx` as client or server errors. Any other status
+    /// (the `200` of `/metrics`, `/healthz` or `/debug/trace`) is not an
+    /// error and is not counted here.
     pub fn record_status(&self, status: u16) {
         let counter = match status {
             503 => &self.shed,
             400..=499 => &self.client_error,
-            _ => &self.server_error,
+            500..=599 => &self.server_error,
+            _ => return,
         };
         counter.inc();
     }
@@ -179,6 +183,7 @@ mod tests {
         m.record_status(503);
         m.record_status(400);
         m.record_status(500);
+        m.record_status(200);
         let text = m.render(3, 8, 1, 4);
         assert!(text.contains("ascend_http_responses_ok_total 2\n"), "{text}");
         assert!(text.contains("ascend_http_shed_total 1\n"), "{text}");

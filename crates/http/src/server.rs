@@ -5,24 +5,30 @@
 //! pre-warmed model named `default`, and `POST /v1/infer` is served exactly
 //! as `POST /v1/models/default/infer`.
 //!
-//! Threading model: one accept thread polls a non-blocking listener and
-//! hands accepted sockets to a small bounded channel; `conn_workers`
-//! handler threads each own one connection at a time and run its
-//! keep-alive loop. Inference admission inside a handler is strictly
-//! non-blocking ([`ServePool::try_submit`]): a full work queue answers
-//! `503 Retry-After` immediately, so a traffic burst can never wedge the
-//! socket threads behind a blocking submit — the bugfix this crate is
-//! built around. When every handler is busy and the hand-off backlog is
-//! full, whole connections are shed with `503` the same way.
+//! Threading model: one accept thread blocks in `accept` on the listener,
+//! so a connection is taken the moment it arrives, and hands accepted
+//! sockets to a small bounded channel; `conn_workers` handler threads each
+//! own one connection at a time and run its keep-alive loop. Inference
+//! admission inside a handler is strictly non-blocking
+//! ([`ServePool::try_submit`]): a full work queue answers `503
+//! Retry-After` immediately, so a traffic burst can never wedge the socket
+//! threads behind a blocking submit — the bugfix this crate is built
+//! around. When every handler is busy and the hand-off backlog is full,
+//! whole connections are shed with `503` the same way. A connection closed
+//! after an error response (a shed, or a `4xx`/`5xx` for a request that
+//! failed to parse) is half-closed and its unread bytes discarded first
+//! (`respond_and_close`), so the peer reads the response and a clean EOF
+//! instead of a reset.
 //!
-//! Shutdown is graceful: [`ShutdownHandle::shutdown`] stops the accept
-//! loop, handler threads finish the request they are serving (responses
-//! for admitted work are always written), remaining backlogged
-//! connections get one final exchange with `Connection: close`, and
-//! [`HttpServer::join`] joins every thread.
+//! Shutdown is graceful: [`ShutdownHandle::shutdown`] sets the stop flag
+//! and wakes the blocked `accept` with one loopback connection, which the
+//! accept loop drops unserved; handler threads finish the request they are
+//! serving (responses for admitted work are always written), remaining
+//! backlogged connections get one final exchange with `Connection: close`,
+//! and [`HttpServer::join`] joins every thread.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -39,8 +45,19 @@ use crate::http1::{self, Limits, ParseError, Request, Response};
 use crate::metrics::ServerMetrics;
 use crate::HttpConfig;
 
-/// How often the accept loop re-checks the stop flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after a failed `accept` (e.g.
+/// `EMFILE`), so a persistent error does not spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long [`ShutdownHandle::shutdown`] waits for its wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How many discarding reads [`respond_and_close`] makes at most.
+const LINGER_READS: usize = 16;
+/// The most bytes one discarding read takes.
+const LINGER_BUF: usize = 4 * 1024;
+/// The longest one discarding read waits.
+const LINGER_READ: Duration = Duration::from_millis(5);
 
 /// The model `POST /v1/infer` serves; [`HttpServer::bind`] registers
 /// its session under this name.
@@ -50,14 +67,22 @@ const DEFAULT_MODEL: &str = "default";
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
+    /// Where a connection wakes the blocked accept loop: the bound
+    /// address, an unspecified IP mapped to loopback of its family.
+    wake: SocketAddr,
 }
 
 impl ShutdownHandle {
-    /// Requests shutdown: the listener stops accepting, in-flight
-    /// requests finish, and [`HttpServer::join`] returns once every
-    /// thread has exited. Idempotent.
+    /// Requests shutdown: sets the stop flag and wakes the listener with
+    /// one loopback connection, so the accept loop exits at once; in-flight
+    /// requests finish, and [`HttpServer::join`] returns once every thread
+    /// has exited. Idempotent: only the first call connects.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            // If the wake cannot connect, the loop still exits on the
+            // next connection it accepts.
+            let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -70,7 +95,7 @@ impl ShutdownHandle {
 /// connection handlers share; see the [module docs](self).
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -127,9 +152,15 @@ impl HttpServer {
         };
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| sock_err(&cfg.addr, e))?;
         let addr = listener.local_addr().map_err(|e| sock_err(&cfg.addr, e))?;
-        listener.set_nonblocking(true).map_err(|e| sock_err(&cfg.addr, e))?;
 
         let stop = Arc::new(AtomicBool::new(false));
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let wake = SocketAddr::new(wake_ip, addr.port());
+        let shutdown = ShutdownHandle { stop: Arc::clone(&stop), wake };
         let metrics = Arc::new(ServerMetrics::new());
         let cfg = Arc::new(cfg);
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(cfg.conn_workers);
@@ -156,14 +187,13 @@ impl HttpServer {
             );
         }
         let accept = {
-            let stop = Arc::clone(&stop);
             let write_timeout = cfg.write_timeout;
             std::thread::Builder::new()
                 .name("ascend-http-accept".into())
                 .spawn(move || accept_loop(&listener, &conn_tx, &stop, &metrics, write_timeout))
                 .map_err(|e| spawn_err("ascend-http-accept", e))?
         };
-        Ok(HttpServer { addr, stop, accept: Some(accept), workers })
+        Ok(HttpServer { addr, shutdown, accept: Some(accept), workers })
     }
 
     /// The address the listener actually bound (resolves `:0`).
@@ -173,7 +203,7 @@ impl HttpServer {
 
     /// A clonable handle that can stop the server from any thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { stop: Arc::clone(&self.stop) }
+        self.shutdown.clone()
     }
 
     /// Graceful drain: stop accepting, let handlers finish their
@@ -185,7 +215,7 @@ impl HttpServer {
     }
 
     fn drain(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shutdown.shutdown();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -201,10 +231,12 @@ impl Drop for HttpServer {
     }
 }
 
-/// Polls the non-blocking listener, handing sockets to the worker
-/// channel; a full channel means every handler is busy and the backlog
-/// is taken, so the connection is shed with a `503` instead of queueing
-/// without bound. Exits when the stop flag is set, dropping the sender
+/// Blocks in `accept` on the listener, handing each socket to the worker
+/// channel as it arrives; a full channel means every handler is busy and
+/// the backlog is taken, so the connection is shed with a `503` instead of
+/// queueing without bound. The stop flag is checked after every accept:
+/// once it is set the loop exits, dropping the accepted socket (the wake
+/// connection from [`ShutdownHandle::shutdown`]) unserved and the sender,
 /// so workers drain the backlog and exit too.
 fn accept_loop(
     listener: &TcpListener,
@@ -213,8 +245,12 @@ fn accept_loop(
     metrics: &ServerMetrics,
     write_timeout: Duration,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => match conn_tx.try_send(stream) {
                 Ok(()) => {}
                 Err(TrySendError::Full(stream)) => {
@@ -223,20 +259,46 @@ fn accept_loop(
                 }
                 Err(TrySendError::Disconnected(_)) => break,
             },
-            Err(e) if http1::is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
             // Transient accept failures (e.g. per-connection resource
             // limits) must not kill the listener.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
 
 /// Best-effort `503` on a connection there is no handler capacity for.
+/// Runs on the accept thread, which [`respond_and_close`]'s bounds keep
+/// from being held by a slow peer.
 fn shed_connection(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
     let response = Response::text(503, "server at connection capacity; retry later")
         .with_header("retry-after", "1");
-    let _ = response.write_to(&mut stream, true);
+    respond_and_close(&mut stream, &response);
+}
+
+/// Writes `response` with `Connection: close`, then closes without a
+/// reset: half-closes the write side and reads and discards what the
+/// peer still sends until EOF or a socket error. The discard makes at
+/// most [`LINGER_READS`] reads of at most [`LINGER_BUF`] bytes, each
+/// waiting at most [`LINGER_READ`], so it takes at most 64 KiB and ends
+/// within 80 ms. (Closing a socket with unread bytes makes the kernel send
+/// a reset, which can destroy the response before the peer reads it.)
+fn respond_and_close(stream: &mut TcpStream, response: &Response) {
+    if response.write_to(stream, true).is_err()
+        || stream.shutdown(Shutdown::Write).is_err()
+        || stream.set_read_timeout(Some(LINGER_READ)).is_err()
+    {
+        return;
+    }
+    let mut discard = [0u8; LINGER_BUF];
+    for _ in 0..LINGER_READS {
+        match stream.read(&mut discard) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if http1::is_timeout(&e) || e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
 }
 
 /// A connection-handler thread: pull sockets until the channel closes.
@@ -333,7 +395,7 @@ fn respond_parse_error(stream: &mut TcpStream, metrics: &ServerMetrics, e: &Pars
         }
     };
     metrics.record_status(response.status);
-    let _ = response.write_to(stream, true);
+    respond_and_close(stream, &response);
 }
 
 /// Dispatches one parsed request; a `200` inference also returns the

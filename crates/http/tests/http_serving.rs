@@ -1,10 +1,13 @@
 //! End-to-end contract of the HTTP front-end, over real sockets:
 //! protocol errors get the right status codes, keep-alive works and is
 //! capped, a full admission queue sheds with `503 Retry-After` instead of
-//! blocking, a dead pool answers `503` instead of hanging, graceful drain
-//! completes in-flight work, and `200` bodies are bit-identical to the
-//! in-process serial forward — also under a many-connection storm, for
-//! one model and for two models thrashing one memory budget.
+//! blocking, a connection shed at a full backlog reads its `503` and a
+//! clean EOF, a dead pool answers `503` instead of hanging, a fresh
+//! connection is accepted at once, shutdown is prompt and idempotent,
+//! graceful drain completes in-flight work, and `200` bodies are
+//! bit-identical to the in-process serial forward — also under a
+//! many-connection storm, for one model and for two models thrashing one
+//! memory budget.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -461,6 +464,116 @@ fn graceful_drain_completes_in_flight_work() {
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
 }
 
+#[test]
+fn fresh_connections_are_served_without_an_accept_wait() {
+    // The accept thread blocks in `accept`, so a new connection is taken
+    // the moment it arrives: a fresh connection's whole round trip costs
+    // well under a millisecond, with no poll interval sampled at a random
+    // phase in front of it.
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
+    let addr = server.local_addr();
+    let mut round_trips: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            let (mut reader, mut writer) = connect(addr);
+            client::write_request(&mut writer, "GET", "/healthz", &[], true).expect("write");
+            assert_eq!(client::read_response(&mut reader).expect("response").status, 200);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "median connect → GET /healthz → 200 took {median:?}: {round_trips:?}"
+    );
+    server.join();
+}
+
+#[test]
+fn idle_server_shuts_down_promptly_from_another_thread() {
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
+    let handle = server.shutdown_handle();
+    let started = Instant::now();
+    std::thread::spawn(move || handle.shutdown()).join().expect("shutdown thread");
+    server.join();
+    assert!(started.elapsed() < Duration::from_secs(1), "idle drain took {:?}", started.elapsed());
+}
+
+#[test]
+fn shutdown_is_idempotent_before_and_after_join() {
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
+    let handle = server.shutdown_handle();
+    handle.shutdown();
+    handle.shutdown();
+    assert!(handle.is_shutdown());
+    server.join();
+    handle.shutdown();
+    assert!(handle.is_shutdown());
+}
+
+#[test]
+fn server_on_an_unspecified_address_serves_and_drains() {
+    // The wake connection for an unspecified bind address goes to
+    // loopback of its family.
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("0.0.0.0:0"));
+    let addr = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    assert!(server.local_addr().ip().is_unspecified());
+    assert_eq!(fetch_text(addr, "/healthz"), "default=warm\n");
+    let started = Instant::now();
+    server.join();
+    assert!(started.elapsed() < Duration::from_secs(1), "drain took {:?}", started.elapsed());
+}
+
+#[test]
+fn connections_shed_at_a_full_backlog_read_their_503_then_a_clean_eof() {
+    use std::io::Read;
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = 1;
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+    let addr = server.local_addr();
+
+    // The only handler holds a keep-alive connection, and an idle
+    // connection fills the one-slot hand-off backlog behind it.
+    let (mut held_reader, mut held_writer) = connect(addr);
+    client::write_request(&mut held_writer, "GET", "/healthz", &[], false).expect("write");
+    assert_eq!(client::read_response(&mut held_reader).expect("response").status, 200);
+    let idle = connect(addr);
+
+    // Every further connection is shed. Its request is still unread when
+    // the server is done with it, yet the client, reading late, must see
+    // the whole 503 and then a clean EOF, not a reset.
+    for i in 0..20 {
+        let (mut reader, mut writer) = connect(addr);
+        client::write_request(&mut writer, "GET", "/healthz", &[], false).expect("write");
+        std::thread::sleep(Duration::from_millis(30));
+        let response = client::read_response(&mut reader).expect("shed response");
+        assert_eq!(response.status, 503, "connection {i}");
+        assert_eq!(response.header("retry-after"), Some("1"), "connection {i}");
+        assert!(response.wants_close(), "connection {i}");
+        let mut rest = Vec::new();
+        let tail = reader.read_to_end(&mut rest);
+        assert!(
+            matches!(tail, Ok(0)),
+            "connection {i}: after the 503 want a clean EOF, got {tail:?}"
+        );
+    }
+    drop((held_reader, held_writer, idle));
+    server.join();
+}
+
+#[test]
+fn non_inference_200s_are_not_counted_as_server_errors() {
+    let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
+    let addr = server.local_addr();
+    for path in ["/metrics", "/healthz", "/debug/trace"] {
+        fetch_text(addr, path);
+    }
+    let metrics = fetch_text(addr, "/metrics");
+    assert!(metrics.contains("ascend_http_server_error_total 0\n"), "{metrics}");
+    server.join();
+}
+
 /// The cached `http-tiny` SC engine under `config`, plus its test set.
 fn tiny_engine(config: EngineConfig) -> (ScEngine, Dataset) {
     let mut recipe = FixtureRecipe::tiny("http-tiny", 5);
@@ -615,13 +728,10 @@ fn storm(addr: SocketAddr, connections: usize, requests: usize, targets: &[Targe
     })
 }
 
-/// A server config with one connection handler per storm client, so the
-/// hand-off backlog never overflows and every `503` is admission's. (A
-/// connection shed at the backlog is closed with its request unread, and
-/// the reset can reach the client before the `503` does.)
-fn storm_config(connections: usize) -> HttpConfig {
+/// A server config with `handlers` connection-handler threads.
+fn storm_config(handlers: usize) -> HttpConfig {
     let mut cfg = HttpConfig::new("127.0.0.1:0");
-    cfg.conn_workers = connections;
+    cfg.conn_workers = handlers;
     cfg
 }
 
@@ -636,8 +746,10 @@ fn fetch_text(addr: SocketAddr, path: &str) -> String {
 
 #[test]
 fn storm_on_one_model_is_answered_bit_identically_or_shed() {
-    // Eight keep-alive clients against two workers behind a queue of two:
-    // admission sheds, and every 200 still carries the serial bytes.
+    // Eight keep-alive clients against four connection handlers and two
+    // workers behind a queue of two: admission sheds, a client beyond the
+    // handlers waits in the backlog or has its connection shed (and reads
+    // that 503 in full), and every 200 still carries the serial bytes.
     let (engine, test) = tiny_engine(EngineConfig::default());
     let targets = [Target::new("/v1/infer", &engine, &test)];
     let session = Arc::new(
@@ -647,7 +759,7 @@ fn storm_on_one_model_is_answered_bit_identically_or_shed() {
         )
         .expect("session builds"),
     );
-    let server = HttpServer::bind(session, storm_config(8)).expect("binds");
+    let server = HttpServer::bind(session, storm_config(4)).expect("binds");
     let addr = server.local_addr();
 
     let requests = 120;
