@@ -50,6 +50,8 @@
 //! adds the bias; scores are scaled by `1/√dh` in a separate multiply; no
 //! fused multiply-add, and no scale is folded into a weight.
 
+use std::sync::{Mutex, PoisonError};
+
 use ascend_obs::{NoopObserver, Stage, StageObserver};
 use ascend_tensor::Tensor;
 use ascend_vit::{NormKind, VitConfig, VitModel};
@@ -61,6 +63,7 @@ use sc_nonlinear::ref_fn;
 use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig, SoftmaxLevels};
 
 use crate::backend::check_patch_count;
+use crate::serve::{parallel_map, ServeConfig};
 
 /// Hardware configuration of the engine's nonlinear blocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -492,18 +495,18 @@ impl Nonlinear for ScBlocks<'_> {
 
 /// The float blocks: exact softmax, float GELU fake-quantized at the MLP
 /// mid site, and an optional calibration recorder.
-pub(crate) struct FloatBlocks<'a> {
+pub(crate) struct FloatBlocks<'a, 's> {
     net: &'a FrozenNet,
-    probe: Option<&'a mut Probe>,
+    probe: Option<&'a mut Probe<'s>>,
 }
 
-impl<'a> FloatBlocks<'a> {
+impl<'a> FloatBlocks<'a, 'static> {
     pub(crate) fn new(net: &'a FrozenNet) -> Self {
         FloatBlocks { net, probe: None }
     }
 }
 
-impl Nonlinear for FloatBlocks<'_> {
+impl Nonlinear for FloatBlocks<'_, '_> {
     fn softmax(
         &mut self,
         layer: usize,
@@ -631,7 +634,15 @@ impl ScEngine {
     ///
     /// `calib_patches`/`calib_batch` supply one representative batch used to
     /// calibrate the GELU input range and the softmax logit scale; the
-    /// float kernel runs it image by image with a recording hook.
+    /// float kernel runs it image by image with a recording hook, split
+    /// into one contiguous part of the batch per core. The parts write
+    /// their |scores| into disjoint slices of one buffer that calibration
+    /// allocates up front, not into per-thread buffers that would stay
+    /// resident in each thread's allocator arena; the result is
+    /// bit-identical for any core count. The softmax sub-sample rates are
+    /// then found once by a closed-form rule on stream lengths
+    /// ([`IterSoftmaxConfig::check_rates`]), and each αy candidate is
+    /// compiled at them.
     ///
     /// # Errors
     ///
@@ -661,22 +672,26 @@ impl ScEngine {
         // of the internal stream widths).
         let ax = (2.0 * probe.score_scale.max(0.5) / config.softmax_bx as f64).max(1e-3);
         // Circuit-aware αy calibration: try the DSE's scale options and keep
-        // the one with the lowest MAE on the probed attention rows.
+        // the one with the lowest MAE on the probed attention rows. The
+        // rates are feasible or not whatever αy is, so one search serves
+        // every candidate.
         let base_ay = 2.0 / config.softmax_by as f64;
+        let requested = IterSoftmaxConfig {
+            m: net.vit.seq_len(),
+            k: config.softmax_k,
+            bx: config.softmax_bx,
+            ax,
+            by: config.softmax_by,
+            ay: base_ay,
+            s1: config.softmax_s1,
+            s2: config.softmax_s2,
+            mode: config.mode,
+        };
+        let (s1, s2) = feasible_rates(requested)?;
         let mut softmax: Option<(f64, IterSoftmaxBlock)> = None;
         for mult in [0.25, 0.5, 1.0] {
-            let candidate = feasible_softmax(IterSoftmaxConfig {
-                m: net.vit.seq_len(),
-                k: config.softmax_k,
-                bx: config.softmax_bx,
-                ax,
-                by: config.softmax_by,
-                ay: base_ay * mult,
-                s1: config.softmax_s1,
-                s2: config.softmax_s2,
-                mode: config.mode,
-            });
-            let Ok(block) = candidate else { continue };
+            let candidate = IterSoftmaxConfig { ay: base_ay * mult, s1, s2, ..requested };
+            let Ok(block) = IterSoftmaxBlock::new(candidate) else { continue };
             // Calibration metric: overall MAE plus a heavy penalty on the
             // row's dominant entry — clamping the top attention weight is
             // far more damaging than diffuse small-entry error.
@@ -799,9 +814,12 @@ impl crate::backend::InferenceBackend for ScEngine {
     }
 }
 
-/// Builds the softmax block, halving `s1`/`s2` until the configuration is
-/// feasible for the given row length.
-fn feasible_softmax(mut cfg: IterSoftmaxConfig) -> Result<IterSoftmaxBlock, ScError> {
+/// The sub-sample rates the engine runs at: the first `(s1, s2)` that
+/// passes [`IterSoftmaxConfig::check_rates`] for the row length, trying
+/// the requested `s1` with `s2` halved down to 1, then each halved `s1`
+/// with `s2` = 1. The rule reads stream lengths only, so the result holds
+/// for every αx and αy.
+fn feasible_rates(mut cfg: IterSoftmaxConfig) -> Result<(usize, usize), ScError> {
     let requested = (cfg.s1, cfg.s2);
     let mut s1 = cfg.s1;
     while s1 >= 1 {
@@ -809,8 +827,8 @@ fn feasible_softmax(mut cfg: IterSoftmaxConfig) -> Result<IterSoftmaxBlock, ScEr
         while s2 >= 1 {
             cfg.s1 = s1;
             cfg.s2 = s2;
-            if let Ok(block) = IterSoftmaxBlock::new(cfg) {
-                return Ok(block);
+            if cfg.check_rates().is_ok() {
+                return Ok((s1, s2));
             }
             s2 /= 2;
         }
@@ -838,7 +856,8 @@ pub(crate) struct Calibration {
 }
 
 /// Runs the float kernel over the `batch` calibration images with a
-/// recording [`Probe`].
+/// recording [`Probe`], in one contiguous part per core
+/// (`ServeConfig::auto().resolved_workers()`, see [`calibrate_in_parts`]).
 ///
 /// # Errors
 ///
@@ -848,28 +867,85 @@ pub(crate) fn calibrate(
     patches: &Tensor,
     batch: usize,
 ) -> Result<Calibration, ScError> {
-    let cfg = &net.vit;
-    check_patch_count("calib_patches", patches.numel(), batch, cfg)?;
-    let mut probe = Probe::new(cfg, batch, net.layers.len());
-    let mut scratch = ForwardScratch::for_geometry(cfg);
-    let per_image = cfg.num_patches() * cfg.patch_dim();
-    for img in patches.data().chunks_exact(per_image) {
-        let mut blocks = FloatBlocks { net, probe: Some(&mut probe) };
-        net.forward(img, &mut scratch, &mut blocks, &mut NoopObserver)?;
-        probe.image += 1;
-    }
-    Ok(probe.finish())
+    calibrate_in_parts(net, patches, batch, ServeConfig::auto().resolved_workers())
 }
 
-/// The calibration recording hook. It sees one image at a time, yet
-/// records exactly what a forward over the whole batch stacked together
-/// would: all |scores|, the per-layer GELU-input maxima, and the sampled
+/// [`calibrate`] split into `parts` contiguous runs of images (clamped to
+/// `1..=batch`), each on its own [`parallel_map`] worker; the calling
+/// thread runs one part itself. Parts merge in image order: per-layer
+/// sampled rows are concatenated and the GELU maxima take the max, so the
+/// [`Calibration`] is bit-identical for every part count.
+///
+/// All |scores| go into one buffer allocated here, each part writing its
+/// own disjoint slice of it. A score `Vec` per part would be freed into
+/// that worker thread's glibc arena and stay resident: on a 2-core Xeon it
+/// raised the `batch-m65` benchmark's `peak_rss_mb` by ~1.5 MiB (+12%).
+///
+/// # Errors
+///
+/// [`ScError::InvalidParam`] unless `patches` holds exactly `batch` images.
+pub(crate) fn calibrate_in_parts(
+    net: &FrozenNet,
+    patches: &Tensor,
+    batch: usize,
+    parts: usize,
+) -> Result<Calibration, ScError> {
+    let cfg = &net.vit;
+    check_patch_count("calib_patches", patches.numel(), batch, cfg)?;
+    let layers = net.layers.len();
+    let s = cfg.seq_len();
+    let per_image = cfg.num_patches() * cfg.patch_dim();
+    let scores_per_image = layers * cfg.heads * s * s;
+    let mut abs_scores = vec![0.0f32; batch * scores_per_image];
+    let parts = parts.clamp(1, batch.max(1));
+    let mut rest = abs_scores.as_mut_slice();
+    let mut slots = Vec::with_capacity(parts);
+    for p in 0..parts {
+        let images = p * batch / parts..(p + 1) * batch / parts;
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(images.len() * scores_per_image);
+        rest = tail;
+        slots.push((images, Mutex::new(mine)));
+    }
+    let recorded = parallel_map(parts, 1, &slots, |_, (images, scores)| {
+        let scores = std::mem::take(&mut *scores.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut probe = Probe::new(cfg, batch, layers, images.start, scores);
+        let mut scratch = ForwardScratch::for_geometry(cfg);
+        let part = &patches.data()[images.start * per_image..images.end * per_image];
+        for img in part.chunks_exact(per_image) {
+            let mut blocks = FloatBlocks { net, probe: Some(&mut probe) };
+            net.forward(img, &mut scratch, &mut blocks, &mut NoopObserver)?;
+            probe.image += 1;
+        }
+        Ok((probe.gelu_absmax, probe.score_rows))
+    });
+    let mut gelu_absmax = vec![0.0f64; layers];
+    let mut score_rows = vec![Vec::new(); layers];
+    for part in recorded {
+        let (part_absmax, part_rows) = part?;
+        for (mx, v) in gelu_absmax.iter_mut().zip(part_absmax) {
+            *mx = mx.max(v);
+        }
+        for (rows, mut more) in score_rows.iter_mut().zip(part_rows) {
+            rows.append(&mut more);
+        }
+    }
+    Ok(Calibration {
+        score_scale: percentile_98(&mut abs_scores),
+        gelu_absmax,
+        score_rows: score_rows.into_iter().flatten().collect(),
+    })
+}
+
+/// The calibration recording hook for one part of the batch. It sees one
+/// image at a time, yet records exactly what a forward over the whole
+/// batch stacked together would: all |scores| (into its slice of the
+/// caller's buffer), the per-layer GELU-input maxima, and the sampled
 /// score rows in that forward's order — every `step`-th of the batch's
 /// `batch·heads·s` stacked rows per layer, layers in order, until 64 rows
 /// are held at a layer boundary. Row order matters: the αy search sums
 /// per-row errors in `f64`, and that order decides near-ties.
-struct Probe {
-    /// Index of the image being recorded.
+struct Probe<'s> {
+    /// Index of the image being recorded, within the whole batch.
     image: usize,
     /// Score rows per image per layer (`heads · s`).
     rows_per_image: usize,
@@ -877,33 +953,41 @@ struct Probe {
     step: usize,
     /// Rows sampled from each layer that is sampled at all.
     rows_per_layer: usize,
-    abs_scores: Vec<f32>,
+    /// The part's |score| slots not yet written, front to back.
+    abs_scores: std::slice::IterMut<'s, f32>,
     gelu_absmax: Vec<f64>,
     score_rows: Vec<Vec<Vec<f64>>>,
 }
 
-impl Probe {
+impl<'s> Probe<'s> {
     /// Rows held before a layer boundary that stop further sampling.
     const ROW_CAP: usize = 64;
 
-    fn new(cfg: &VitConfig, batch: usize, layers: usize) -> Probe {
-        let s = cfg.seq_len();
-        let rows_per_image = cfg.heads * s;
+    fn new(
+        cfg: &VitConfig,
+        batch: usize,
+        layers: usize,
+        first_image: usize,
+        abs_scores: &'s mut [f32],
+    ) -> Probe<'s> {
+        let rows_per_image = cfg.heads * cfg.seq_len();
         let rows = batch * rows_per_image;
         let step = (rows / 8).max(1);
         Probe {
-            image: 0,
+            image: first_image,
             rows_per_image,
             step,
             rows_per_layer: rows.div_ceil(step),
-            abs_scores: Vec::with_capacity(layers * rows * s),
+            abs_scores: abs_scores.iter_mut(),
             gelu_absmax: vec![0.0; layers],
             score_rows: vec![Vec::new(); layers],
         }
     }
 
     fn record_scores(&mut self, layer: usize, scores: &[f32], s: usize) {
-        self.abs_scores.extend(scores.iter().map(|v| v.abs()));
+        for (v, dst) in scores.iter().zip(&mut self.abs_scores) {
+            *dst = v.abs();
+        }
         if layer * self.rows_per_layer >= Self::ROW_CAP {
             return;
         }
@@ -919,14 +1003,6 @@ impl Probe {
         let mx = &mut self.gelu_absmax[layer];
         for v in pre {
             *mx = mx.max(v.abs() as f64);
-        }
-    }
-
-    fn finish(mut self) -> Calibration {
-        Calibration {
-            score_scale: percentile_98(&mut self.abs_scores),
-            gelu_absmax: self.gelu_absmax,
-            score_rows: self.score_rows.into_iter().flatten().collect(),
         }
     }
 }

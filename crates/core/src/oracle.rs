@@ -14,7 +14,9 @@ use ascend_vit::{PrecisionPlan, VitConfig, VitModel};
 use sc_core::ScError;
 
 use crate::backend::{InferenceBackend, RefEngine};
-use crate::engine::{calibrate, Calibration, EngineConfig, ForwardScratch, FrozenNet, ScEngine};
+use crate::engine::{
+    calibrate, calibrate_in_parts, Calibration, EngineConfig, ForwardScratch, FrozenNet, ScEngine,
+};
 
 fn fake_quant(x: &Tensor, step: f32, bsl: Option<usize>) -> Tensor {
     match bsl {
@@ -337,6 +339,18 @@ fn kernel_is_bit_identical_to_the_tensor_dataflow() -> Result<(), ScError> {
     Ok(())
 }
 
+fn assert_same_calibration(got: &Calibration, want: &Calibration, layers: usize, what: &str) {
+    assert_eq!(got.score_scale.to_bits(), want.score_scale.to_bits(), "{what}: scale");
+    assert_eq!(got.gelu_absmax.len(), layers, "{what}: one GELU maximum per layer");
+    for (g, w) in got.gelu_absmax.iter().zip(&want.gelu_absmax) {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: GELU maximum");
+    }
+    assert_eq!(got.score_rows.len(), want.score_rows.len(), "{what}: sampled rows");
+    for (g, w) in got.score_rows.iter().zip(&want.score_rows) {
+        assert!(g.iter().map(|v| v.to_bits()).eq(w.iter().map(|v| v.to_bits())), "{what}");
+    }
+}
+
 #[test]
 fn calibration_matches_the_batched_probe() -> Result<(), ScError> {
     // (image, heads, layers): m = 5 and m = 65, plus a deep m = 5 model
@@ -347,41 +361,29 @@ fn calibration_matches_the_batched_probe() -> Result<(), ScError> {
             let plan = PrecisionPlan::w2_a2_r16();
             let (model, patches) = model_at(image, heads, layers, batch, plan);
             let net = FrozenNet::capture(&model);
-            let got = calibrate(&net, &patches, batch)?;
             let want = batched_probe(&net, &patches, batch);
-            let what = format!(
-                "m = {}, {layers} layers, batch {batch}",
-                model.config.seq_len()
-            );
-            assert_eq!(
-                got.score_scale.to_bits(),
-                want.score_scale.to_bits(),
-                "{what}: scale"
-            );
-            assert_eq!(
-                got.gelu_absmax.len(),
-                layers,
-                "{what}: one GELU maximum per layer"
-            );
-            for (g, w) in got.gelu_absmax.iter().zip(&want.gelu_absmax) {
-                assert_eq!(g.to_bits(), w.to_bits(), "{what}: GELU maximum");
-            }
-            assert_eq!(
-                got.score_rows.len(),
-                want.score_rows.len(),
-                "{what}: sampled rows"
-            );
-            for (g, w) in got.score_rows.iter().zip(&want.score_rows) {
-                assert!(
-                    g.iter()
-                        .map(|v| v.to_bits())
-                        .eq(w.iter().map(|v| v.to_bits())),
-                    "{what}"
-                );
+            let what = format!("m = {}, {layers} layers, batch {batch}", model.config.seq_len());
+            assert_same_calibration(&calibrate(&net, &patches, batch)?, &want, layers, &what);
+            // `calibrate` splits the batch by the host's core count; every
+            // split must give the same bits, and a batch the patches do not
+            // hold must stay a typed error.
+            for parts in [1, 2, 3, batch] {
+                let what = format!("{what}, {parts} parts");
+                let got = calibrate_in_parts(&net, &patches, batch, parts)?;
+                assert_same_calibration(&got, &want, layers, &what);
+                for wrong in [batch.wrapping_sub(1), batch + 1] {
+                    assert!(
+                        matches!(
+                            calibrate_in_parts(&net, &patches, wrong, parts),
+                            Err(ScError::InvalidParam { .. })
+                        ),
+                        "{what}: batch {wrong}"
+                    );
+                }
             }
             if batch == 0 {
-                assert_eq!(got.score_scale, 1.0, "{what}");
-                assert!(got.gelu_absmax.iter().all(|&m| m == 0.0), "{what}");
+                assert_eq!(want.score_scale, 1.0, "{what}");
+                assert!(want.gelu_absmax.iter().all(|&m| m == 0.0), "{what}");
             }
         }
     }

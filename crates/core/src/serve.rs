@@ -641,16 +641,17 @@ fn worker_loop<B: InferenceBackend + ?Sized>(
 /// sweeps this scoped form stays the right tool; request serving uses the
 /// persistent [`ServePool`] instead.
 ///
-/// Splits `items` into chunks of `chunk` and lets `workers` scoped threads
-/// claim chunks dynamically off a shared atomic cursor; results come back
-/// in input order regardless of which worker computed what. With
-/// `workers <= 1` it degenerates to a plain serial map.
+/// Splits `items` into chunks of `chunk` and lets `workers` workers — the
+/// calling thread and `workers − 1` scoped threads — claim chunks
+/// dynamically off a shared atomic cursor; results come back in input
+/// order regardless of which worker computed what. With `workers <= 1` it
+/// degenerates to a plain serial map.
 ///
 /// # Panics
 ///
 /// Panics if `chunk == 0` — a zero chunk size is a caller bug (it would
-/// make no progress), not a degraded mode. A panic inside `f` on a worker
-/// thread is re-raised on the caller with its original payload.
+/// make no progress), not a degraded mode. A panic inside `f` on any
+/// worker is re-raised on the caller with its original payload.
 pub fn parallel_map<T, R, F>(workers: usize, chunk: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -665,26 +666,24 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut mine = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(items.len());
+            let out: Vec<R> = items[lo..hi].iter().enumerate().map(|(i, t)| f(lo + i, t)).collect();
+            mine.push((c, out));
+        }
+        mine
+    };
     let parts: Vec<Vec<(usize, Vec<R>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        let hi = (lo + chunk).min(items.len());
-                        let out: Vec<R> =
-                            items[lo..hi].iter().enumerate().map(|(i, t)| f(lo + i, t)).collect();
-                        mine.push((c, out));
-                    }
-                    mine
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        // The calling thread is the last worker.
+        let own = claim();
         handles
             .into_iter()
             .map(|h| match h.join() {
@@ -693,6 +692,7 @@ where
                 // instead of wrapping it in a second panic message.
                 Err(payload) => std::panic::resume_unwind(payload),
             })
+            .chain(std::iter::once(own))
             .collect()
     });
 

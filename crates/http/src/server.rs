@@ -24,8 +24,10 @@
 //! and wakes the blocked `accept` with one loopback connection, which the
 //! accept loop drops unserved; handler threads finish the request they are
 //! serving (responses for admitted work are always written), remaining
-//! backlogged connections get one final exchange with `Connection: close`,
-//! and [`HttpServer::join`] joins every thread.
+//! backlogged connections get one final exchange with `Connection: close`
+//! if their request is already arriving (each read waits at most
+//! `LINGER_READ`, so an idle one is closed at once), and
+//! [`HttpServer::join`] joins every thread.
 
 use std::io::{BufReader, ErrorKind, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -326,7 +328,10 @@ fn conn_worker(
     }
 }
 
-/// Runs one connection's keep-alive loop to completion.
+/// Runs one connection's keep-alive loop to completion. A connection
+/// taken from the backlog after drain has begun is served only if its
+/// request arrives within [`LINGER_READ`] per read, not the full
+/// `read_timeout`, so an idle peer cannot hold up [`HttpServer::join`].
 fn handle_connection(
     mut stream: TcpStream,
     registry: &ModelRegistry,
@@ -334,7 +339,8 @@ fn handle_connection(
     cfg: &HttpConfig,
     stop: &AtomicBool,
 ) {
-    if stream.set_read_timeout(Some(cfg.read_timeout)).is_err()
+    let read_timeout = if stop.load(Ordering::SeqCst) { LINGER_READ } else { cfg.read_timeout };
+    if stream.set_read_timeout(Some(read_timeout)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
     {
         return;

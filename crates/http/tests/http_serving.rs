@@ -3,7 +3,8 @@
 //! capped, a full admission queue sheds with `503 Retry-After` instead of
 //! blocking, a connection shed at a full backlog reads its `503` and a
 //! clean EOF, a dead pool answers `503` instead of hanging, a fresh
-//! connection is accepted at once, shutdown is prompt and idempotent,
+//! connection is accepted at once, shutdown is prompt and idempotent and
+//! not held up by an idle connection in the backlog,
 //! graceful drain completes in-flight work, and `200` bodies are
 //! bit-identical to the in-process serial forward — also under a
 //! many-connection storm, for one model and for two models thrashing one
@@ -560,6 +561,33 @@ fn connections_shed_at_a_full_backlog_read_their_503_then_a_clean_eof() {
     }
     drop((held_reader, held_writer, idle));
     server.join();
+}
+
+#[test]
+fn an_idle_backlog_connection_does_not_hold_up_join() {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.conn_workers = 1;
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+    let addr = server.local_addr();
+
+    // The only handler holds a keep-alive connection, and an idle
+    // connection waits in the one-slot hand-off backlog behind it.
+    let (mut held_reader, mut held_writer) = connect(addr);
+    client::write_request(&mut held_writer, "GET", "/healthz", &[], false).expect("write");
+    assert_eq!(client::read_response(&mut held_reader).expect("response").status, 200);
+    let (mut idle_reader, _idle_writer) = connect(addr);
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Drain begins, then the held connection goes away. The handler takes
+    // the idle connection next; it has sent nothing, so it is closed after
+    // a short read instead of being waited on for the 5 s read deadline.
+    let started = Instant::now();
+    server.shutdown_handle().shutdown();
+    drop((held_reader, held_writer));
+    server.join();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "join took {took:?}");
+    assert!(client::read_response(&mut idle_reader).is_err(), "idle connection must be closed");
 }
 
 #[test]

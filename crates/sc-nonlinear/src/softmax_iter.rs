@@ -24,6 +24,15 @@
 //! [`IterSoftmaxBlock::run_in_place`]. [`IterSoftmaxBlock::run`] pushes
 //! real bitstreams through the circuit and stays the reference the program
 //! is property-tested against.
+//!
+//! Feasibility is closed-form too ([`IterSoftmaxConfig::check_rates`]).
+//! The only circuit steps that can reject a configuration that passes
+//! [`IterSoftmaxConfig::validate`] are the two sub-samplers: `s1` must
+//! divide the `m·Bx·By/2`-bit `sum(z)` and leave an even, non-zero width
+//! `W`, and `s2` must do the same for the `By·W/2`-bit `y·sum(z)`. That
+//! rule depends on the stream lengths alone, not on `αx` or `αy`, and it
+//! gives the same verdict as a bit-level run on a zero row (tested over
+//! the Fig. 8 grid and the SC engine's rate ladder).
 
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::{align_scale, resample_tap, rescale, truncate_center, RescaleMode};
@@ -104,7 +113,9 @@ impl Default for IterSoftmaxConfig {
 }
 
 impl IterSoftmaxConfig {
-    /// Basic sanity checks (positivity, parity).
+    /// Basic sanity checks (positivity, parity), including that every
+    /// scale the datapath derives from `αx`, `αy`, `s1`, `s2` and `k` is
+    /// finite and positive.
     ///
     /// # Errors
     ///
@@ -130,7 +141,48 @@ impl IterSoftmaxConfig {
         if self.s1 == 0 || self.s2 == 0 {
             return Err(fail("s1/s2", "sub-sample rates must be non-zero".into()));
         }
+        // The scales of z, sum(z) after s1, y·sum(z) before and after s2,
+        // and both ÷k legs, in `Program::compile`'s order of operations.
+        let k = self.k as f64;
+        let z = self.ax * self.ay;
+        let sum = z * self.s1 as f64;
+        let w = self.ay * sum * self.s2 as f64;
+        for v in [z, sum, self.ay * sum, w, z / k, w / k] {
+            if !(v.is_finite() && v > 0.0) {
+                let reason = format!("derived datapath scale {v} is not finite and positive");
+                return Err(fail("ax/ay", reason));
+            }
+        }
         Ok(())
+    }
+
+    /// Closed-form feasibility of the two sub-samplers, the only steps of
+    /// the circuit that can reject a configuration that passes
+    /// [`IterSoftmaxConfig::validate`]: `s1` must divide the `m·Bx·By/2`-bit
+    /// `sum(z)` and leave an even, non-zero width `W`, and `s2` must do the
+    /// same for the `By·W/2`-bit `y·sum(z)`. These are exactly
+    /// [`rescale`]'s conditions; the rule reads stream lengths only, never
+    /// `αx` or `αy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScError::InvalidParam`] naming the first rate that fails.
+    pub fn check_rates(&self) -> Result<(), ScError> {
+        let sum_sub = sub_sampled_len("s1", self.m * self.bx * self.by / 2, self.s1)?;
+        sub_sampled_len("s2", self.by * sum_sub / 2, self.s2)?;
+        Ok(())
+    }
+}
+
+/// The width [`rescale`] leaves when it sub-samples a `len`-bit stream by
+/// `s`, if `s` divides `len` into an even, non-zero width.
+fn sub_sampled_len(name: &'static str, len: usize, s: usize) -> Result<usize, ScError> {
+    match len.checked_div(s) {
+        Some(out) if len.is_multiple_of(s) && out > 0 && out.is_multiple_of(2) => Ok(out),
+        _ => Err(ScError::InvalidParam {
+            name,
+            reason: format!("rate {s} does not divide {len} bits into an even, non-zero width"),
+        }),
     }
 }
 
@@ -176,17 +228,21 @@ impl IterSoftmaxBlock {
     /// (every internal re-scale must be feasible — this is what makes some
     /// of the 2916 DSE grid points "impossible designs"), and compiles it.
     ///
+    /// Feasibility is the closed-form rule of
+    /// [`IterSoftmaxConfig::check_rates`], checked before any table is
+    /// built: a zero-width `s2` leg would otherwise reach the tap schedule
+    /// with an empty stream. It gives the same verdict as a bit-level run
+    /// on a zero row; [`IterSoftmaxBlock::run`] stays the reference.
+    ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParam`] if validation or any dry-run
-    /// feasibility check fails.
+    /// Returns [`ScError::InvalidParam`] if validation or the sub-sample
+    /// rate check fails.
     pub fn new(config: IterSoftmaxConfig) -> Result<Self, ScError> {
         config.validate()?;
+        config.check_rates()?;
         let in_codec = Thermometer::new(config.bx, config.ax)?;
         let state_codec = Thermometer::new(config.by, config.ay)?;
-        // Dry-run the bit-level circuit on a zero vector to surface
-        // infeasible rescales; past it every stream length is well-formed.
-        run_bits(&config, &in_codec, &state_codec, &vec![0.0; config.m])?;
         let program = Program::compile(&config);
         Ok(IterSoftmaxBlock { config, in_codec, state_codec, program })
     }
@@ -480,7 +536,7 @@ struct Program {
 }
 
 impl Program {
-    /// Compiles a configuration whose bit-level dry run succeeded. Lengths
+    /// Compiles a configuration that passed `validate` and `check_rates`. Lengths
     /// and scales follow the bit-level ops: a truth-table multiply halves
     /// the product of the lengths and multiplies the scales, a BSN adds
     /// lengths at a shared scale, a sub-sample by `s` divides the length
@@ -663,6 +719,78 @@ mod tests {
             mode: RescaleMode::Round,
         };
         assert!(IterSoftmaxBlock::new(cfg).is_err());
+    }
+
+    /// The 2916-point Fig. 8 grid, as `crates/bench/src/bin/fig8_dse.rs`
+    /// builds it.
+    fn fig8_grid() -> Vec<IterSoftmaxConfig> {
+        let mut grid = Vec::new();
+        for bx in [2usize, 4] {
+            for m in [64usize, 128] {
+                for by in [4usize, 8, 16] {
+                    for k in [2usize, 3, 4] {
+                        for s1 in [8usize, 32, 128] {
+                            for s2 in [2usize, 8, 16] {
+                                for ax_mult in [0.5f64, 1.0, 2.0] {
+                                    for ay_mult in [0.5f64, 1.0, 2.0] {
+                                        grid.push(IterSoftmaxConfig {
+                                            m,
+                                            k,
+                                            bx,
+                                            ax: ax_mult * 4.0 / bx as f64,
+                                            by,
+                                            ay: ay_mult / m as f64,
+                                            s1,
+                                            s2,
+                                            mode: RescaleMode::Round,
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn closed_form_feasibility_matches_the_bit_level_dry_run() {
+        let mut configs = fig8_grid();
+        assert_eq!(configs.len(), 2916);
+        // The SC engine's rate search from [s1, s2] = [32, 8] at its row
+        // lengths, every (s1, s2) it can visit.
+        for m in [5usize, 10, 17, 24, 64, 65, 72] {
+            for s1 in [32usize, 16, 8, 4, 2, 1] {
+                for s2 in [8usize, 4, 2, 1] {
+                    configs.push(IterSoftmaxConfig { m, s1, s2, ..IterSoftmaxConfig::default() });
+                }
+            }
+        }
+        // Scales that under- or overflow inside the datapath.
+        for (ax, ay) in [(1e-200, 1e-200), (1e200, 1e200), (1e150, 1e150)] {
+            configs.push(IterSoftmaxConfig { ax, ay, ..IterSoftmaxConfig::default() });
+        }
+        let (mut grid_feasible, mut zero_width) = (0, 0);
+        for (i, cfg) in configs.into_iter().enumerate() {
+            let dry = Thermometer::new(cfg.bx, cfg.ax).and_then(|x| {
+                let y = Thermometer::new(cfg.by, cfg.ay)?;
+                run_bits(&cfg, &x, &y, &vec![0.0; cfg.m])
+            });
+            let closed = IterSoftmaxBlock::new(cfg);
+            assert_eq!(closed.is_ok(), dry.is_ok(), "{cfg:?}: closed form {closed:?}");
+            grid_feasible += usize::from(i < 2916 && dry.is_ok());
+            // A leg `Program::compile` would size to zero bits: s1 passes,
+            // but `By·W/2 < s2`.
+            let sum_len = cfg.m * cfg.bx * cfg.by / 2;
+            if sum_len.is_multiple_of(cfg.s1) && cfg.by * (sum_len / cfg.s1) / 2 < cfg.s2 {
+                zero_width += 1;
+            }
+        }
+        // As `fig8_dse` reports.
+        assert_eq!(grid_feasible, 2673);
+        assert!(zero_width > 0, "no zero-width s2 leg exercised");
     }
 
     #[test]
