@@ -21,8 +21,7 @@ use std::path::{Path, PathBuf};
 
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::{BackendKind, Session};
-use ascend_io::format::Artifact;
-use ascend_io::ModelCheckpoint;
+use ascend_io::{ArtifactReader, ModelCheckpoint};
 use ascend_vit::data::synth_cifar;
 use ascend_vit::train::{evaluate, train_model, TrainConfig};
 use ascend_vit::{PrecisionPlan, VitConfig, VitModel};
@@ -661,26 +660,32 @@ fn cmd_profile(flags: Flags) -> Result<(), CliError> {
 fn cmd_info(flags: Flags) -> Result<(), CliError> {
     let path = PathBuf::from(flags.require("path")?);
     flags.reject_unknown()?;
-    let art = Artifact::read_from(&path)?;
-    let total: usize = art.section_index().iter().map(|(_, n)| n).sum();
+    let reader = ArtifactReader::open(&path)?;
+    let index = reader.section_index();
+    // Read every listed section, so a corrupt payload fails `info` even
+    // when no decoder would read it.
+    for &(tag, _) in &index {
+        reader.read_section(tag)?;
+    }
+    let total: usize = index.iter().map(|(_, n)| n).sum();
     println!(
         "{}: {:?} artifact, {} sections, {total} payload bytes",
         path.display(),
-        art.kind(),
-        art.section_index().len()
+        reader.kind(),
+        index.len()
     );
-    for (tag, len) in art.section_index() {
-        println!("  `{tag}`  {len} bytes");
+    for (tag, len) in &index {
+        println!("  `{}`  {len} bytes", String::from_utf8_lossy(tag));
     }
-    describe(&path, &art);
+    describe(&path, &reader);
     Ok(())
 }
 
 /// Kind-specific summary lines for `info`.
-fn describe(path: &Path, art: &Artifact) {
-    match art.kind() {
+fn describe(path: &Path, reader: &ArtifactReader) {
+    match reader.kind() {
         ascend_io::ArtifactKind::ModelCheckpoint => {
-            if let Ok(ckpt) = ModelCheckpoint::from_artifact(art) {
+            if let Ok(ckpt) = ModelCheckpoint::from_reader(reader) {
                 let scalars: usize = ckpt.params.iter().map(|t| t.numel()).sum();
                 println!(
                     "  model: {} layers, dim {}, {} classes, plan {}, {scalars} scalars, calib: {}",
@@ -700,7 +705,7 @@ fn describe(path: &Path, art: &Artifact) {
             }
         }
         ascend_io::ArtifactKind::Engine => {
-            if let Ok(engine) = ScEngine::from_artifact(art) {
+            if let Ok(engine) = ScEngine::from_reader(reader) {
                 let cfg = engine.vit_config();
                 let sm = engine.softmax_block().config();
                 println!(
@@ -1079,6 +1084,28 @@ mod tests {
         assert!(text.contains("ascend_model_state{model=\"beta\"} 0"), "{text}");
         assert_eq!(server.join().unwrap(), 0, "registry serve exited nonzero");
 
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn info_fails_on_a_corrupt_section_that_no_decoder_reads() {
+        // `XTRA` is no checkpoint section, so no decoder would read it:
+        // `info` must still check its CRC.
+        let dir = std::env::temp_dir().join(format!("ascend-cli-info-{}", std::process::id()));
+        let path = dir.join("extra.ckpt");
+        let mut w = ascend_io::ArtifactWriter::new(ascend_io::ArtifactKind::ModelCheckpoint);
+        let mut extra = ascend_io::SectionWriter::new();
+        extra.put_u32(0xABCD);
+        w.add_section(*b"XTRA", extra);
+        w.write_to(&path).unwrap();
+        let info = ["info", "--path", &path.display().to_string()].map(String::from);
+        assert_eq!(run(&info), 0, "an intact container must pass info");
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(run(&info), 1, "a corrupt XTRA payload must fail info");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,8 +27,7 @@ use ascend_io::checkpoint::{
     check_config, get_plan, get_vit_config, put_plan, put_vit_config, ModelCheckpoint,
 };
 use ascend_io::format::{
-    Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionSource,
-    SectionWriter,
+    ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionWriter,
 };
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::RescaleMode;
@@ -113,30 +112,19 @@ impl ScEngine {
         w
     }
 
-    /// Reconstructs an engine from a verified artifact.
+    /// Reconstructs an engine from an opened artifact. Reads exactly the
+    /// `ECFG`/`SMAX`/`LAYR`/`HEAD` sections — every section an engine
+    /// holds — each validated by its own CRC.
     ///
     /// # Errors
     ///
     /// [`ScError::CorruptArtifact`] for kind or section mismatches;
-    /// propagates codec/block construction errors for invalid stored
-    /// parameters.
-    pub fn from_artifact(art: &Artifact) -> Result<ScEngine, ScError> {
-        Self::from_source(art)
-    }
-
-    /// Reconstructs an engine from any [`SectionSource`] — the eager
-    /// [`Artifact`] or the lazy [`ArtifactReader`]. Reads exactly the
-    /// `ECFG`/`SMAX`/`LAYR`/`HEAD` sections.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] for kind or section mismatches;
-    /// [`ScError::Io`] if a lazy source fails to read; propagates
+    /// [`ScError::Io`] if a section cannot be read; propagates
     /// codec/block construction errors for invalid stored parameters.
-    pub fn from_source<S: SectionSource + ?Sized>(src: &S) -> Result<ScEngine, ScError> {
-        src.expect_kind(ArtifactKind::Engine)?;
+    pub fn from_reader(reader: &ArtifactReader) -> Result<ScEngine, ScError> {
+        reader.expect_kind(ArtifactKind::Engine)?;
 
-        let buf = src.section_bytes(TAG_ENGINE_CONFIG)?;
+        let buf = reader.read_section(TAG_ENGINE_CONFIG)?;
         let mut cfg = SectionReader::new(TAG_ENGINE_CONFIG, &buf);
         let vit = get_vit_config(&mut cfg)?;
         let plan = get_plan(&mut cfg)?;
@@ -144,13 +132,27 @@ impl ScEngine {
         cfg.expect_end()?;
         check_config(&vit)?;
 
-        let buf = src.section_bytes(TAG_SOFTMAX)?;
+        let buf = reader.read_section(TAG_SOFTMAX)?;
         let mut smax = SectionReader::new(TAG_SOFTMAX, &buf);
         let softmax_cfg = get_softmax_config(&mut smax)?;
         smax.expect_end()?;
+        // Compile derives m from the geometry and k, Bx, By from the engine
+        // config; check them before the block compiles any table.
+        for (name, stored, derived) in [
+            ("row length m", softmax_cfg.m, vit.seq_len()),
+            ("k", softmax_cfg.k, config.softmax_k),
+            ("Bx", softmax_cfg.bx, config.softmax_bx),
+            ("By", softmax_cfg.by, config.softmax_by),
+        ] {
+            if stored != derived {
+                return Err(corrupt(format!(
+                    "softmax {name} = {stored} does not match the engine's {derived}"
+                )));
+            }
+        }
         let softmax = IterSoftmaxBlock::new(softmax_cfg)?;
 
-        let buf = src.section_bytes(TAG_LAYERS)?;
+        let buf = reader.read_section(TAG_LAYERS)?;
         let mut layr = SectionReader::new(TAG_LAYERS, &buf);
         let n = layr.get_usize()?;
         if n > 1 << 16 {
@@ -197,7 +199,7 @@ impl ScEngine {
         }
         layr.expect_end()?;
 
-        let buf = src.section_bytes(TAG_HEAD)?;
+        let buf = reader.read_section(TAG_HEAD)?;
         let mut head = SectionReader::new(TAG_HEAD, &buf);
         let head_affine = get_affine(&mut head)?;
         let patch_embed = get_linear(&mut head)?;
@@ -245,7 +247,7 @@ impl ScEngine {
     /// the path does not exist), [`ScError::CorruptArtifact`] if
     /// verification or parsing fails.
     pub fn load(path: &Path) -> Result<ScEngine, ScError> {
-        ScEngine::from_source(&ArtifactReader::open(path)?)
+        ScEngine::from_reader(&ArtifactReader::open(path)?)
     }
 }
 
@@ -284,13 +286,6 @@ fn validate_engine(engine: &ScEngine) -> Result<(), ScError> {
             "artifact holds {} layers, config says {}",
             e.layers.len(),
             cfg.layers
-        ));
-    }
-    if engine.softmax.config().m != cfg.seq_len() {
-        return bad(format!(
-            "softmax block row length {} does not match sequence length {}",
-            engine.softmax.config().m,
-            cfg.seq_len()
         ));
     }
     for (i, sn) in e.layers.iter().enumerate() {
@@ -436,7 +431,10 @@ fn get_softmax_config(r: &mut SectionReader<'_>) -> Result<IterSoftmaxConfig, Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::InferenceBackend;
     use crate::fixture::{engine_or_load, FixtureRecipe};
+    use ascend_obs::NoopObserver;
+    use proptest::prelude::*;
 
     fn tiny_engine() -> ScEngine {
         let mut recipe = FixtureRecipe::tiny("artifact-unit", 13);
@@ -447,41 +445,89 @@ mod tests {
         engine_or_load(&recipe, EngineConfig::default()).expect("engine compiles").0
     }
 
-    #[test]
-    fn wrong_artifact_kind_is_rejected() {
-        let art =
-            Artifact::from_bytes(&ArtifactWriter::new(ArtifactKind::ModelCheckpoint).to_bytes())
-                .unwrap();
-        assert!(matches!(
-            ScEngine::from_artifact(&art),
-            Err(ScError::CorruptArtifact { .. })
-        ));
+    /// A temp path unique to this process and `name`.
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir()
+            .join(format!("ascend-engine-{}-{name}", std::process::id()))
+            .join("engine.sceng")
+    }
+
+    /// Writes `w` to a temp file, loads it as an engine, and removes it.
+    fn decode(name: &str, w: &ArtifactWriter) -> Result<ScEngine, ScError> {
+        let path = temp_path(name);
+        w.write_to(&path).unwrap();
+        let got = ScEngine::load(&path);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        got
+    }
+
+    /// The tag and payload of every section of `w`, in file order.
+    fn sections_of(name: &str, w: &ArtifactWriter) -> Vec<([u8; 4], Vec<u8>)> {
+        let path = temp_path(name);
+        w.write_to(&path).unwrap();
+        let reader = ArtifactReader::open(&path).unwrap();
+        let sections = reader
+            .section_index()
+            .into_iter()
+            .map(|(tag, _)| (tag, reader.read_section(tag).unwrap()))
+            .collect();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        sections
+    }
+
+    /// An engine artifact of `sections`, sealed so every CRC holds.
+    fn seal(sections: &[([u8; 4], Vec<u8>)]) -> ArtifactWriter {
+        let mut w = ArtifactWriter::new(ArtifactKind::Engine);
+        for (tag, payload) in sections {
+            let mut s = SectionWriter::new();
+            for &b in payload {
+                s.put_u8(b);
+            }
+            w.add_section(*tag, s);
+        }
+        w
+    }
+
+    /// `engine`'s artifact with its `SMAX` section re-sealed as `sm`.
+    fn with_softmax(engine: &ScEngine, name: &str, sm: IterSoftmaxConfig) -> ArtifactWriter {
+        let mut smax = SectionWriter::new();
+        put_softmax_config(&mut smax, &sm);
+        let mut sections = sections_of(name, &engine.to_artifact());
+        for (tag, payload) in &mut sections {
+            if *tag == TAG_SOFTMAX {
+                *payload = smax.clone().into_bytes();
+            }
+        }
+        seal(&sections)
     }
 
     #[test]
-    fn lazy_load_is_bit_identical_to_eager_parse() {
-        use crate::backend::InferenceBackend;
+    fn wrong_artifact_kind_is_rejected() {
+        let err = decode("wrong-kind", &ArtifactWriter::new(ArtifactKind::ModelCheckpoint))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+    }
 
+    #[test]
+    fn loaded_engine_logits_are_bit_identical_to_the_in_memory_engine() {
         let engine = tiny_engine();
-        let dir = std::env::temp_dir().join(format!("ascend-engine-lazy-{}", std::process::id()));
-        let path = dir.join("engine.sceng");
+        let path = temp_path("bit-identical");
         engine.save(&path).unwrap();
+        let loaded = ScEngine::load(&path).unwrap();
 
-        let lazy = ScEngine::load(&path).unwrap();
-        let eager = ScEngine::from_artifact(&Artifact::read_from(&path).unwrap()).unwrap();
-
-        let cfg = lazy.vit_config();
+        let cfg = loaded.vit_config();
         let n = cfg.num_patches() * cfg.patch_dim();
         let patches = ascend_tensor::Tensor::from_vec(
             (0..n).map(|i| ((i * 37 % 113) as f32 - 56.0) / 56.0).collect(),
             &[cfg.num_patches(), cfg.patch_dim()],
         );
-        let a = lazy.forward(&patches, 1).unwrap();
-        let b = eager.forward(&patches, 1).unwrap();
+        let a = loaded.forward(&patches, 1).unwrap();
+        let b = engine.forward(&patches, 1).unwrap();
         for (x, y) in a.data().iter().zip(b.data().iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -495,8 +541,7 @@ mod tests {
     fn inconsistent_cls_token_is_rejected_at_load_not_inference() {
         let mut engine = tiny_engine();
         engine.net.cls_token = ascend_tensor::Tensor::zeros(&[3]);
-        let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
-        let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
+        let err = decode("cls-token", &engine.to_artifact()).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
     }
 
@@ -505,8 +550,7 @@ mod tests {
         let mut engine = tiny_engine();
         engine.net.layers.pop();
         engine.gelu.pop();
-        let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
-        let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
+        let err = decode("layer-count", &engine.to_artifact()).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
     }
 
@@ -514,8 +558,103 @@ mod tests {
     fn truncated_weight_matrix_is_rejected_at_load() {
         let mut engine = tiny_engine();
         engine.net.layers[0].fc1.w = ascend_tensor::Tensor::zeros(&[1, 1]);
-        let art = Artifact::from_bytes(&engine.to_artifact().to_bytes()).unwrap();
-        let err = ScEngine::from_artifact(&art).map(|_| ()).unwrap_err();
+        let err = decode("fc1", &engine.to_artifact()).map(|_| ()).unwrap_err();
         assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_hostile_softmax_section_is_a_typed_error_not_an_overflow() {
+        // m = 2^40, Bx = By = 2^20: m·Bx·By overflows 64 bits. The decoder
+        // must refuse it before any stream length is computed.
+        let engine = tiny_engine();
+        let sm = IterSoftmaxConfig {
+            m: 1 << 40,
+            bx: 1 << 20,
+            by: 1 << 20,
+            s1: 1,
+            s2: 1,
+            ..*engine.softmax_block().config()
+        };
+        let err = decode("smax-overflow", &with_softmax(&engine, "smax-overflow-src", sm))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_softmax_row_length_off_the_geometry_is_rejected_before_the_block_is_built() {
+        let engine = tiny_engine();
+        let stored = *engine.softmax_block().config();
+        for (what, sm) in [
+            ("m", IterSoftmaxConfig { m: 1000, ..stored }),
+            ("k", IterSoftmaxConfig { k: stored.k + 1, ..stored }),
+            ("Bx", IterSoftmaxConfig { bx: stored.bx * 2, ..stored }),
+            ("By", IterSoftmaxConfig { by: stored.by * 2, ..stored }),
+        ] {
+            let err = decode("smax-geometry", &with_softmax(&engine, "smax-geometry-src", sm))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.to_string().contains("does not match the engine"), "{what}: got {err}");
+        }
+    }
+
+    /// Words an aligned overwrite plants: small counts, lengths and geometry
+    /// values a decoder checks, and the overflow edges.
+    const WORDS: [u64; 10] = [0, 1, 2, 3, 5, 16, 65, 1 << 20, 1 << 40, u64::MAX];
+
+    /// Damages `payload`: `op` 0 overwrites `bytes` at `at`, 1 truncates at
+    /// `at`, 2 appends `bytes`, 3 overwrites the 8-aligned word at `at` with
+    /// `word` (in most sections a length, count or geometry field).
+    fn damage(payload: &mut Vec<u8>, op: u8, at: usize, bytes: &[u8], word: u64) {
+        let len = payload.len();
+        match op {
+            0 => {
+                for (i, &b) in bytes.iter().enumerate() {
+                    payload[(at % len + i) % len] = b;
+                }
+            }
+            1 => payload.truncate(at % len),
+            2 => payload.extend_from_slice(bytes),
+            _ => {
+                let start = 8 * (at % (len / 8).max(1));
+                let end = (start + 8).min(len);
+                payload[start..end].copy_from_slice(&word.to_le_bytes()[..end - start]);
+            }
+        }
+    }
+
+    /// The sections of the fixture engine's artifact, built once.
+    fn fixture_sections() -> &'static [([u8; 4], Vec<u8>)] {
+        static SECTIONS: std::sync::OnceLock<Vec<([u8; 4], Vec<u8>)>> =
+            std::sync::OnceLock::new();
+        SECTIONS.get_or_init(|| sections_of("proptest-src", &tiny_engine().to_artifact()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One section's payload damaged and sealed again, so the CRCs
+        /// pass and the damage reaches the decoder: loading gives `Ok` or
+        /// a typed error, and an engine that loads answers one forward
+        /// with `Ok` or `Err`, never a panic.
+        #[test]
+        fn a_resealed_engine_section_loads_or_fails_typed(
+            section in 0usize..4,
+            op in 0u8..4,
+            at in any::<usize>(),
+            bytes in prop::collection::vec(any::<u8>(), 1..9),
+            word in prop::sample::select(WORDS.to_vec()),
+        ) {
+            let mut sections = fixture_sections().to_vec();
+            damage(&mut sections[section].1, op, at, &bytes, word);
+            if let Ok(engine) = decode("proptest", &seal(&sections)) {
+                let cfg = engine.vit_config();
+                let patches = vec![0.25f32; cfg.num_patches() * cfg.patch_dim()];
+                let mut scratch = engine.make_scratch();
+                // Either outcome is allowed; reaching the next line is the
+                // property.
+                let _ = engine.forward_one(&patches, &mut scratch, &mut NoopObserver);
+            }
+        }
     }
 }

@@ -301,7 +301,7 @@ pub fn load_backend(
     let reader = ArtifactReader::open(path)?;
     match reader.kind() {
         ArtifactKind::Engine => match kind {
-            BackendKind::Sc => Ok(Box::new(ScEngine::from_source(&reader)?)),
+            BackendKind::Sc => Ok(Box::new(ScEngine::from_reader(&reader)?)),
             // The artifact itself is valid — only the backend request
             // cannot be satisfied from it — so this is a parameter error,
             // not corruption.
@@ -314,7 +314,7 @@ pub fn load_backend(
             }),
         },
         ArtifactKind::ModelCheckpoint => {
-            let ckpt = ModelCheckpoint::from_source(&reader)?;
+            let ckpt = ModelCheckpoint::from_reader(&reader)?;
             SessionBuilder::compile(kind, &ckpt, engine_config)
         }
     }

@@ -332,6 +332,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn limits() -> Limits {
@@ -488,5 +489,122 @@ mod tests {
             assert_ne!(reason(code), "Unknown", "code {code}");
         }
         assert_eq!(reason(599), "Unknown");
+    }
+
+    /// Reads one request from `bytes` and checks every outcome: a request
+    /// that parses stays within `limits` and is framed exactly as its
+    /// headers say; a failure is a typed [`ParseError`] that a slice can
+    /// produce (a slice never times out or fails an i/o read).
+    fn check_one(bytes: &[u8]) -> Result<(), proptest::test_runner::TestCaseError> {
+        let limits = limits();
+        let mut rest = bytes;
+        match read_request(&mut rest, &limits) {
+            Ok(req) => {
+                let header_bytes = bytes.len() - rest.len() - req.body.len();
+                prop_assert!(header_bytes <= limits.max_header_bytes, "{header_bytes} bytes");
+                prop_assert!(req.headers.len() <= limits.max_headers);
+                prop_assert!(req.body.len() <= limits.max_body_bytes);
+                prop_assert!(!req.method.is_empty() && !req.target.is_empty());
+                // Every name is a token that stands on the wire right
+                // before its colon, not a trimmed or re-cased stand-in.
+                let head = String::from_utf8_lossy(&bytes[..header_bytes]).to_ascii_lowercase();
+                for (name, _) in &req.headers {
+                    prop_assert!(!name.is_empty() && name.bytes().all(is_tchar), "name {name:?}");
+                    prop_assert!(head.contains(&format!("\n{name}:")), "name {name:?} in {head:?}");
+                }
+                prop_assert!(req.header("transfer-encoding").is_none());
+                let lengths: Vec<_> =
+                    req.headers.iter().filter(|(n, _)| n == "content-length").collect();
+                match lengths.as_slice() {
+                    [] => {
+                        prop_assert!(req.body.is_empty());
+                        prop_assert!(req.method != "POST" && req.method != "PUT");
+                    }
+                    [(_, v)] => {
+                        prop_assert!(v.bytes().all(|b| b.is_ascii_digit()), "length {v:?}");
+                        prop_assert_eq!(v.parse::<usize>().ok(), Some(req.body.len()));
+                    }
+                    more => prop_assert!(false, "{} content-length headers", more.len()),
+                }
+            }
+            Err(ParseError::Io(e)) => prop_assert!(false, "i/o error from a slice: {e}"),
+            Err(ParseError::Timeout) => prop_assert!(false, "timeout from a slice"),
+            Err(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Valid requests the mutations start from; the last is a GET followed
+    /// by bytes a wrongly framed body would swallow.
+    const VALID: [&[u8]; 4] = [
+        b"GET /healthz HTTP/1.1\r\nhost: a\r\n\r\n",
+        b"POST /v1/infer HTTP/1.1\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello",
+        b"POST /v1/models/m/infer HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        b"GET / HTTP/1.1\r\nx: y\r\n\r\nhello",
+    ];
+
+    /// Fragments that steer mutations at the framing rules.
+    const FRAGMENTS: [&str; 12] = [
+        "\r\n", "\n", ":", " ", "\t", "content-length: ", "Transfer-Encoding: chunked\r\n",
+        "+", "-1", "99999999999999999999", "HTTP/1.0", "\u{e9}",
+    ];
+
+    /// Whole header lines, inserted where a line starts.
+    const LINES: [&str; 8] = [
+        "content-length: 5\r\n",
+        "Content-Length: 0\r\n",
+        "content-length: +5\r\n",
+        "content-length\t: 5\r\n",
+        "content-length: 18446744073709551616\r\n",
+        "transfer-encoding: chunked\r\n",
+        "x-pad: y\r\n",
+        "no colon\r\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_typed(
+            bytes in prop::collection::vec(any::<u8>(), 0..700),
+        ) {
+            check_one(&bytes)?;
+        }
+
+        #[test]
+        fn mutated_valid_requests_parse_or_fail_typed(
+            base in prop::sample::select(VALID.to_vec()),
+            op in 0u8..5,
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            fragment in prop::sample::select(FRAGMENTS.to_vec()),
+            repeat in 1usize..40,
+            line in prop::sample::select(LINES.to_vec()),
+        ) {
+            let mut bytes = base.to_vec();
+            let at = at % (bytes.len() + 1);
+            let line_starts: Vec<usize> =
+                (1..bytes.len()).filter(|&i| bytes[i - 1] == b'\n').collect();
+            match op {
+                0 => {
+                    if let Some(b) = bytes.get_mut(at) {
+                        *b = byte;
+                    }
+                }
+                1 => bytes.truncate(at),
+                2 => {
+                    let insert = fragment.repeat(repeat);
+                    bytes.splice(at..at, insert.bytes());
+                }
+                3 => {
+                    bytes.remove(at.min(bytes.len() - 1));
+                }
+                _ => {
+                    let start = line_starts[at % line_starts.len()];
+                    bytes.splice(start..start, line.bytes());
+                }
+            }
+            check_one(&bytes)?;
+        }
     }
 }

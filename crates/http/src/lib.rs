@@ -225,6 +225,7 @@ pub fn decode_logits(body: &[u8]) -> Result<(usize, usize, Vec<f32>), ScError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> VitConfig {
         VitConfig { image: 8, patch: 4, dim: 16, layers: 1, heads: 2, classes: 2, ..Default::default() }
@@ -275,5 +276,87 @@ mod tests {
             decode_logits(&hostile),
             Err(ScError::InvalidParam { name: "body", .. })
         ));
+    }
+
+    /// A body that starts with the given `u32` header words.
+    fn framed(a: u32, b: u32, data: &[u8]) -> Vec<u8> {
+        let mut body = a.to_le_bytes().to_vec();
+        body.extend_from_slice(&b.to_le_bytes());
+        body.extend_from_slice(data);
+        body
+    }
+
+    /// A hostile body: raw bytes (`mode` 0), random header words `a`, `b`
+    /// over raw data (1), or header words `x`, `y` declaring `floats`
+    /// values over data one byte short (2), exact (3) or one byte long (4).
+    fn body(
+        mode: u8,
+        (a, b): (u32, u32),
+        (x, y): (u32, u32),
+        floats: usize,
+        data: &[u8],
+    ) -> Vec<u8> {
+        match mode {
+            0 => data.to_vec(),
+            1 => framed(a, b, data),
+            _ => {
+                let len = (4 * floats + usize::from(mode - 2)).saturating_sub(1);
+                framed(x, y, &data.iter().copied().cycle().take(len).collect::<Vec<_>>())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A logits body decodes only when its data is exactly the
+        /// `images × classes` floats its header declares.
+        #[test]
+        fn any_logits_body_decodes_or_fails_typed(
+            mode in 0u8..5,
+            words in (any::<u32>(), any::<u32>()),
+            images in 0u32..5,
+            classes in 0u32..5,
+            data in prop::collection::vec(any::<u8>(), 1..96),
+        ) {
+            let floats = (images * classes) as usize;
+            let body = body(mode, words, (images, classes), floats, &data);
+            match decode_logits(&body) {
+                Ok((i, c, vals)) => {
+                    prop_assert_eq!(vals.len(), i * c);
+                    prop_assert_eq!(body.len(), 8 + 4 * i * c);
+                }
+                Err(e) => prop_assert!(matches!(e, ScError::InvalidParam { name: "body", .. })),
+            }
+            if mode == 3 {
+                prop_assert!(decode_logits(&body).is_ok(), "an exact body must decode");
+            }
+        }
+
+        /// An infer body decodes only into a tensor of whole images of the
+        /// served geometry.
+        #[test]
+        fn any_infer_body_decodes_or_fails_typed(
+            mode in 0u8..5,
+            words in (any::<u32>(), any::<u32>()),
+            images in 0u32..4,
+            data in prop::collection::vec(any::<u8>(), 1..96),
+        ) {
+            let c = VitConfig { image: 4, patch: 2, channels: 1, ..cfg() };
+            let per_image = (c.num_patches() * c.patch_dim()) as u32;
+            let floats = (images * per_image) as usize;
+            let body = body(mode, words, (images, images * per_image), floats, &data);
+            match decode_infer_request(&body, &c) {
+                Ok((t, n)) => {
+                    prop_assert!(n > 0);
+                    prop_assert_eq!(t.shape(), &[n * c.num_patches(), c.patch_dim()][..]);
+                    prop_assert_eq!(body.len(), 8 + 4 * t.numel());
+                }
+                Err(e) => prop_assert!(matches!(e, ScError::InvalidParam { name: "body", .. })),
+            }
+            if mode == 3 && images > 0 {
+                prop_assert!(decode_infer_request(&body, &c).is_ok(), "an exact body must decode");
+            }
+        }
     }
 }

@@ -20,8 +20,7 @@ use ascend_vit::{NormKind, PrecisionPlan, SoftmaxKind, VitConfig, VitModel};
 use sc_core::ScError;
 
 use crate::format::{
-    corrupt, Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader,
-    SectionSource, SectionWriter,
+    corrupt, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionWriter,
 };
 
 /// Section tags of the checkpoint format.
@@ -83,6 +82,15 @@ impl ModelCheckpoint {
     /// the tensors do not fit it.
     pub fn restore(&self) -> Result<VitModel, ScError> {
         check_config(&self.config)?;
+        // `VitModel::new` allocates and initializes every tensor the
+        // geometry implies, so the stored tensors must back them first.
+        let needed = geometry_scalars(&self.config)?;
+        let stored: usize = self.params.iter().map(Tensor::numel).sum();
+        if stored < needed {
+            return Err(corrupt(format!(
+                "checkpoint holds {stored} parameter scalars, its geometry needs at least {needed}"
+            )));
+        }
         let mut model = VitModel::new(self.config);
         model.set_plan(self.plan);
         model.load_params(&self.params).map_err(corrupt)?;
@@ -123,36 +131,26 @@ impl ModelCheckpoint {
         w
     }
 
-    /// Parses a checkpoint out of a verified artifact.
+    /// Parses a checkpoint out of an opened artifact. Reads exactly the
+    /// `CFG `/`PRM `/`NRM ` sections plus `CLB ` when present — every
+    /// section a checkpoint holds — each validated by its own CRC.
     ///
     /// # Errors
     ///
     /// [`ScError::CorruptArtifact`] if the artifact is not a model
-    /// checkpoint or a section is malformed.
-    pub fn from_artifact(art: &Artifact) -> Result<Self, ScError> {
-        Self::from_source(art)
-    }
+    /// checkpoint or a section is malformed; [`ScError::Io`] if a section
+    /// cannot be read.
+    pub fn from_reader(reader: &ArtifactReader) -> Result<Self, ScError> {
+        reader.expect_kind(ArtifactKind::ModelCheckpoint)?;
 
-    /// Parses a checkpoint out of any [`SectionSource`] — the eager
-    /// [`Artifact`] or the lazy [`ArtifactReader`]. Reads exactly the
-    /// `CFG `/`PRM `/`NRM ` sections plus `CLB ` when present.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] if the artifact is not a model
-    /// checkpoint or a section is malformed; [`ScError::Io`] if a lazy
-    /// source fails to read.
-    pub fn from_source<S: SectionSource + ?Sized>(src: &S) -> Result<Self, ScError> {
-        src.expect_kind(ArtifactKind::ModelCheckpoint)?;
-
-        let buf = src.section_bytes(TAG_CONFIG)?;
+        let buf = reader.read_section(TAG_CONFIG)?;
         let mut cfg = SectionReader::new(TAG_CONFIG, &buf);
         let config = get_vit_config(&mut cfg)?;
         let plan = get_plan(&mut cfg)?;
         cfg.expect_end()?;
         check_config(&config)?;
 
-        let buf = src.section_bytes(TAG_PARAMS)?;
+        let buf = reader.read_section(TAG_PARAMS)?;
         let mut prm = SectionReader::new(TAG_PARAMS, &buf);
         let n = prm.get_usize()?;
         if n > 1 << 20 {
@@ -161,7 +159,7 @@ impl ModelCheckpoint {
         let params: Vec<Tensor> = (0..n).map(|_| prm.get_tensor()).collect::<Result<_, _>>()?;
         prm.expect_end()?;
 
-        let buf = src.section_bytes(TAG_NORMS)?;
+        let buf = reader.read_section(TAG_NORMS)?;
         let mut nrm = SectionReader::new(TAG_NORMS, &buf);
         let n = nrm.get_usize()?;
         if n > 1 << 20 {
@@ -172,8 +170,8 @@ impl ModelCheckpoint {
             .collect::<Result<_, ScError>>()?;
         nrm.expect_end()?;
 
-        let calib = if src.has_section(TAG_CALIB) {
-            let buf = src.section_bytes(TAG_CALIB)?;
+        let calib = if reader.has_section(TAG_CALIB) {
+            let buf = reader.read_section(TAG_CALIB)?;
             let mut clb = SectionReader::new(TAG_CALIB, &buf);
             let batch = clb.get_usize()?;
             let patches = clb.get_tensor()?;
@@ -205,9 +203,14 @@ impl ModelCheckpoint {
     /// the path does not exist), [`ScError::CorruptArtifact`] if it fails
     /// verification or parsing.
     pub fn load(path: &Path) -> Result<Self, ScError> {
-        Self::from_source(&ArtifactReader::open(path)?)
+        Self::from_reader(&ArtifactReader::open(path)?)
     }
 }
+
+/// Most scalars a stored geometry may imply in its weights or in one image's
+/// attention scores: 2^26 (256 MiB of `f32`), far above every model in the
+/// repository (the dim-256 Table VI tile has under 2^22).
+const MAX_GEOMETRY_SCALARS: usize = 1 << 26;
 
 /// Non-panicking mirror of [`VitConfig::validate`], with size caps so a
 /// crafted config cannot drive an absurd allocation. Shared by every
@@ -240,7 +243,25 @@ pub fn check_config(cfg: &VitConfig) -> Result<(), ScError> {
     if !cfg.dim.is_multiple_of(cfg.heads) {
         return Err(corrupt(format!("heads {} must divide dim {}", cfg.heads, cfg.dim)));
     }
-    Ok(())
+    geometry_scalars(cfg).map(|_| ())
+}
+
+/// The scalars in `cfg`'s weight matrices and embeddings (a lower bound on
+/// what [`VitModel::new`] allocates), if neither they nor one image's
+/// `heads·seq²` attention scores exceed [`MAX_GEOMETRY_SCALARS`]. The
+/// per-field caps of [`check_config`] keep the unchecked sums far from overflow.
+fn geometry_scalars(cfg: &VitConfig) -> Result<usize, ScError> {
+    let (d, seq) = (cfg.dim, cfg.seq_len());
+    let per_layer = d.checked_mul(d).and_then(|dd| dd.checked_mul(2 * cfg.mlp_ratio + 4));
+    let embed = (cfg.patch_dim() + seq + cfg.classes).checked_mul(d);
+    let weights = per_layer.and_then(|l| l.checked_mul(cfg.layers)?.checked_add(embed?));
+    let scores = seq.checked_mul(seq).and_then(|s2| s2.checked_mul(cfg.heads));
+    match (weights, scores) {
+        (Some(w), Some(s)) if w.max(s) <= MAX_GEOMETRY_SCALARS => Ok(w),
+        _ => Err(corrupt(format!(
+            "geometry implies more than {MAX_GEOMETRY_SCALARS} weight or attention-score scalars"
+        ))),
+    }
 }
 
 /// Writes a [`SitePrecision`] (shared by the engine-artifact codec in
@@ -417,24 +438,12 @@ mod tests {
         model.set_softmax(SoftmaxKind::IterApprox { k: 3 });
         model.set_plan(PrecisionPlan::fp());
         let ckpt = ModelCheckpoint::capture(&model);
-        let bytes = ckpt.to_artifact().to_bytes();
-        let loaded = ModelCheckpoint::from_artifact(&Artifact::from_bytes(&bytes).unwrap()).unwrap();
-        assert_eq!(loaded.config.softmax, SoftmaxKind::IterApprox { k: 3 });
-        assert!(loaded.plan.is_fp());
-    }
-
-    #[test]
-    fn lazy_load_equals_eager_parse_exactly() {
-        let model = tiny_model();
-        let patches = fake_patches(&model.config, 2);
-        let ckpt = ModelCheckpoint::capture(&model).with_calib(patches, 2);
-        let dir = std::env::temp_dir().join(format!("ascend-ckpt-lazy-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ascend-ckpt-flavours-{}", std::process::id()));
         let path = dir.join("model.ckpt");
         ckpt.save(&path).unwrap();
-        let lazy = ModelCheckpoint::load(&path).unwrap();
-        let eager = ModelCheckpoint::from_artifact(&Artifact::read_from(&path).unwrap()).unwrap();
-        assert_eq!(lazy, eager);
-        assert_eq!(lazy, ckpt);
+        let loaded = ModelCheckpoint::load(&path).unwrap();
+        assert_eq!(loaded.config.softmax, SoftmaxKind::IterApprox { k: 3 });
+        assert!(loaded.plan.is_fp());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -453,5 +462,37 @@ mod tests {
         ckpt.config.patch = 4;
         ckpt.params.pop();
         assert!(matches!(ckpt.restore(), Err(ScError::CorruptArtifact { .. })));
+    }
+
+    #[test]
+    fn a_geometry_beyond_the_cap_is_rejected_at_load() {
+        // A `CFG ` sealed with valid CRCs whose dim passes the per-field
+        // cap but implies 2^40-scalar matrices: the decoder refuses it
+        // before anything sizes a model from it.
+        let mut ckpt = ModelCheckpoint::capture(&tiny_model());
+        ckpt.config.dim = 1 << 20;
+        let dir = std::env::temp_dir().join(format!("ascend-ckpt-huge-{}", std::process::id()));
+        let path = dir.join("model.ckpt");
+        ckpt.save(&path).unwrap();
+        let err = ModelCheckpoint::load(&path).unwrap_err();
+        assert!(err.to_string().contains("geometry implies more than"), "got {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_a_geometry_its_tensors_do_not_back() {
+        // dim = 1024 stays under the cap (8.4M weight scalars), but the
+        // stored tensors are the dim-8 model's: restore must refuse before
+        // `VitModel::new` allocates the 1024-wide model.
+        let mut ckpt = ModelCheckpoint::capture(&tiny_model());
+        ckpt.config.dim = 1024;
+        let dir = std::env::temp_dir().join(format!("ascend-ckpt-unbacked-{}", std::process::id()));
+        let path = dir.join("model.ckpt");
+        ckpt.save(&path).unwrap();
+        let loaded = ModelCheckpoint::load(&path).unwrap();
+        let err = loaded.restore().unwrap_err();
+        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        assert!(err.to_string().contains("needs at least"), "got {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -18,10 +18,12 @@
 //! Integrity story: the header CRC covers version/kind/count and the whole
 //! table, each payload carries its own CRC32, and the magic guards the
 //! head — so *every* single-bit flip anywhere in a file is detected, and
-//! truncation at any byte fails a bounds or CRC check. The reader never
-//! indexes unchecked and never allocates from an unvalidated length, so
-//! corrupt input yields [`ScError::CorruptArtifact`], not a panic or an
-//! OOM.
+//! truncation at any byte fails a bounds or CRC check. [`ArtifactReader`]
+//! is the one reader: opening it checks the header and table, and each
+//! [`ArtifactReader::read_section`] one payload's CRC. Neither it nor
+//! [`SectionReader`] indexes unchecked or allocates from an unvalidated
+//! length, so corrupt input yields [`ScError::CorruptArtifact`], not a
+//! panic or an OOM.
 
 use std::path::Path;
 
@@ -211,8 +213,8 @@ pub struct SectionReader<'a> {
 }
 
 impl<'a> SectionReader<'a> {
-    /// Wraps raw payload bytes (used directly in tests; artifacts hand out
-    /// readers via [`Artifact::section`]).
+    /// Wraps the payload bytes of the section tagged `tag`, as returned by
+    /// [`ArtifactReader::read_section`].
     pub fn new(tag: [u8; 4], buf: &'a [u8]) -> Self {
         SectionReader { tag, buf, pos: 0 }
     }
@@ -452,215 +454,9 @@ impl ArtifactWriter {
     }
 }
 
-/// A parsed, integrity-verified artifact.
-#[derive(Debug, Clone)]
-pub struct Artifact {
-    kind: ArtifactKind,
-    sections: Vec<([u8; 4], Vec<u8>)>,
-}
-
-impl Artifact {
-    /// Parses and fully verifies an artifact image: magic, version, kind,
-    /// header CRC, section bounds, and every payload CRC.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] describing the first failed check.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ScError> {
-        let header = bytes
-            .get(..HEADER_LEN)
-            .ok_or_else(|| corrupt(format!("file of {} bytes is shorter than the header", bytes.len())))?;
-        if header[..8] != MAGIC {
-            return Err(corrupt("bad magic — not an ASCEND artifact".into()));
-        }
-        let word =
-            |at: usize| u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let version = word(8);
-        if version != FORMAT_VERSION {
-            return Err(corrupt(format!(
-                "format version {version} unsupported (reader speaks {FORMAT_VERSION})"
-            )));
-        }
-        let kind = ArtifactKind::from_code(word(12))?;
-        let count = usize::try_from(word(16))
-            .map_err(|_| corrupt(format!("section count {} does not fit usize", word(16))))?;
-        if count > MAX_SECTIONS {
-            return Err(corrupt(format!("section count {count} exceeds the cap {MAX_SECTIONS}")));
-        }
-        let stored_header_crc = word(20);
-
-        let table_end = HEADER_LEN + count * ENTRY_LEN;
-        let table = bytes
-            .get(HEADER_LEN..table_end)
-            .ok_or_else(|| corrupt("file truncated inside the section table".into()))?;
-
-        // Recompute the header CRC over [8, 24) (with the CRC field itself
-        // zeroed via the reserved slot) + table.
-        let mut covered = Vec::with_capacity(16 + table.len());
-        covered.extend_from_slice(&bytes[8..20]);
-        covered.extend_from_slice(&0u32.to_le_bytes());
-        covered.extend_from_slice(table);
-        if crc32(&covered) != stored_header_crc {
-            return Err(corrupt("header CRC mismatch — section table corrupt".into()));
-        }
-
-        let mut sections = Vec::with_capacity(count);
-        let mut expected_offset = table_end as u64;
-        for i in 0..count {
-            let e = &table[i * ENTRY_LEN..(i + 1) * ENTRY_LEN];
-            let tag = [e[0], e[1], e[2], e[3]];
-            let crc = u32::from_le_bytes([e[4], e[5], e[6], e[7]]);
-            let offset = u64::from_le_bytes([e[8], e[9], e[10], e[11], e[12], e[13], e[14], e[15]]);
-            let len = u64::from_le_bytes([e[16], e[17], e[18], e[19], e[20], e[21], e[22], e[23]]);
-            if offset != expected_offset {
-                return Err(corrupt(format!(
-                    "section {i} at offset {offset}, expected {expected_offset}"
-                )));
-            }
-            let start = usize::try_from(offset)
-                .map_err(|_| corrupt(format!("section {i} offset {offset} out of range")))?;
-            let end = offset
-                .checked_add(len)
-                .and_then(|e| usize::try_from(e).ok())
-                .ok_or_else(|| corrupt(format!("section {i} length {len} out of range")))?;
-            let payload = bytes
-                .get(start..end)
-                .ok_or_else(|| corrupt(format!("section {i} extends past the file end")))?;
-            if crc32(payload) != crc {
-                return Err(corrupt(format!(
-                    "section `{}` payload CRC mismatch",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            sections.push((tag, payload.to_vec()));
-            expected_offset += len;
-        }
-        if expected_offset != bytes.len() as u64 {
-            return Err(corrupt(format!(
-                "file has {} bytes, sections end at {expected_offset}",
-                bytes.len()
-            )));
-        }
-        Ok(Artifact { kind, sections })
-    }
-
-    /// Reads and verifies an artifact file.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::Io`] if the file cannot be read,
-    /// [`ScError::CorruptArtifact`] if verification fails.
-    pub fn read_from(path: &Path) -> Result<Self, ScError> {
-        let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// The artifact kind.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// Errors unless the artifact is of `want` kind.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] naming both kinds.
-    pub fn expect_kind(&self, want: ArtifactKind) -> Result<(), ScError> {
-        if self.kind != want {
-            return Err(corrupt(format!("artifact is {:?}, expected {want:?}", self.kind)));
-        }
-        Ok(())
-    }
-
-    /// Tags and payload sizes, in file order (for `ascend-cli info`).
-    pub fn section_index(&self) -> Vec<(String, usize)> {
-        self.sections
-            .iter()
-            .map(|(tag, p)| (String::from_utf8_lossy(tag).into_owned(), p.len()))
-            .collect()
-    }
-
-    /// A reader over the payload of the section tagged `tag`.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] if the section is absent.
-    pub fn section(&self, tag: [u8; 4]) -> Result<SectionReader<'_>, ScError> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(t, p)| SectionReader::new(*t, p))
-            .ok_or_else(|| {
-                corrupt(format!("missing section `{}`", String::from_utf8_lossy(&tag)))
-            })
-    }
-
-    /// Whether a section is present (for optional sections).
-    pub fn has_section(&self, tag: [u8; 4]) -> bool {
-        self.sections.iter().any(|(t, _)| *t == tag)
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Lazy per-section access
+// Reading: header + table up front, one payload per request
 // ---------------------------------------------------------------------------
-
-/// Uniform read access to artifact sections.
-///
-/// Implemented by both the eager [`Artifact`] (whole file in memory, every
-/// CRC pre-verified at parse time) and the lazy [`ArtifactReader`] (header +
-/// section table only; payloads are read and CRC-checked on demand).
-/// Decoders written against this trait work identically over either, which
-/// is what lets `ScEngine::load` / `ModelCheckpoint::load` skip reading
-/// sections they never touch.
-pub trait SectionSource {
-    /// The artifact kind declared in the (verified) header.
-    fn kind(&self) -> ArtifactKind;
-
-    /// Whether a section tagged `tag` is present.
-    fn has_section(&self, tag: [u8; 4]) -> bool;
-
-    /// The integrity-verified payload bytes of the section tagged `tag`.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] if the section is absent or fails its
-    /// CRC; [`ScError::Io`] if a lazy source cannot read the file.
-    fn section_bytes(&self, tag: [u8; 4]) -> Result<std::borrow::Cow<'_, [u8]>, ScError>;
-
-    /// Errors unless the artifact is of `want` kind.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::CorruptArtifact`] naming both kinds.
-    fn expect_kind(&self, want: ArtifactKind) -> Result<(), ScError> {
-        let got = self.kind();
-        if got != want {
-            return Err(corrupt(format!("artifact is {got:?}, expected {want:?}")));
-        }
-        Ok(())
-    }
-}
-
-impl SectionSource for Artifact {
-    fn kind(&self) -> ArtifactKind {
-        Artifact::kind(self)
-    }
-
-    fn has_section(&self, tag: [u8; 4]) -> bool {
-        Artifact::has_section(self, tag)
-    }
-
-    fn section_bytes(&self, tag: [u8; 4]) -> Result<std::borrow::Cow<'_, [u8]>, ScError> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| std::borrow::Cow::Borrowed(p.as_slice()))
-            .ok_or_else(|| {
-                corrupt(format!("missing section `{}`", String::from_utf8_lossy(&tag)))
-            })
-    }
-}
 
 /// One verified section-table entry held by an [`ArtifactReader`].
 #[derive(Debug, Clone, Copy)]
@@ -671,16 +467,18 @@ struct TableEntry {
     len: u64,
 }
 
-/// A lazily-reading artifact handle: opening it reads and verifies only the
-/// 24-byte header and the section table (magic, version, kind, count, header
-/// CRC, contiguous offsets, exact file length), **not** the payloads.
-/// [`ArtifactReader::read_section`] then reads exactly one payload from disk
-/// and validates only that section's CRC — so loading a model whose decoder
-/// touches 4 of 10 sections pays the i/o and checksum cost of 4.
+/// An artifact handle — the one way artifacts are read. Opening it reads
+/// and verifies only the 24-byte header and the section table (magic,
+/// version, kind, count, header CRC, contiguous offsets, unique tags, exact
+/// file length), **not** the payloads. [`ArtifactReader::read_section`]
+/// then reads exactly one payload from disk and validates that section's
+/// CRC — so a decoder pays the i/o and checksum cost of the sections it
+/// reads, and a caller that reads every section in
+/// [`ArtifactReader::section_index`] has checked every byte of the file.
 ///
 /// A missing file surfaces as [`ScError::Io`] with `not_found: true` (an
 /// HTTP registry maps that to 404); any malformed structure surfaces as
-/// [`ScError::CorruptArtifact`] exactly as [`Artifact::from_bytes`] would.
+/// [`ScError::CorruptArtifact`].
 #[derive(Debug)]
 pub struct ArtifactReader {
     path: std::path::PathBuf,
@@ -738,7 +536,7 @@ impl ArtifactReader {
         (&file).read_exact(&mut table).map_err(|e| io_err(path, e))?;
 
         // Header CRC over [8, 24) (CRC field zeroed via the reserved slot)
-        // + table — same coverage as `Artifact::from_bytes`.
+        // + table.
         let mut covered = Vec::with_capacity(16 + table_len);
         covered.extend_from_slice(&header[8..20]);
         covered.extend_from_slice(&0u32.to_le_bytes());
@@ -747,7 +545,7 @@ impl ArtifactReader {
             return Err(corrupt("header CRC mismatch — section table corrupt".into()));
         }
 
-        let mut entries = Vec::with_capacity(count);
+        let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
         let mut expected_offset = (HEADER_LEN + table_len) as u64;
         for i in 0..count {
             let e = &table[i * ENTRY_LEN..(i + 1) * ENTRY_LEN];
@@ -759,6 +557,11 @@ impl ArtifactReader {
                 return Err(corrupt(format!(
                     "section {i} at offset {offset}, expected {expected_offset}"
                 )));
+            }
+            // A lookup finds a tag's first entry, so a repeat hides a payload.
+            if entries.iter().any(|seen| seen.tag == tag) {
+                let tag = String::from_utf8_lossy(&tag);
+                return Err(corrupt(format!("section `{tag}` appears twice")));
             }
             expected_offset = offset
                 .checked_add(len)
@@ -784,9 +587,16 @@ impl ArtifactReader {
         self.kind
     }
 
-    /// The path this reader was opened on.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Errors unless the artifact is of `want` kind.
+    ///
+    /// # Errors
+    ///
+    /// [`ScError::CorruptArtifact`] naming both kinds.
+    pub fn expect_kind(&self, want: ArtifactKind) -> Result<(), ScError> {
+        if self.kind != want {
+            return Err(corrupt(format!("artifact is {:?}, expected {want:?}", self.kind)));
+        }
+        Ok(())
     }
 
     /// Whether a section is present (table lookup — no payload read).
@@ -795,23 +605,11 @@ impl ArtifactReader {
     }
 
     /// Tags and payload sizes, in file order (for `ascend-cli info`).
-    pub fn section_index(&self) -> Vec<(String, usize)> {
+    pub fn section_index(&self) -> Vec<([u8; 4], usize)> {
         self.entries
             .iter()
-            .map(|e| {
-                (
-                    String::from_utf8_lossy(&e.tag).into_owned(),
-                    usize::try_from(e.len).unwrap_or(usize::MAX),
-                )
-            })
+            .map(|e| (e.tag, usize::try_from(e.len).unwrap_or(usize::MAX)))
             .collect()
-    }
-
-    /// Total payload bytes across all sections — a cheap upper-bound
-    /// estimate of what a full load would materialize, available before
-    /// any payload is read (a registry can budget-check against it).
-    pub fn total_payload_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len).sum()
     }
 
     /// Reads exactly the payload of the section tagged `tag` from disk and
@@ -856,20 +654,6 @@ impl ArtifactReader {
     }
 }
 
-impl SectionSource for ArtifactReader {
-    fn kind(&self) -> ArtifactKind {
-        ArtifactReader::kind(self)
-    }
-
-    fn has_section(&self, tag: [u8; 4]) -> bool {
-        ArtifactReader::has_section(self, tag)
-    }
-
-    fn section_bytes(&self, tag: [u8; 4]) -> Result<std::borrow::Cow<'_, [u8]>, ScError> {
-        self.read_section(tag).map(std::borrow::Cow::Owned)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,38 +680,48 @@ mod tests {
         w
     }
 
+    /// Writes `w` into a unique temp dir and returns the path.
+    fn on_disk(name: &str, w: &ArtifactWriter) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ascend-io-{}-{name}", std::process::id()));
+        let path = dir.join("t.art");
+        w.write_to(&path).unwrap();
+        path
+    }
+
     #[test]
     fn roundtrip_preserves_every_field_bit_exactly() {
-        let bytes = tiny_artifact().to_bytes();
-        let art = Artifact::from_bytes(&bytes).unwrap();
-        assert_eq!(art.kind(), ArtifactKind::ModelCheckpoint);
-        assert!(art.has_section(*b"TST1"));
-        assert!(!art.has_section(*b"NOPE"));
-        let mut r = art.section(*b"TST1").unwrap();
+        let path = on_disk("roundtrip", &tiny_artifact());
+        let rd = ArtifactReader::open(&path).unwrap();
+        assert_eq!(rd.kind(), ArtifactKind::ModelCheckpoint);
+        assert!(rd.has_section(*b"TST1"));
+        assert!(!rd.has_section(*b"NOPE"));
+        let buf = rd.read_section(*b"TST1").unwrap();
+        let mut r = SectionReader::new(*b"TST1", &buf);
         assert_eq!(r.get_u32().unwrap(), 7);
         assert_eq!(r.get_f64().unwrap().to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(r.get_f32_slice().unwrap(), vec![1.0, -2.5, 3.25]);
         let t = r.get_tensor().unwrap();
         assert_eq!(t, Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
         r.expect_end().unwrap();
-        let mut r2 = art.section(*b"TST2").unwrap();
+        let buf = rd.read_section(*b"TST2").unwrap();
+        let mut r2 = SectionReader::new(*b"TST2", &buf);
         assert_eq!(r2.get_usize_slice().unwrap(), vec![4, 5, 6]);
         r2.expect_end().unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn missing_section_and_wrong_kind_are_typed_errors() {
-        let bytes = tiny_artifact().to_bytes();
-        let art = Artifact::from_bytes(&bytes).unwrap();
+        let path = on_disk("missing-section", &tiny_artifact());
+        let rd = ArtifactReader::open(&path).unwrap();
+        assert!(!rd.has_section(*b"NOPE"));
+        assert!(matches!(rd.read_section(*b"NOPE"), Err(ScError::CorruptArtifact { .. })));
+        assert!(rd.expect_kind(ArtifactKind::ModelCheckpoint).is_ok());
         assert!(matches!(
-            art.section(*b"NOPE"),
+            rd.expect_kind(ArtifactKind::Engine),
             Err(ScError::CorruptArtifact { .. })
         ));
-        assert!(art.expect_kind(ArtifactKind::ModelCheckpoint).is_ok());
-        assert!(matches!(
-            art.expect_kind(ArtifactKind::Engine),
-            Err(ScError::CorruptArtifact { .. })
-        ));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -953,47 +747,20 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_then_read_from_disk() {
-        let dir = std::env::temp_dir().join(format!("ascend-io-test-{}", std::process::id()));
-        let path = dir.join("t.art");
-        tiny_artifact().write_to(&path).unwrap();
-        let art = Artifact::read_from(&path).unwrap();
-        assert_eq!(art.section_index(), vec![("TST1".to_string(), 80), ("TST2".to_string(), 32)]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_from_missing_file_is_io_error() {
-        let err = Artifact::read_from(Path::new("/nonexistent/ascend/artifact")).unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }));
-    }
-
-    /// Writes `tiny_artifact` into a unique temp dir and returns the path.
-    fn on_disk(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ascend-io-lazy-{}-{name}",
-            std::process::id()
-        ));
-        let path = dir.join("t.art");
-        tiny_artifact().write_to(&path).unwrap();
-        path
+    fn atomic_write_then_reopen_from_disk() {
+        let path = on_disk("atomic", &tiny_artifact());
+        let rd = ArtifactReader::open(&path).unwrap();
+        assert_eq!(rd.section_index(), vec![(*b"TST1", 80), (*b"TST2", 32)]);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn lazy_reader_roundtrips_sections_bit_exactly() {
-        let path = on_disk("roundtrip");
+        let w = tiny_artifact();
+        let path = on_disk("roundtrip-bytes", &w);
         let rd = ArtifactReader::open(&path).unwrap();
-        assert_eq!(rd.kind(), ArtifactKind::ModelCheckpoint);
-        assert!(rd.has_section(*b"TST1"));
-        assert!(!rd.has_section(*b"NOPE"));
-        assert_eq!(rd.section_index(), vec![("TST1".to_string(), 80), ("TST2".to_string(), 32)]);
-        assert_eq!(rd.total_payload_bytes(), 112);
-
-        let eager = Artifact::read_from(&path).unwrap();
-        for tag in [*b"TST1", *b"TST2"] {
-            let lazy_bytes = rd.read_section(tag).unwrap();
-            let eager_bytes = eager.section_bytes(tag).unwrap();
-            assert_eq!(lazy_bytes.as_slice(), eager_bytes.as_ref());
+        for (tag, payload) in &w.sections {
+            assert_eq!(&rd.read_section(*tag).unwrap(), payload);
         }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -1006,7 +773,7 @@ mod tests {
 
     #[test]
     fn lazy_reader_missing_section_is_a_typed_corruption_error() {
-        let path = on_disk("missing-section");
+        let path = on_disk("missing-section-lazy", &tiny_artifact());
         let rd = ArtifactReader::open(&path).unwrap();
         assert!(matches!(rd.read_section(*b"NOPE"), Err(ScError::CorruptArtifact { .. })));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -1014,19 +781,15 @@ mod tests {
 
     #[test]
     fn lazy_reader_validates_only_the_requested_sections_crc() {
-        // Flip a payload bit inside TST2. The eager reader rejects the whole
-        // file; the lazy reader still serves TST1 (whose CRC is intact) and
-        // only fails when TST2 itself is requested.
-        let path = on_disk("one-bad-section");
+        // Flip a payload bit inside TST2: the reader still serves TST1
+        // (whose CRC is intact) and only fails when TST2 itself is
+        // requested.
+        let path = on_disk("one-bad-section", &tiny_artifact());
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1; // final byte lives in TST2's payload
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        assert!(matches!(
-            Artifact::read_from(&path),
-            Err(ScError::CorruptArtifact { .. })
-        ));
         let rd = ArtifactReader::open(&path).unwrap();
         assert!(rd.read_section(*b"TST1").is_ok());
         assert!(matches!(rd.read_section(*b"TST2"), Err(ScError::CorruptArtifact { .. })));
@@ -1035,7 +798,7 @@ mod tests {
 
     #[test]
     fn lazy_reader_rejects_corrupt_table_and_truncation_at_open() {
-        let path = on_disk("bad-table");
+        let path = on_disk("bad-table", &tiny_artifact());
         let good = std::fs::read(&path).unwrap();
 
         // Corrupt a table byte: header CRC must fail at open.
@@ -1065,23 +828,14 @@ mod tests {
     }
 
     #[test]
-    fn section_source_is_object_safe_and_uniform_over_both_readers() {
-        let path = on_disk("object-safe");
-        let eager = Artifact::read_from(&path).unwrap();
-        let lazy = ArtifactReader::open(&path).unwrap();
-        let sources: Vec<&dyn SectionSource> = vec![&eager, &lazy];
-        for src in sources {
-            assert_eq!(SectionSource::kind(src), ArtifactKind::ModelCheckpoint);
-            src.expect_kind(ArtifactKind::ModelCheckpoint).unwrap();
-            assert!(matches!(
-                src.expect_kind(ArtifactKind::Engine),
-                Err(ScError::CorruptArtifact { .. })
-            ));
-            let buf = src.section_bytes(*b"TST2").unwrap();
-            let mut r = SectionReader::new(*b"TST2", &buf);
-            assert_eq!(r.get_usize_slice().unwrap(), vec![4, 5, 6]);
-            r.expect_end().unwrap();
-        }
+    fn a_repeated_section_tag_is_rejected_at_open() {
+        // Only the first `TST1` could ever be read, so the second payload
+        // would escape every CRC check: the table itself is malformed.
+        let mut w = tiny_artifact();
+        w.add_section(*b"TST1", SectionWriter::new());
+        let path = on_disk("repeated-tag", &w);
+        let err = ArtifactReader::open(&path).unwrap_err();
+        assert!(err.to_string().contains("appears twice"), "got {err}");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

@@ -56,25 +56,28 @@
 //! Readers reject unknown magic/version/kind, any out-of-bounds section,
 //! and any CRC mismatch with a typed [`sc_core::ScError::CorruptArtifact`]
 //! — `crates/io/tests/corruption.rs` proves every truncation and bit flip
-//! is caught.
+//! is caught, and that arbitrary bytes or a re-sealed damaged section give
+//! `Ok` or a typed error, never a panic.
 //!
-//! ## Multi-model registry & lazy sections
+//! ## One reader, lazy sections
 //!
 //! The section table already carries every payload's offset, length, and
 //! CRC, so a reader does not have to materialize the whole file to decode a
-//! model. Two access paths share one decoder via the
-//! [`format::SectionSource`] trait:
+//! model. Every load path — `Session`, `load_backend`, `ascend-registry`,
+//! [`checkpoint::ModelCheckpoint::load`], `ScEngine::load` — goes through
+//! the one reader, [`format::ArtifactReader`]:
 //!
-//! * [`format::Artifact`] — **eager**: `read_from` slurps the file and
-//!   verifies every CRC up front. Right for one-shot tools (`info`,
-//!   `eval`) and for corruption tests.
-//! * [`format::ArtifactReader`] — **lazy**: `open` reads and verifies only
-//!   the 24-byte header + table (magic, version, kind, count, header CRC,
-//!   contiguous offsets, exact file length);
-//!   [`format::ArtifactReader::read_section`] then reads one payload from
-//!   disk and validates only that section's CRC. Cold-loading a model in
-//!   `ascend-registry` touches exactly the sections its decoder asks for,
-//!   so load time is dominated by i/o, not whole-file checksumming.
+//! * [`format::ArtifactReader::open`] reads and verifies only the 24-byte
+//!   header + table (magic, version, kind, count, header CRC, contiguous
+//!   offsets, unique tags, exact file length);
+//! * [`format::ArtifactReader::read_section`] then reads one payload from
+//!   disk and validates only that section's CRC.
+//!
+//! The decoders (`from_reader`) read every section of their kind, so a
+//! load checks every byte it uses; `ascend-cli info` reads every section
+//! in [`format::ArtifactReader::section_index`], so it checks every byte
+//! of the file. Cold-loading a model in `ascend-registry` pays for the
+//! sections its decoder asks for, not for whole-file checksumming.
 //!
 //! A missing file surfaces as [`sc_core::ScError::Io`] with
 //! `not_found: true` (the registry's HTTP routes map it to 404); structural
@@ -92,7 +95,4 @@ pub mod checkpoint;
 pub mod format;
 
 pub use checkpoint::{CalibBatch, ModelCheckpoint};
-pub use format::{
-    Artifact, ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionSource,
-    SectionWriter,
-};
+pub use format::{ArtifactKind, ArtifactReader, ArtifactWriter, SectionReader, SectionWriter};

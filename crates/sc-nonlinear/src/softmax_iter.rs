@@ -38,6 +38,17 @@ use sc_core::encoding::Thermometer;
 use sc_core::rescale::{align_scale, resample_tap, rescale, truncate_center, RescaleMode};
 use sc_core::{bsn, ttmul, ScError, ThermStream};
 
+/// Longest internal stream (in bits), and so longest compiled table, a
+/// block may have. Lengths are computed overflow-free, since a
+/// configuration may come from an artifact. 2^20 is 256× the longest
+/// Fig. 8 stream (`w_len` = 4096 at m = 128, Bx = 4, By = 16, s1 = 8).
+pub const MAX_STREAM_LEN: usize = 1 << 20;
+
+/// Most iterations `k` a block may run. Every row costs `k` steps, so an
+/// unbounded `k` read from an artifact could stall a forward for good;
+/// 1024 is far above the paper's `k` ≤ 4 (Fig. 8).
+pub const MAX_ITERATIONS: usize = 1024;
+
 /// Float-exact Algorithm 1: `k` Euler steps from the uniform vector.
 ///
 /// This is the *algorithmic* approximation the circuit then quantizes; the
@@ -113,9 +124,9 @@ impl Default for IterSoftmaxConfig {
 }
 
 impl IterSoftmaxConfig {
-    /// Basic sanity checks (positivity, parity), including that every
-    /// scale the datapath derives from `αx`, `αy`, `s1`, `s2` and `k` is
-    /// finite and positive.
+    /// Basic sanity checks (positivity, parity, `k` ≤ [`MAX_ITERATIONS`]),
+    /// including that every scale the datapath derives from `αx`, `αy`,
+    /// `s1`, `s2` and `k` is finite and positive.
     ///
     /// # Errors
     ///
@@ -125,8 +136,9 @@ impl IterSoftmaxConfig {
         if self.m == 0 {
             return Err(fail("m", "row length must be non-zero".into()));
         }
-        if self.k == 0 {
-            return Err(fail("k", "iteration count must be non-zero".into()));
+        if self.k == 0 || self.k > MAX_ITERATIONS {
+            let reason = format!("iteration count {} is outside [1, {MAX_ITERATIONS}]", self.k);
+            return Err(fail("k", reason));
         }
         for (name, v) in [("bx", self.bx), ("by", self.by)] {
             if v == 0 || v % 2 != 0 {
@@ -162,27 +174,31 @@ impl IterSoftmaxConfig {
     /// `sum(z)` and leave an even, non-zero width `W`, and `s2` must do the
     /// same for the `By·W/2`-bit `y·sum(z)`. These are exactly
     /// [`rescale`]'s conditions; the rule reads stream lengths only, never
-    /// `αx` or `αy`.
+    /// `αx` or `αy`. Both stream lengths must also fit [`MAX_STREAM_LEN`].
     ///
     /// # Errors
     ///
-    /// Returns [`ScError::InvalidParam`] naming the first rate that fails.
+    /// Returns [`ScError::InvalidParam`] naming the first rate that fails
+    /// or the first stream that overflows or exceeds the cap.
     pub fn check_rates(&self) -> Result<(), ScError> {
-        let sum_sub = sub_sampled_len("s1", self.m * self.bx * self.by / 2, self.s1)?;
-        sub_sampled_len("s2", self.by * sum_sub / 2, self.s2)?;
+        let sum_len = self.m.checked_mul(self.bx).and_then(|n| n.checked_mul(self.by));
+        let sum_sub = sub_sampled_len("s1", sum_len.map(|n| n / 2), self.s1)?;
+        sub_sampled_len("s2", self.by.checked_mul(sum_sub).map(|n| n / 2), self.s2)?;
         Ok(())
     }
 }
 
 /// The width [`rescale`] leaves when it sub-samples a `len`-bit stream by
-/// `s`, if `s` divides `len` into an even, non-zero width.
-fn sub_sampled_len(name: &'static str, len: usize, s: usize) -> Result<usize, ScError> {
+/// `s`, if `len` neither overflowed (`None`) nor exceeds [`MAX_STREAM_LEN`]
+/// and `s` divides it into an even, non-zero width.
+fn sub_sampled_len(name: &'static str, len: Option<usize>, s: usize) -> Result<usize, ScError> {
+    let fail = |reason| Err(ScError::InvalidParam { name, reason });
+    let Some(len) = len.filter(|&n| n <= MAX_STREAM_LEN) else {
+        return fail(format!("the stream rate {s} samples exceeds the {MAX_STREAM_LEN}-bit cap"));
+    };
     match len.checked_div(s) {
         Some(out) if len.is_multiple_of(s) && out > 0 && out.is_multiple_of(2) => Ok(out),
-        _ => Err(ScError::InvalidParam {
-            name,
-            reason: format!("rate {s} does not divide {len} bits into an even, non-zero width"),
-        }),
+        _ => fail(format!("rate {s} does not divide {len} bits into an even, non-zero width")),
     }
 }
 
@@ -237,13 +253,14 @@ impl IterSoftmaxBlock {
     /// # Errors
     ///
     /// Returns [`ScError::InvalidParam`] if validation or the sub-sample
-    /// rate check fails.
+    /// rate check fails, or a `÷k` re-scaled stream would exceed
+    /// [`MAX_STREAM_LEN`].
     pub fn new(config: IterSoftmaxConfig) -> Result<Self, ScError> {
         config.validate()?;
         config.check_rates()?;
         let in_codec = Thermometer::new(config.bx, config.ax)?;
         let state_codec = Thermometer::new(config.by, config.ay)?;
-        let program = Program::compile(&config);
+        let program = Program::compile(&config)?;
         Ok(IterSoftmaxBlock { config, in_codec, state_codec, program })
     }
 
@@ -484,9 +501,18 @@ impl SubSample {
 /// that position is below `ones`. Tap positions are non-decreasing in
 /// `j`, so the count is non-decreasing in `ones` and one sweep over both
 /// builds the whole table in `O(len + out_len)`.
-fn align_table(len: usize, scale: f64, target: f64, mode: RescaleMode) -> (usize, Vec<i64>) {
-    let ideal = scale * len as f64 / target;
-    let out_len = ((ideal / 2.0).round() as usize * 2).max(2);
+fn align_table(
+    len: usize,
+    scale: f64,
+    target: f64,
+    mode: RescaleMode,
+) -> Result<(usize, Vec<i64>), ScError> {
+    let half = (scale * len as f64 / target / 2.0).round();
+    if half > (MAX_STREAM_LEN / 2) as f64 {
+        let reason = format!("a ÷k re-scale needs {} bits, over the cap", 2.0 * half);
+        return Err(ScError::InvalidParam { name: "ax/ay", reason });
+    }
+    let out_len = (half as usize * 2).max(2);
     let out_half = (out_len / 2) as i64;
     let mut count = 0;
     let table = (0..=len)
@@ -497,7 +523,7 @@ fn align_table(len: usize, scale: f64, target: f64, mode: RescaleMode) -> (usize
             count as i64 - out_half
         })
         .collect();
-    (out_len, table)
+    Ok((out_len, table))
 }
 
 /// Thermometer level of `x` at `scale`: rounded, then clamped to
@@ -536,12 +562,13 @@ struct Program {
 }
 
 impl Program {
-    /// Compiles a configuration that passed `validate` and `check_rates`. Lengths
+    /// Compiles a configuration that passed `validate` and `check_rates`
+    /// (so no stream length below overflows or exceeds the cap). Lengths
     /// and scales follow the bit-level ops: a truth-table multiply halves
     /// the product of the lengths and multiplies the scales, a BSN adds
     /// lengths at a shared scale, a sub-sample by `s` divides the length
     /// and multiplies the scale by `s`.
-    fn compile(c: &IterSoftmaxConfig) -> Program {
+    fn compile(c: &IterSoftmaxConfig) -> Result<Program, ScError> {
         let y_half = (c.by / 2) as i64;
         let y0 = quantize(1.0 / c.m as f64, c.ay, y_half as f64);
         // MUL① then BSN① and s1.
@@ -556,9 +583,9 @@ impl Program {
         let w_scale = c.ay * sum_scale * c.s2 as f64;
         // ÷k by scale folding, then align onto αy.
         let k = c.k as f64;
-        let (zk_len, zk) = align_table(z_len, z_scale / k, c.ay, c.mode);
-        let (wk_len, wk) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode);
-        Program {
+        let (zk_len, zk) = align_table(z_len, z_scale / k, c.ay, c.mode)?;
+        let (wk_len, wk) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode)?;
+        Ok(Program {
             k: c.k,
             ax: c.ax,
             x_half: (c.bx / 2) as f64,
@@ -581,7 +608,7 @@ impl Program {
                 wk_len,
                 acc_len: c.by + zk_len + wk_len,
             },
-        }
+        })
     }
 
     /// Input level of logit `v`.
@@ -719,6 +746,69 @@ mod tests {
             mode: RescaleMode::Round,
         };
         assert!(IterSoftmaxBlock::new(cfg).is_err());
+    }
+
+    /// Asserts `cfg` is refused with a typed error at both gates.
+    fn assert_refused(cfg: IterSoftmaxConfig) {
+        let err = IterSoftmaxBlock::new(cfg).unwrap_err();
+        assert!(matches!(err, ScError::InvalidParam { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn an_overflowing_stream_length_is_a_typed_error() {
+        // m·Bx·By = 2^80 overflows 64 bits.
+        let cfg = IterSoftmaxConfig {
+            m: 1 << 40,
+            bx: 1 << 20,
+            by: 1 << 20,
+            s1: 1,
+            s2: 1,
+            ..Default::default()
+        };
+        assert!(matches!(cfg.check_rates(), Err(ScError::InvalidParam { .. })));
+        assert_refused(cfg);
+    }
+
+    #[test]
+    fn a_table_longer_than_the_cap_is_refused_before_it_is_built() {
+        // m = 2^44, Bx = By = 2 passes the divisibility rule but asks for
+        // 2^45-bit streams: a 2^45-entry `y·sum(z)/k` table.
+        let cfg =
+            IterSoftmaxConfig { m: 1 << 44, bx: 2, by: 2, s1: 1, s2: 1, ..Default::default() };
+        assert!(matches!(cfg.check_rates(), Err(ScError::InvalidParam { .. })));
+        assert_refused(cfg);
+        // Exactly at the cap stays feasible.
+        let at_cap = IterSoftmaxConfig { m: MAX_STREAM_LEN / 2, bx: 2, by: 2, s1: 2, s2: 2, ..cfg };
+        assert!(at_cap.check_rates().is_ok());
+        let over = IterSoftmaxConfig { m: MAX_STREAM_LEN / 2 + 1, ..at_cap };
+        assert!(over.check_rates().is_err());
+    }
+
+    #[test]
+    fn a_huge_input_scale_cannot_size_a_rescale_table() {
+        // αx = 1e300 passes `validate` (every derived scale is finite), but
+        // the z/k leg re-scaled onto αy would need ~1e300 bits.
+        let cfg = IterSoftmaxConfig {
+            m: 4,
+            bx: 2,
+            by: 2,
+            ax: 1e300,
+            ay: 1.0,
+            s1: 1,
+            s2: 1,
+            ..Default::default()
+        };
+        cfg.validate().unwrap();
+        cfg.check_rates().unwrap();
+        assert_refused(cfg);
+    }
+
+    #[test]
+    fn an_iteration_count_beyond_the_cap_is_refused() {
+        let at_cap = IterSoftmaxConfig { k: MAX_ITERATIONS, ..Default::default() };
+        assert!(at_cap.validate().is_ok());
+        assert_refused(IterSoftmaxConfig { k: MAX_ITERATIONS + 1, ..at_cap });
+        assert_refused(IterSoftmaxConfig { k: 1 << 40, ..at_cap });
     }
 
     /// The 2916-point Fig. 8 grid, as `crates/bench/src/bin/fig8_dse.rs`
