@@ -181,7 +181,13 @@ impl ModelCheckpoint {
             None
         };
 
-        Ok(ModelCheckpoint { config, plan, params, norm_states, calib })
+        Ok(ModelCheckpoint {
+            config,
+            plan,
+            params,
+            norm_states,
+            calib,
+        })
     }
 
     /// Writes the checkpoint to `path` (atomic temp-file + rename).
@@ -234,14 +240,22 @@ pub fn check_config(cfg: &VitConfig) -> Result<(), ScError> {
     ];
     for (name, v) in fields {
         if v == 0 || v > CAP {
-            return Err(corrupt(format!("config field {name} = {v} out of range [1, {CAP}]")));
+            return Err(corrupt(format!(
+                "config field {name} = {v} out of range [1, {CAP}]"
+            )));
         }
     }
     if !cfg.image.is_multiple_of(cfg.patch) {
-        return Err(corrupt(format!("patch {} must divide image {}", cfg.patch, cfg.image)));
+        return Err(corrupt(format!(
+            "patch {} must divide image {}",
+            cfg.patch, cfg.image
+        )));
     }
     if !cfg.dim.is_multiple_of(cfg.heads) {
-        return Err(corrupt(format!("heads {} must divide dim {}", cfg.heads, cfg.dim)));
+        return Err(corrupt(format!(
+            "heads {} must divide dim {}",
+            cfg.heads, cfg.dim
+        )));
     }
     geometry_scalars(cfg).map(|_| ())
 }
@@ -252,10 +266,14 @@ pub fn check_config(cfg: &VitConfig) -> Result<(), ScError> {
 /// per-field caps of [`check_config`] keep the unchecked sums far from overflow.
 fn geometry_scalars(cfg: &VitConfig) -> Result<usize, ScError> {
     let (d, seq) = (cfg.dim, cfg.seq_len());
-    let per_layer = d.checked_mul(d).and_then(|dd| dd.checked_mul(2 * cfg.mlp_ratio + 4));
+    let per_layer = d
+        .checked_mul(d)
+        .and_then(|dd| dd.checked_mul(2 * cfg.mlp_ratio + 4));
     let embed = (cfg.patch_dim() + seq + cfg.classes).checked_mul(d);
     let weights = per_layer.and_then(|l| l.checked_mul(cfg.layers)?.checked_add(embed?));
-    let scores = seq.checked_mul(seq).and_then(|s2| s2.checked_mul(cfg.heads));
+    let scores = seq
+        .checked_mul(seq)
+        .and_then(|s2| s2.checked_mul(cfg.heads));
     match (weights, scores) {
         (Some(w), Some(s)) if w.max(s) <= MAX_GEOMETRY_SCALARS => Ok(w),
         _ => Err(corrupt(format!(
@@ -400,7 +418,9 @@ mod tests {
     fn fake_patches(cfg: &VitConfig, batch: usize) -> Tensor {
         let n = batch * cfg.num_patches() * cfg.patch_dim();
         Tensor::from_vec(
-            (0..n).map(|i| ((i * 31 % 97) as f32 - 48.0) / 48.0).collect(),
+            (0..n)
+                .map(|i| ((i * 31 % 97) as f32 - 48.0) / 48.0)
+                .collect(),
             &[batch * cfg.num_patches(), cfg.patch_dim()],
         )
     }
@@ -450,7 +470,16 @@ mod tests {
     #[test]
     fn load_from_missing_path_is_a_not_found_io_error() {
         let err = ModelCheckpoint::load(Path::new("/nonexistent/ascend/model.ckpt")).unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -458,10 +487,16 @@ mod tests {
         let model = tiny_model();
         let mut ckpt = ModelCheckpoint::capture(&model);
         ckpt.config.patch = 3; // does not divide image = 8
-        assert!(matches!(ckpt.restore(), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            ckpt.restore(),
+            Err(ScError::CorruptArtifact { .. })
+        ));
         ckpt.config.patch = 4;
         ckpt.params.pop();
-        assert!(matches!(ckpt.restore(), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            ckpt.restore(),
+            Err(ScError::CorruptArtifact { .. })
+        ));
     }
 
     #[test]
@@ -475,7 +510,10 @@ mod tests {
         let path = dir.join("model.ckpt");
         ckpt.save(&path).unwrap();
         let err = ModelCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("geometry implies more than"), "got {err}");
+        assert!(
+            err.to_string().contains("geometry implies more than"),
+            "got {err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -491,7 +529,10 @@ mod tests {
         ckpt.save(&path).unwrap();
         let loaded = ModelCheckpoint::load(&path).unwrap();
         let err = loaded.restore().unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
         assert!(err.to_string().contains("needs at least"), "got {err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -97,7 +97,11 @@ fn crc_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -229,8 +233,14 @@ impl<'a> SectionReader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ScError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.truncated(what))?;
-        let bytes = self.buf.get(self.pos..end).ok_or_else(|| self.truncated(what))?;
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or_else(|| self.truncated(what))?;
+        let bytes = self
+            .buf
+            .get(self.pos..end)
+            .ok_or_else(|| self.truncated(what))?;
         self.pos = end;
         Ok(bytes)
     }
@@ -283,7 +293,9 @@ impl<'a> SectionReader<'a> {
     /// [`ScError::CorruptArtifact`] on truncation.
     pub fn get_u64(&mut self) -> Result<u64, ScError> {
         let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
     }
 
     /// Reads a `u64` and converts to `usize`.
@@ -323,7 +335,9 @@ impl<'a> SectionReader<'a> {
     /// allocation).
     pub fn get_f32_slice(&mut self) -> Result<Vec<f32>, ScError> {
         let n = self.get_usize()?;
-        if n.checked_mul(4).is_none_or(|bytes| bytes > self.remaining()) {
+        if n.checked_mul(4)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
             return Err(self.truncated("f32 slice"));
         }
         (0..n).map(|_| self.get_f32()).collect()
@@ -337,7 +351,9 @@ impl<'a> SectionReader<'a> {
     /// allocation).
     pub fn get_usize_slice(&mut self) -> Result<Vec<usize>, ScError> {
         let n = self.get_usize()?;
-        if n.checked_mul(8).is_none_or(|bytes| bytes > self.remaining()) {
+        if n.checked_mul(8)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
             return Err(self.truncated("usize slice"));
         }
         (0..n).map(|_| self.get_usize()).collect()
@@ -352,7 +368,9 @@ impl<'a> SectionReader<'a> {
     pub fn get_tensor(&mut self) -> Result<ascend_tensor::Tensor, ScError> {
         let shape = self.get_usize_slice()?;
         let n = self.get_usize()?;
-        if n.checked_mul(4).is_none_or(|bytes| bytes > self.remaining()) {
+        if n.checked_mul(4)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
             return Err(self.truncated("tensor data"));
         }
         let data: Vec<f32> = (0..n).map(|_| self.get_f32()).collect::<Result<_, _>>()?;
@@ -374,7 +392,10 @@ pub struct ArtifactWriter {
 impl ArtifactWriter {
     /// Starts an artifact of the given kind.
     pub fn new(kind: ArtifactKind) -> Self {
-        ArtifactWriter { kind, sections: Vec::new() }
+        ArtifactWriter {
+            kind,
+            sections: Vec::new(),
+        }
     }
 
     /// Appends a section.
@@ -507,7 +528,9 @@ impl ArtifactReader {
         }
 
         let mut header = [0u8; HEADER_LEN];
-        (&file).read_exact(&mut header).map_err(|e| io_err(path, e))?;
+        (&file)
+            .read_exact(&mut header)
+            .map_err(|e| io_err(path, e))?;
         if header[..8] != MAGIC {
             return Err(corrupt("bad magic — not an ASCEND artifact".into()));
         }
@@ -524,7 +547,9 @@ impl ArtifactReader {
         let count = usize::try_from(word(16))
             .map_err(|_| corrupt(format!("section count {} does not fit usize", word(16))))?;
         if count > MAX_SECTIONS {
-            return Err(corrupt(format!("section count {count} exceeds the cap {MAX_SECTIONS}")));
+            return Err(corrupt(format!(
+                "section count {count} exceeds the cap {MAX_SECTIONS}"
+            )));
         }
         let stored_header_crc = word(20);
 
@@ -533,7 +558,9 @@ impl ArtifactReader {
             return Err(corrupt("file truncated inside the section table".into()));
         }
         let mut table = vec![0u8; table_len];
-        (&file).read_exact(&mut table).map_err(|e| io_err(path, e))?;
+        (&file)
+            .read_exact(&mut table)
+            .map_err(|e| io_err(path, e))?;
 
         // Header CRC over [8, 24) (CRC field zeroed via the reserved slot)
         // + table.
@@ -542,7 +569,9 @@ impl ArtifactReader {
         covered.extend_from_slice(&0u32.to_le_bytes());
         covered.extend_from_slice(&table);
         if crc32(&covered) != stored_header_crc {
-            return Err(corrupt("header CRC mismatch — section table corrupt".into()));
+            return Err(corrupt(
+                "header CRC mismatch — section table corrupt".into(),
+            ));
         }
 
         let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
@@ -566,7 +595,12 @@ impl ArtifactReader {
             expected_offset = offset
                 .checked_add(len)
                 .ok_or_else(|| corrupt(format!("section {i} length {len} out of range")))?;
-            entries.push(TableEntry { tag, crc, offset, len });
+            entries.push(TableEntry {
+                tag,
+                crc,
+                offset,
+                len,
+            });
         }
         if expected_offset != file_len {
             return Err(corrupt(format!(
@@ -594,7 +628,10 @@ impl ArtifactReader {
     /// [`ScError::CorruptArtifact`] naming both kinds.
     pub fn expect_kind(&self, want: ArtifactKind) -> Result<(), ScError> {
         if self.kind != want {
-            return Err(corrupt(format!("artifact is {:?}, expected {want:?}", self.kind)));
+            return Err(corrupt(format!(
+                "artifact is {:?}, expected {want:?}",
+                self.kind
+            )));
         }
         Ok(())
     }
@@ -628,7 +665,10 @@ impl ArtifactReader {
             .find(|e| e.tag == tag)
             .copied()
             .ok_or_else(|| {
-                corrupt(format!("missing section `{}`", String::from_utf8_lossy(&tag)))
+                corrupt(format!(
+                    "missing section `{}`",
+                    String::from_utf8_lossy(&tag)
+                ))
             })?;
         let len = usize::try_from(entry.len)
             .map_err(|_| corrupt(format!("section payload length {} out of range", entry.len)))?;
@@ -642,7 +682,8 @@ impl ArtifactReader {
             };
             file.seek(SeekFrom::Start(entry.offset))
                 .map_err(|e| io_err(&self.path, e))?;
-            file.read_exact(&mut payload).map_err(|e| io_err(&self.path, e))?;
+            file.read_exact(&mut payload)
+                .map_err(|e| io_err(&self.path, e))?;
         }
         if crc32(&payload) != entry.crc {
             return Err(corrupt(format!(
@@ -698,7 +739,10 @@ mod tests {
         let buf = rd.read_section(*b"TST1").unwrap();
         let mut r = SectionReader::new(*b"TST1", &buf);
         assert_eq!(r.get_u32().unwrap(), 7);
-        assert_eq!(r.get_f64().unwrap().to_bits(), std::f64::consts::PI.to_bits());
+        assert_eq!(
+            r.get_f64().unwrap().to_bits(),
+            std::f64::consts::PI.to_bits()
+        );
         assert_eq!(r.get_f32_slice().unwrap(), vec![1.0, -2.5, 3.25]);
         let t = r.get_tensor().unwrap();
         assert_eq!(t, Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
@@ -715,7 +759,10 @@ mod tests {
         let path = on_disk("missing-section", &tiny_artifact());
         let rd = ArtifactReader::open(&path).unwrap();
         assert!(!rd.has_section(*b"NOPE"));
-        assert!(matches!(rd.read_section(*b"NOPE"), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            rd.read_section(*b"NOPE"),
+            Err(ScError::CorruptArtifact { .. })
+        ));
         assert!(rd.expect_kind(ArtifactKind::ModelCheckpoint).is_ok());
         assert!(matches!(
             rd.expect_kind(ArtifactKind::Engine),
@@ -730,9 +777,15 @@ mod tests {
         s.put_u64(u64::MAX); // absurd slice length prefix
         let bytes = s.into_bytes();
         let mut r = SectionReader::new(*b"LEN!", &bytes);
-        assert!(matches!(r.get_f32_slice(), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            r.get_f32_slice(),
+            Err(ScError::CorruptArtifact { .. })
+        ));
         let mut r = SectionReader::new(*b"LEN!", &bytes);
-        assert!(matches!(r.get_usize_slice(), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            r.get_usize_slice(),
+            Err(ScError::CorruptArtifact { .. })
+        ));
     }
 
     #[test]
@@ -743,7 +796,10 @@ mod tests {
         let bytes = s.into_bytes();
         let mut r = SectionReader::new(*b"TAIL", &bytes);
         r.get_u32().unwrap();
-        assert!(matches!(r.expect_end(), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            r.expect_end(),
+            Err(ScError::CorruptArtifact { .. })
+        ));
     }
 
     #[test]
@@ -768,14 +824,26 @@ mod tests {
     #[test]
     fn lazy_reader_missing_file_is_not_found_io_error() {
         let err = ArtifactReader::open(Path::new("/nonexistent/ascend/artifact")).unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn lazy_reader_missing_section_is_a_typed_corruption_error() {
         let path = on_disk("missing-section-lazy", &tiny_artifact());
         let rd = ArtifactReader::open(&path).unwrap();
-        assert!(matches!(rd.read_section(*b"NOPE"), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            rd.read_section(*b"NOPE"),
+            Err(ScError::CorruptArtifact { .. })
+        ));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -792,7 +860,10 @@ mod tests {
 
         let rd = ArtifactReader::open(&path).unwrap();
         assert!(rd.read_section(*b"TST1").is_ok());
-        assert!(matches!(rd.read_section(*b"TST2"), Err(ScError::CorruptArtifact { .. })));
+        assert!(matches!(
+            rd.read_section(*b"TST2"),
+            Err(ScError::CorruptArtifact { .. })
+        ));
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -47,7 +47,10 @@ fn checkpoint_bytes() -> Vec<u8> {
             .collect(),
         &[2 * cfg.num_patches(), cfg.patch_dim()],
     );
-    ModelCheckpoint::capture(&model).with_calib(calib, 2).to_artifact().to_bytes()
+    ModelCheckpoint::capture(&model)
+        .with_calib(calib, 2)
+        .to_artifact()
+        .to_bytes()
 }
 
 /// A hand-rolled two-section artifact small enough for *exhaustive*
@@ -72,8 +75,10 @@ struct Scratch {
 
 impl Scratch {
     fn new(test: &str) -> Self {
-        let dir = std::env::temp_dir()
-            .join(format!("ascend-io-corruption-{}-{test}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "ascend-io-corruption-{}-{test}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("damaged.art");
         Scratch { dir, path }
@@ -133,7 +138,11 @@ fn every_truncation_of_the_container_is_rejected() {
     let scratch = Scratch::new("truncation");
     let bytes = small_artifact_bytes();
     for len in 0..bytes.len() {
-        must_reject_container(&scratch, &bytes[..len], &format!("truncation to {len} bytes"));
+        must_reject_container(
+            &scratch,
+            &bytes[..len],
+            &format!("truncation to {len} bytes"),
+        );
     }
 }
 
@@ -147,7 +156,11 @@ fn checkpoint_truncations_are_rejected() {
     lengths.extend((256..bytes.len()).step_by(97));
     lengths.push(bytes.len() - 1);
     for len in lengths {
-        must_reject(&scratch, &bytes[..len], &format!("truncation to {len} bytes"));
+        must_reject(
+            &scratch,
+            &bytes[..len],
+            &format!("truncation to {len} bytes"),
+        );
     }
 }
 
@@ -251,8 +264,8 @@ fn valid_file_with_magic_but_corrupt_interior_cannot_allocate_absurdly() {
     let mut s = SectionWriter::new();
     s.put_u64(u64::MAX); // a length prefix with nothing behind it
     w.add_section(*b"PRM ", s);
-    let reader = open_and_read_all(scratch.holding(&w.to_bytes()))
-        .expect("container itself is valid");
+    let reader =
+        open_and_read_all(scratch.holding(&w.to_bytes())).expect("container itself is valid");
     let err = ModelCheckpoint::from_reader(&reader).unwrap_err();
     assert!(matches!(err, ScError::CorruptArtifact { .. }));
 }
@@ -376,5 +389,8 @@ fn a_resealed_cfg_cannot_size_an_unbacked_model() {
     // `dim` is the fourth u64 of the payload.
     cfg.1[24..32].copy_from_slice(&(1u64 << 20).to_le_bytes());
     let err = load_and_restore(scratch.holding(&seal(&sections))).unwrap_err();
-    assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+    assert!(
+        matches!(err, ScError::CorruptArtifact { .. }),
+        "got {err:?}"
+    );
 }
