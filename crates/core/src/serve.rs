@@ -125,11 +125,19 @@ impl ServeConfig {
 
     /// The effective worker count (`workers`, or the machine's available
     /// parallelism when `workers == 0`; always at least 1).
+    ///
+    /// The machine's count is looked up once per process and kept:
+    /// [`std::thread::available_parallelism`] reads cgroup files on every
+    /// call (tens of µs), and every `ScEngine::compile` asks for it. So a
+    /// CPU quota or affinity change after the first lookup is not seen.
     pub fn resolved_workers(&self) -> usize {
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         if self.workers > 0 {
             self.workers
         } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            })
         }
     }
 }
@@ -782,7 +790,9 @@ mod tests {
 
     #[test]
     fn serve_config_resolves_workers() {
-        assert!(ServeConfig::auto().resolved_workers() >= 1);
+        let auto = ServeConfig::auto().resolved_workers();
+        assert!(auto >= 1);
+        assert_eq!(ServeConfig::auto().resolved_workers(), auto, "looked up once, then kept");
         let cfg = ServeConfig { workers: 3, ..ServeConfig::default() };
         assert_eq!(cfg.resolved_workers(), 3);
     }

@@ -71,9 +71,10 @@ pub struct HttpConfig {
     /// Maximum requests served over one keep-alive connection before the
     /// server closes it (`Connection: close` on the last response).
     pub keep_alive_requests: usize,
-    /// Per-connection read deadline (`set_read_timeout`): an idle
-    /// keep-alive connection is closed quietly; a connection that stalls
-    /// mid-request gets `408 Request Timeout`.
+    /// Per-connection read deadline (`set_read_timeout`): a keep-alive
+    /// connection idle this long is closed quietly (sooner once drain
+    /// begins); a connection that stalls mid-request gets `408 Request
+    /// Timeout`.
     pub read_timeout: Duration,
     /// Per-connection write deadline (`set_write_timeout`).
     pub write_timeout: Duration,

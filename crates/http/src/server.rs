@@ -23,13 +23,15 @@
 //! Shutdown is graceful: [`ShutdownHandle::shutdown`] sets the stop flag
 //! and wakes the blocked `accept` with one loopback connection, which the
 //! accept loop drops unserved; handler threads finish the request they are
-//! serving (responses for admitted work are always written), remaining
+//! serving (responses for admitted work are always written), a handler
+//! waiting on an idle keep-alive connection closes it within `IDLE_READ`
+//! (it waits for a request's first byte in slices that short), remaining
 //! backlogged connections get one final exchange with `Connection: close`
 //! if their request is already arriving (each read waits at most
 //! `LINGER_READ`, so an idle one is closed at once), and
 //! [`HttpServer::join`] joins every thread.
 
-use std::io::{BufReader, ErrorKind, Read};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -60,6 +62,9 @@ const LINGER_READS: usize = 16;
 const LINGER_BUF: usize = 4 * 1024;
 /// The longest one discarding read waits.
 const LINGER_READ: Duration = Duration::from_millis(5);
+/// The longest one read for a kept-alive connection's next request
+/// waits before the handler re-checks the stop flag.
+const IDLE_READ: Duration = Duration::from_millis(25);
 
 /// The model `POST /v1/infer` serves; [`HttpServer::bind`] registers
 /// its session under this name.
@@ -331,7 +336,9 @@ fn conn_worker(
 /// Runs one connection's keep-alive loop to completion. A connection
 /// taken from the backlog after drain has begun is served only if its
 /// request arrives within [`LINGER_READ`] per read, not the full
-/// `read_timeout`, so an idle peer cannot hold up [`HttpServer::join`].
+/// `read_timeout`, and the wait for each request's first byte sees a
+/// drain within [`IDLE_READ`] (see [`await_request`]), so an idle peer
+/// cannot hold up [`HttpServer::join`].
 fn handle_connection(
     mut stream: TcpStream,
     registry: &ModelRegistry,
@@ -360,6 +367,9 @@ fn handle_connection(
         if stop.load(Ordering::SeqCst) && served > 0 {
             break;
         }
+        if !await_request(&mut reader, &stream, read_timeout, stop) {
+            return;
+        }
         let request = match http1::read_request(&mut reader, &limits) {
             Ok(request) => request,
             Err(e) => {
@@ -381,6 +391,44 @@ fn handle_connection(
             return;
         }
     }
+}
+
+/// Waits for the first byte of a connection's next request, reading in
+/// slices of at most [`IDLE_READ`] and re-checking `stop` after each, so
+/// a drain that begins while the peer is idle closes the connection
+/// within one slice instead of after `read_timeout`. Returns `true` once
+/// request bytes are buffered, with the socket's read timeout back at
+/// `read_timeout` for the parse; `false` means close quietly: the peer
+/// sent nothing for `read_timeout` (the sum of the slices that timed
+/// out, so no clock is read), closed, failed, or drain began.
+fn await_request(
+    reader: &mut BufReader<TcpStream>,
+    stream: &TcpStream,
+    read_timeout: Duration,
+    stop: &AtomicBool,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true; // a pipelined request is already here
+    }
+    let mut left = read_timeout;
+    while !left.is_zero() {
+        let slice = left.min(IDLE_READ);
+        if stream.set_read_timeout(Some(slice)).is_err() {
+            return false;
+        }
+        match reader.fill_buf() {
+            Ok([]) => return false,
+            Ok(_) => return stream.set_read_timeout(Some(read_timeout)).is_ok(),
+            Err(e) if http1::is_timeout(&e) || e.kind() == ErrorKind::Interrupted => {
+                if stop.load(Ordering::SeqCst) {
+                    return false;
+                }
+                left -= slice;
+            }
+            Err(_) => return false,
+        }
+    }
+    false
 }
 
 /// Answers a request-parse failure with the right status (or a quiet

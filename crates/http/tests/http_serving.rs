@@ -591,6 +591,31 @@ fn an_idle_backlog_connection_does_not_hold_up_join() {
 }
 
 #[test]
+fn an_idle_keep_alive_connection_does_not_hold_up_join() {
+    let mut cfg = HttpConfig::new("127.0.0.1:0");
+    cfg.read_timeout = Duration::from_secs(5);
+    let (server, _backend, _session) = gated_server(true, 4, cfg);
+
+    // One exchange, then the connection stays open and idle: its handler
+    // is waiting for the next request's first byte.
+    let (mut reader, mut writer) = connect(server.local_addr());
+    client::write_request(&mut writer, "GET", "/healthz", &[], false).expect("write");
+    let response = client::read_response(&mut reader).expect("response");
+    assert_eq!(response.status, 200);
+    assert!(!response.wants_close(), "the connection must be kept alive");
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Drain must close the idle connection at once, not after the 5 s
+    // read deadline.
+    let started = Instant::now();
+    server.shutdown_handle().shutdown();
+    server.join();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "join took {took:?}");
+    assert!(client::read_response(&mut reader).is_err(), "idle connection must be closed");
+}
+
+#[test]
 fn non_inference_200s_are_not_counted_as_server_errors() {
     let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
     let addr = server.local_addr();

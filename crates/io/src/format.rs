@@ -86,39 +86,74 @@ pub(crate) fn io_err(path: &Path, e: std::io::Error) -> ScError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, table-driven)
+// CRC32 (IEEE 802.3 polynomial, slicing-by-16)
 // ---------------------------------------------------------------------------
 
-fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded into the CRC register per step of [`crc32`]'s main loop.
+const CRC_SLICES: usize = 16;
+
+/// Advances a reflected CRC register over one zero byte: eight shift-xor
+/// steps of the IEEE polynomial.
+const fn crc_zero_byte(mut c: u32) -> u32 {
+    let mut k = 0;
+    while k < 8 {
+        c = if c & 1 != 0 {
+            0xEDB8_8320 ^ (c >> 1)
+        } else {
+            c >> 1
+        };
+        k += 1;
+    }
+    c
+}
+
+/// The slicing tables, built at compile time. `CRC_TABLES[0][b]` is the
+/// classic byte table (the register after folding in byte `b`), and
+/// `CRC_TABLES[k][b]` is that register advanced over `k` more zero bytes:
+/// byte `b`'s contribution from `k` positions before the end of a
+/// 16-byte word. Sixteen independent lookups then fold a whole word into
+/// the register (16 KiB of tables).
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
     let mut i = 0;
+    let mut byte = 0u32;
     while i < 256 {
-        // ascend-lint: allow(no-lossy-cast-in-io) -- the loop guard bounds i below 256, well inside u32
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+        tables[0][i] = crc_zero_byte(byte);
+        let mut k = 1;
+        while k < CRC_SLICES {
+            tables[k][i] = crc_zero_byte(tables[k - 1][i]);
             k += 1;
         }
-        table[i] = c;
         i += 1;
+        byte += 1;
     }
-    table
+    tables
 }
 
 /// CRC32 (IEEE) of `bytes` — the polynomial zlib and PNG use.
+///
+/// Slicing-by-16: the register is xored into a 16-byte word's first four
+/// bytes, then each byte of the word takes one lookup in the table for its
+/// distance from the word's end. The lookups are independent, where the
+/// byte-at-a-time loop chains every one on the last; the under-16-byte
+/// tail runs that loop on the first table.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Build-once table: const fn-style loop evaluated lazily.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(crc_table);
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // ascend-lint: allow(no-lossy-cast-in-io) -- the index is masked to 8 bits before the cast, so no value can truncate
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(CRC_SLICES);
+    for w in &mut words {
+        let mut word = [0u8; CRC_SLICES];
+        word.copy_from_slice(w);
+        let head = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        word[..4].copy_from_slice(&head.to_le_bytes());
+        c = word
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    }
+    for &b in words.remainder() {
+        c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ b)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -245,6 +280,14 @@ impl<'a> SectionReader<'a> {
         Ok(bytes)
     }
 
+    /// Takes the `n · width` bytes of `n` fixed-width values as one range,
+    /// so a corrupt count fails the bounds check before anything is
+    /// allocated for it.
+    fn take_values(&mut self, n: usize, width: usize, what: &str) -> Result<&'a [u8], ScError> {
+        let len = n.checked_mul(width).ok_or_else(|| self.truncated(what))?;
+        self.take(len, what)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -305,8 +348,7 @@ impl<'a> SectionReader<'a> {
     /// [`ScError::CorruptArtifact`] on truncation or if the value does not
     /// fit a `usize`.
     pub fn get_usize(&mut self) -> Result<usize, ScError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| corrupt(format!("length {v} exceeds the address space")))
+        to_usize(self.get_u64()?)
     }
 
     /// Reads an `f32` bit pattern.
@@ -335,12 +377,7 @@ impl<'a> SectionReader<'a> {
     /// allocation).
     pub fn get_f32_slice(&mut self) -> Result<Vec<f32>, ScError> {
         let n = self.get_usize()?;
-        if n.checked_mul(4)
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(self.truncated("f32 slice"));
-        }
-        (0..n).map(|_| self.get_f32()).collect()
+        Ok(decode_f32s(self.take_values(n, 4, "f32 slice")?))
     }
 
     /// Reads a length-prefixed `usize` slice.
@@ -351,12 +388,14 @@ impl<'a> SectionReader<'a> {
     /// allocation).
     pub fn get_usize_slice(&mut self) -> Result<Vec<usize>, ScError> {
         let n = self.get_usize()?;
-        if n.checked_mul(8)
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(self.truncated("usize slice"));
+        let bytes = self.take_values(n, 8, "usize slice")?;
+        let mut out = Vec::with_capacity(n);
+        for b in bytes.chunks_exact(8) {
+            out.push(to_usize(u64::from_le_bytes([
+                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+            ]))?);
         }
-        (0..n).map(|_| self.get_usize()).collect()
+        Ok(out)
     }
 
     /// Reads a tensor written by [`SectionWriter::put_tensor`].
@@ -368,14 +407,23 @@ impl<'a> SectionReader<'a> {
     pub fn get_tensor(&mut self) -> Result<ascend_tensor::Tensor, ScError> {
         let shape = self.get_usize_slice()?;
         let n = self.get_usize()?;
-        if n.checked_mul(4)
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(self.truncated("tensor data"));
-        }
-        let data: Vec<f32> = (0..n).map(|_| self.get_f32()).collect::<Result<_, _>>()?;
+        let data = decode_f32s(self.take_values(n, 4, "tensor data")?);
         ascend_tensor::Tensor::try_from_parts(data, shape).map_err(corrupt)
     }
+}
+
+/// Decodes little-endian `f32` bit patterns; `bytes.len()` is a multiple
+/// of 4 (the caller took `n · 4` bytes).
+fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect()
+}
+
+/// A stored `u64` as a `usize`, refusing one past the address space.
+fn to_usize(v: u64) -> Result<usize, ScError> {
+    usize::try_from(v).map_err(|_| corrupt(format!("length {v} exceeds the address space")))
 }
 
 // ---------------------------------------------------------------------------
@@ -705,6 +753,174 @@ mod tests {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC by its definition: one shift-xor step per bit, no tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Decodes a length-prefixed slice one value at a time with `get`.
+    fn per_value<'a, T>(
+        r: &mut SectionReader<'a>,
+        mut get: impl FnMut(&mut SectionReader<'a>) -> Result<T, ScError>,
+    ) -> Result<Vec<T>, ScError> {
+        let n = r.get_usize()?;
+        // Bounded by the payload so a random prefix cannot size the loop.
+        (0..n.min(r.remaining() + 1)).map(|_| get(r)).collect()
+    }
+
+    /// A payload of a random small length prefix followed by random bytes.
+    fn prefixed(n: u64, bytes: &[u8]) -> Vec<u8> {
+        let mut payload = n.to_le_bytes().to_vec();
+        payload.extend_from_slice(bytes);
+        payload
+    }
+
+    /// Both decodes agree: the same values (compared bit for bit) and the
+    /// same cursor on success, or both a corruption error.
+    fn same_decode<T: PartialEq + std::fmt::Debug>(
+        bulk: (Result<Vec<T>, ScError>, usize),
+        each: (Result<Vec<T>, ScError>, usize),
+    ) -> bool {
+        match (bulk, each) {
+            ((Ok(a), ra), (Ok(b), rb)) => a == b && ra == rb,
+            (
+                (Err(ScError::CorruptArtifact { .. }), _),
+                (Err(ScError::CorruptArtifact { .. }), _),
+            ) => true,
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Every length 0–4096 at every start offset 0–7 (so every tail
+        /// length and alignment of the 16-byte words) matches the bitwise
+        /// definition.
+        #[test]
+        fn crc32_matches_the_bitwise_definition(
+            len in 0usize..4097,
+            start in 0usize..8,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x.to_le_bytes()[0]
+                })
+                .collect();
+            let bytes = &buf[start..];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+        }
+
+        /// The bulk `f32` and `usize` getters decode random payloads as
+        /// the per-value getters do, truncated ones included.
+        #[test]
+        fn bulk_slice_getters_match_per_value_decoding(
+            n in 0u64..40,
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+        ) {
+            let payload = prefixed(n, &bytes);
+            let (mut bulk, mut each) = (
+                SectionReader::new(*b"PROP", &payload),
+                SectionReader::new(*b"PROP", &payload),
+            );
+            let f32_bits = |v: Result<Vec<f32>, ScError>| -> Result<Vec<u32>, ScError> {
+                Ok(v?.into_iter().map(f32::to_bits).collect())
+            };
+            let got = (f32_bits(bulk.get_f32_slice()), bulk.remaining());
+            let want = (f32_bits(per_value(&mut each, SectionReader::get_f32)), each.remaining());
+            proptest::prop_assert!(same_decode(got, want), "f32 slice, n = {n}");
+
+            let (mut bulk, mut each) = (
+                SectionReader::new(*b"PROP", &payload),
+                SectionReader::new(*b"PROP", &payload),
+            );
+            let got = (bulk.get_usize_slice(), bulk.remaining());
+            let want = (per_value(&mut each, SectionReader::get_usize), each.remaining());
+            proptest::prop_assert!(same_decode(got, want), "usize slice, n = {n}");
+        }
+
+        /// `get_tensor` decodes a random tensor's shape and data exactly
+        /// as per-value reads of the same payload do.
+        #[test]
+        fn bulk_tensor_getter_matches_per_value_decoding(
+            rows in 0usize..6,
+            cols in 0usize..6,
+            bits in proptest::collection::vec(proptest::prelude::any::<u32>(), 36..37),
+        ) {
+            let data: Vec<f32> = bits[..rows * cols].iter().map(|&b| f32::from_bits(b)).collect();
+            let mut s = SectionWriter::new();
+            s.put_tensor(&Tensor::from_vec(data, &[rows, cols]));
+            let payload = s.into_bytes();
+
+            let t = SectionReader::new(*b"PROP", &payload).get_tensor().unwrap();
+            let mut each = SectionReader::new(*b"PROP", &payload);
+            let shape = per_value(&mut each, SectionReader::get_usize).unwrap();
+            let data = per_value(&mut each, SectionReader::get_f32).unwrap();
+            each.expect_end().unwrap();
+            proptest::prop_assert_eq!(t.shape(), &shape[..]);
+            let got: Vec<u32> = t.data().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_payload_cut_at_any_byte_is_a_corruption_error() {
+        let mut s = SectionWriter::new();
+        s.put_f32_slice(&[1.5, -0.25, 8.0]);
+        s.put_usize_slice(&[3, 1, 4, 1]);
+        s.put_tensor(&Tensor::from_vec(vec![0.5; 6], &[2, 3]));
+        let payload = s.into_bytes();
+        let decode = |bytes: &[u8]| -> Result<(), ScError> {
+            let mut r = SectionReader::new(*b"CUT!", bytes);
+            r.get_f32_slice()?;
+            r.get_usize_slice()?;
+            r.get_tensor()?;
+            r.expect_end()
+        };
+        decode(&payload).unwrap();
+        for len in 0..payload.len() {
+            let err = decode(&payload[..len]).unwrap_err();
+            assert!(
+                matches!(err, ScError::CorruptArtifact { .. }),
+                "cut at {len}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_usize_slice_refuses_only_values_past_the_address_space() {
+        // Every u64 fits a 64-bit usize, so there the bulk getter must
+        // keep the value; on a narrower target it must refuse it, as the
+        // scalar getter does.
+        let mut s = SectionWriter::new();
+        s.put_usize(2);
+        s.put_u64(7);
+        s.put_u64(u64::MAX);
+        let payload = s.into_bytes();
+        let got = SectionReader::new(*b"WIDE", &payload).get_usize_slice();
+        match usize::try_from(u64::MAX) {
+            Ok(max) => assert_eq!(got.unwrap(), vec![7, max]),
+            Err(_) => assert!(matches!(got, Err(ScError::CorruptArtifact { .. }))),
+        }
     }
 
     fn tiny_artifact() -> ArtifactWriter {
