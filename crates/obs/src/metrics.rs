@@ -113,9 +113,7 @@ impl Histogram {
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             buckets: std::array::from_fn(|i| {
-                self.buckets
-                    .get(i)
-                    .map_or(0, |b| b.load(Ordering::Relaxed))
+                self.buckets.get(i).map_or(0, |b| b.load(Ordering::Relaxed))
             }),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
         }

@@ -116,12 +116,7 @@ impl StageTimer {
     /// Accumulated time in `stage` across all completed `enter`/`exit`
     /// pairs observed so far.
     pub fn total(&self, stage: Stage) -> Duration {
-        Duration::from_nanos(
-            self.total_ns
-                .get(stage.index())
-                .copied()
-                .unwrap_or(0),
-        )
+        Duration::from_nanos(self.total_ns.get(stage.index()).copied().unwrap_or(0))
     }
 
     /// Number of completed `enter`/`exit` pairs for `stage`.
@@ -154,8 +149,7 @@ impl StageObserver for StageTimer {
         };
         let elapsed = started.elapsed();
         if let Some(total) = self.total_ns.get_mut(idx) {
-            *total =
-                total.saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+            *total = total.saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         }
         if let Some(calls) = self.calls.get_mut(idx) {
             *calls += 1;

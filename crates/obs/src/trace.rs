@@ -105,9 +105,8 @@ impl TraceBuffer {
         start: Instant,
         dur: Duration,
     ) {
-        let start_us =
-            u64::try_from(start.saturating_duration_since(self.epoch).as_micros())
-                .unwrap_or(u64::MAX);
+        let start_us = u64::try_from(start.saturating_duration_since(self.epoch).as_micros())
+            .unwrap_or(u64::MAX);
         let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
         let span = Span {
             trace_id,
@@ -147,7 +146,11 @@ impl TraceBuffer {
 /// and every timestamp is rebased to the earliest ring epoch so the
 /// processes share one timeline.
 pub fn chrome_json(rings: &[&TraceBuffer]) -> String {
-    let origin = rings.iter().map(|r| r.epoch).min().unwrap_or_else(Instant::now);
+    let origin = rings
+        .iter()
+        .map(|r| r.epoch)
+        .min()
+        .unwrap_or_else(Instant::now);
     let mut events = Vec::new();
     for (pid, ring) in (1u64..).zip(rings) {
         let shift = u64::try_from(ring.epoch.saturating_duration_since(origin).as_micros())
@@ -164,7 +167,10 @@ pub fn chrome_json(rings: &[&TraceBuffer]) -> String {
             )
         }));
     }
-    format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}", events.join(","))
+    format!(
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+        events.join(",")
+    )
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -215,7 +221,13 @@ mod tests {
         let before = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         let buf = TraceBuffer::new(4);
-        buf.record(TraceId(1), "queue_wait", 2, before, Duration::from_micros(9));
+        buf.record(
+            TraceId(1),
+            "queue_wait",
+            2,
+            before,
+            Duration::from_micros(9),
+        );
         let spans = buf.snapshot();
         assert_eq!(spans[0].start_us, 0);
         assert_eq!(spans[0].dur_us, 9);
@@ -243,16 +255,45 @@ mod tests {
         let early = TraceBuffer::new(4);
         std::thread::sleep(Duration::from_millis(2));
         let late = TraceBuffer::new(4);
-        early.record(TraceId(1), "service", 0, early.epoch(), Duration::from_micros(5));
-        late.record(TraceId(2), "service", 0, late.epoch(), Duration::from_micros(5));
+        early.record(
+            TraceId(1),
+            "service",
+            0,
+            early.epoch(),
+            Duration::from_micros(5),
+        );
+        late.record(
+            TraceId(2),
+            "service",
+            0,
+            late.epoch(),
+            Duration::from_micros(5),
+        );
         // `late` is ring 0 (pid 1), shifted by at least the 2 ms sleep onto
         // the timeline of `early` (pid 2), which is the origin.
         let json = chrome_json(&[&late, &early]);
         let events: Vec<&str> = json.split("{\"name\"").skip(1).collect();
-        assert_eq!((json.matches("traceEvents").count(), events.len()), (1, 2), "{json}");
-        let ts = |e: &str| e.split("\"ts\":").nth(1)?.split(',').next()?.parse::<u64>().ok();
-        assert!(events[0].contains("\"pid\":1,") && ts(events[0]) >= Some(2000), "{json}");
-        assert!(events[1].contains("\"pid\":2,") && ts(events[1]) == Some(0), "{json}");
+        assert_eq!(
+            (json.matches("traceEvents").count(), events.len()),
+            (1, 2),
+            "{json}"
+        );
+        let ts = |e: &str| {
+            e.split("\"ts\":")
+                .nth(1)?
+                .split(',')
+                .next()?
+                .parse::<u64>()
+                .ok()
+        };
+        assert!(
+            events[0].contains("\"pid\":1,") && ts(events[0]) >= Some(2000),
+            "{json}"
+        );
+        assert!(
+            events[1].contains("\"pid\":2,") && ts(events[1]) == Some(0),
+            "{json}"
+        );
     }
 
     #[test]
