@@ -1,7 +1,7 @@
 //! Criterion benchmarks of ViT inference: float model vs SC engine, plus
 //! the encoder kernel at the paper's geometry (m = 65): the per-image SC
 //! and float-reference forwards and `ScEngine::compile` with a
-//! calibration batch of 16.
+//! calibration batch of 16, which is also timed at the m = 5 geometry.
 
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{train_or_load, FixtureRecipe};
@@ -30,25 +30,38 @@ fn bench_vit(c: &mut Criterion) {
     });
 }
 
-/// The encoder kernel at m = 65 on an untrained BatchNorm model of the
-/// served geometry (32×32 images, patch 4, dim 32, 2 layers, 2 heads),
-/// quantized to W2-A2-R16 — a kernel regression shows here without a
-/// full benchmark run.
-fn bench_paper_geometry(c: &mut Criterion) {
+/// An untrained BatchNorm model of a served geometry (`image`×`image`
+/// images, patch 4, width `dim`, 2 layers, 2 heads), quantized to
+/// W2-A2-R16 with its steps calibrated on the first 16 images of the
+/// returned set.
+fn served_geometry(image: usize, dim: usize) -> (VitModel, ascend_vit::data::Dataset) {
     let cfg = VitConfig {
-        image: 32,
+        image,
         patch: 4,
-        dim: 32,
+        dim,
         layers: 2,
         heads: 2,
         classes: 4,
         ..Default::default()
     };
     let mut model = VitModel::new(cfg);
-    let (train, _) = ascend_vit::data::synth_cifar(4, 16, 2, 32, 2024);
+    let (train, _) = ascend_vit::data::synth_cifar(4, 16, 2, image, 2024);
     let calib = train.patches(&(0..16).collect::<Vec<_>>(), 4);
     model.set_plan(PrecisionPlan::w2_a2_r16());
     model.calibrate_steps(&calib, 16);
+    (model, train)
+}
+
+/// The encoder kernel at m = 65 (32×32 images, dim 32) — the per-image SC
+/// and float-reference forwards and compile with a calibration batch of
+/// 16 — plus compile at the m = 5 smoke geometry (8×8, dim 16), where the
+/// calibration batch is too small to pay for a helper thread: a kernel or
+/// calibration regression shows here without a full benchmark run.
+fn bench_paper_geometry(c: &mut Criterion) {
+    let calib16 =
+        |train: &ascend_vit::data::Dataset| train.patches(&(0..16).collect::<Vec<_>>(), 4);
+    let (model, train) = served_geometry(32, 32);
+    let calib = calib16(&train);
     let engine = ScEngine::compile(&model, EngineConfig::default(), &calib, 16).expect("compiles");
     let reference = RefEngine::compile(&model).expect("compiles");
     let image = train.patches(&[0], 4);
@@ -63,16 +76,24 @@ fn bench_paper_geometry(c: &mut Criterion) {
             b.iter(|| black_box(backend.forward_with(black_box(&image), 1, &mut scratch)))
         });
     }
-    c.bench_function("vit_m65_sc_compile_calib16", |b| {
-        b.iter(|| {
-            black_box(ScEngine::compile(
-                &model,
-                EngineConfig::default(),
-                black_box(&calib),
-                16,
-            ))
-        })
-    });
+    let (small, small_train) = served_geometry(8, 16);
+    let small_calib = calib16(&small_train);
+    let compiles = [
+        ("vit_m65_sc_compile_calib16", &model, &calib),
+        ("vit_m5_sc_compile_calib16", &small, &small_calib),
+    ];
+    for (name, model, calib) in compiles {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(ScEngine::compile(
+                    model,
+                    EngineConfig::default(),
+                    black_box(calib),
+                    16,
+                ))
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_vit, bench_paper_geometry);

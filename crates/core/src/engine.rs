@@ -50,7 +50,7 @@
 //! adds the bias; scores are scaled by `1/√dh` in a separate multiply; no
 //! fused multiply-add, and no scale is folded into a weight.
 
-use std::sync::{Mutex, PoisonError};
+use std::ops::ControlFlow;
 
 use ascend_obs::{NoopObserver, Stage, StageObserver};
 use ascend_tensor::Tensor;
@@ -249,6 +249,8 @@ impl FrozenNet {
     /// Emits [`StageObserver`] events around patch embedding, attention
     /// linear algebra, softmax, GELU, MLP linear algebra and the head — the
     /// paper's fig. 8 cost-split axes; the compute never reads a clock.
+    /// Returns no logits if `blocks` ends the forward at a GELU (a
+    /// calibration probe at the last layer).
     ///
     /// # Errors
     ///
@@ -342,8 +344,11 @@ impl FrozenNet {
             }
             observer.exit(Stage::Mlp);
             observer.enter(Stage::Gelu);
-            blocks.gelu(li, hidden);
+            let flow = blocks.gelu(li, hidden);
             observer.exit(Stage::Gelu);
+            if flow.is_break() {
+                return Ok(Vec::new());
+            }
             observer.enter(Stage::Mlp);
             residual_linear(hidden, &l.fc2, x, Quant::new(l.res2_step, residual), acc);
             observer.exit(Stage::Mlp);
@@ -454,8 +459,10 @@ pub(crate) trait Nonlinear {
         levels: &mut SoftmaxLevels,
     ) -> Result<(), ScError>;
 
-    /// Turns layer `layer`'s fc1 outputs into fc2 inputs in place.
-    fn gelu(&mut self, layer: usize, hidden: &mut [f32]);
+    /// Turns layer `layer`'s fc1 outputs into fc2 inputs in place, or
+    /// breaks when nothing after them is needed: the forward then ends
+    /// there and returns no logits.
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) -> ControlFlow<()>;
 }
 
 /// The SC blocks: the compiled softmax program and the per-layer gate-SI
@@ -479,7 +486,7 @@ impl Nonlinear for ScBlocks<'_> {
         Ok(())
     }
 
-    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) {
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) -> ControlFlow<()> {
         let block = &self.gelu[layer];
         let table = block.ones_table();
         let in_scale = block.input().scale();
@@ -490,23 +497,26 @@ impl Nonlinear for ScBlocks<'_> {
             let t = ((*v as f64 / in_scale).round().clamp(-in_half, in_half) + in_half) as usize;
             *v = (out_scale * (table[t] as i64 - out_half) as f64) as f32;
         }
+        ControlFlow::Continue(())
     }
 }
 
 /// The float blocks: exact softmax, float GELU fake-quantized at the MLP
-/// mid site, and an optional calibration recorder.
-pub(crate) struct FloatBlocks<'a, 's> {
+/// mid site ([`MidGelu`]), and an optional calibration recorder. With a
+/// recorder attached the forward ends at the last layer's GELU input, the
+/// last thing it records.
+pub(crate) struct FloatBlocks<'a> {
     net: &'a FrozenNet,
-    probe: Option<&'a mut Probe<'s>>,
+    probe: Option<&'a mut Probe>,
 }
 
-impl<'a> FloatBlocks<'a, 'static> {
+impl<'a> FloatBlocks<'a> {
     pub(crate) fn new(net: &'a FrozenNet) -> Self {
         FloatBlocks { net, probe: None }
     }
 }
 
-impl Nonlinear for FloatBlocks<'_, '_> {
+impl Nonlinear for FloatBlocks<'_> {
     fn softmax(
         &mut self,
         layer: usize,
@@ -531,14 +541,75 @@ impl Nonlinear for FloatBlocks<'_, '_> {
         Ok(())
     }
 
-    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) {
+    fn gelu(&mut self, layer: usize, hidden: &mut [f32]) -> ControlFlow<()> {
         if let Some(probe) = self.probe.as_deref_mut() {
             probe.record_gelu_input(layer, hidden);
+            if layer + 1 == self.net.layers.len() {
+                return ControlFlow::Break(());
+            }
         }
-        let q = Quant::new(self.net.layers[layer].mlp_mid_step, self.net.plan.acts);
+        let site = MidGelu::new(self.net.layers[layer].mlp_mid_step, self.net.plan.acts);
         for v in hidden.iter_mut() {
-            *v = q.apply(ascend_tensor::graph::gelu_f(*v));
+            *v = site.apply(*v);
         }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The float GELU followed by the MLP mid-site fake-quant,
+/// `q.apply(gelu_f(x))`, bit for bit — with a shortcut where the site is
+/// ternary (BSL 2: levels −step, 0, step) and its step exceeds
+/// [`MidGelu::MIN_TERNARY_STEP`]. There, for finite `x`:
+///
+/// * `x ≥ step` gives `step`. `gelu_f(x) = (0.5·x)·(1 + tanh(u))` with
+///   `u > 0`, so `1 + tanh(u) ≥ 1` and, rounding being monotone,
+///   `gelu_f(x) ≥ 0.5·x ≥ 0.5·step`; then `gelu_f(x)/step ≥ 0.5` rounds
+///   (half away from zero) to 1, which the clamp keeps.
+/// * `x < zero_below = 0.5·step·(1 − 2⁻¹⁰)` gives a zero with `x`'s sign.
+///   For `x ≥ 0`, `1 + tanh(u) ≤ 2`, so `gelu_f(x) ≤ x` (`0.5·x` is
+///   exact unless `x` is subnormal, and then the quotient is tiny anyway)
+///   and `gelu_f(x)/step < 0.5` (the 2⁻¹⁰ margin covers the rounding of
+///   `zero_below` and of the quotient): it rounds to `+0`. For `x < 0`,
+///   `gelu_f(x)` is negative or `−0`, and at least −0.17004079 over every
+///   f32 in [−16, 0); below −16 `tanh(u)` is −1 and `gelu_f(x)` is `−0`
+///   (checked over every negative f32 by an ignored test). A step above
+///   2·0.17004079 keeps the quotient above −0.5, so it rounds to `−0`.
+///
+/// `tanh` then runs only in between, or for a non-finite `x` (at `−∞`
+/// the exact path gives NaN, not a zero). Every other site runs the exact
+/// path.
+#[derive(Clone, Copy)]
+struct MidGelu {
+    q: Quant,
+    /// `(step, zero_below)` at a ternary site with a step above
+    /// [`MidGelu::MIN_TERNARY_STEP`].
+    ternary: Option<(f32, f32)>,
+}
+
+impl MidGelu {
+    /// The smallest step at which a negative `x` cannot reach the −step
+    /// level: just above twice the deepest `gelu_f` value, −0.17004079.
+    const MIN_TERNARY_STEP: f32 = 0.3401;
+
+    fn new(step: f32, bsl: Option<usize>) -> Self {
+        let ternary = (bsl == Some(2) && step > Self::MIN_TERNARY_STEP)
+            .then(|| (step, 0.5 * step * (1.0 - 1.0 / 1024.0)));
+        MidGelu { q: Quant::new(step, bsl), ternary }
+    }
+
+    #[inline]
+    fn apply(self, x: f32) -> f32 {
+        if let Some((step, zero_below)) = self.ternary {
+            if x.is_finite() {
+                if x >= step {
+                    return step;
+                }
+                if x < zero_below {
+                    return 0.0f32.copysign(x);
+                }
+            }
+        }
+        self.q.apply(ascend_tensor::graph::gelu_f(x))
     }
 }
 
@@ -634,13 +705,14 @@ impl ScEngine {
     ///
     /// `calib_patches`/`calib_batch` supply one representative batch used to
     /// calibrate the GELU input range and the softmax logit scale; the
-    /// float kernel runs it image by image with a recording hook, split
-    /// into one contiguous part of the batch per core. The parts write
-    /// their |scores| into disjoint slices of one buffer that calibration
-    /// allocates up front, not into per-thread buffers that would stay
-    /// resident in each thread's allocator arena; the result is
-    /// bit-identical for any core count. The softmax sub-sample rates are
-    /// then found once by a closed-form rule on stream lengths
+    /// float kernel runs it image by image with a recording hook, up to
+    /// the last layer's GELU input, split into one contiguous part of the
+    /// batch per core once the batch is large enough to pay for a thread.
+    /// Each part keeps only its largest |scores|, as many as could hold
+    /// the 98th percentile's rank (`n − ⌊0.98·n⌋` of the batch's `n`), so
+    /// calibration holds O(parts·(n − ⌊0.98·n⌋)) floats, not O(n); the
+    /// result is bit-identical for any part count. The softmax sub-sample
+    /// rates are then found once by a closed-form rule on stream lengths
     /// ([`IterSoftmaxConfig::check_rates`]), and each αy candidate is
     /// compiled at them.
     ///
@@ -847,7 +919,9 @@ fn feasible_rates(mut cfg: IterSoftmaxConfig) -> Result<(usize, usize), ScError>
 #[derive(Debug)]
 pub(crate) struct Calibration {
     /// 98th percentile of |score| over every layer — robust to outliers,
-    /// which merely clamp (softmax saturates for them anyway).
+    /// which merely clamp (softmax saturates for them anyway): the element
+    /// at rank `⌊0.98·n⌋` (clamped to the last) of the `n` |scores| in
+    /// `total_cmp` order, or 1.0 for none.
     pub(crate) score_scale: f64,
     /// Per layer, the largest |fc1 output| (the GELU input range).
     pub(crate) gelu_absmax: Vec<f64>,
@@ -855,9 +929,25 @@ pub(crate) struct Calibration {
     pub(crate) score_rows: Vec<Vec<f64>>,
 }
 
+/// Float multiply-adds of encoder work below which a calibration part
+/// costs less than the helper thread that would run it.
+///
+/// Measured on a 2-core Xeon (release): the `perfbench` m = 5 model's
+/// 16-image batch is ~0.52 M multiply-adds, and `interactive-m5`
+/// `setup_s`, which compiles that engine, read 1.20 ms with calibration on
+/// the calling thread and 1.27 ms split in two (medians of 6 alternating
+/// runs, one part faster in 6/6). The m = 65 batch is ~34 M; its
+/// calibration took 7.2–8.2 ms on two parts and 10.2–15.7 ms on one
+/// (minimum of 40 calls, 6 rounds). An empty scoped spawn and join alone
+/// took 0.014–0.05 ms; a helper also pays for its cold caches and its
+/// own allocations. The cut-off sits 4× above the m = 5 half-batch.
+const MIN_PART_MACS: usize = 1 << 20;
+
 /// Runs the float kernel over the `batch` calibration images with a
-/// recording [`Probe`], in one contiguous part per core
-/// (`ServeConfig::auto().resolved_workers()`, see [`calibrate_in_parts`]).
+/// recording [`Probe`], in as many contiguous parts as there are cores
+/// (`ServeConfig::auto().resolved_workers()`) but at most one per
+/// [`MIN_PART_MACS`] of encoder work, so a small batch runs on the calling
+/// thread alone (see [`calibrate_in_parts`]).
 ///
 /// # Errors
 ///
@@ -867,19 +957,28 @@ pub(crate) fn calibrate(
     patches: &Tensor,
     batch: usize,
 ) -> Result<Calibration, ScError> {
-    calibrate_in_parts(net, patches, batch, ServeConfig::auto().resolved_workers())
+    let cfg = &net.vit;
+    let (s, d, hd) = (cfg.seq_len(), cfg.dim, cfg.dim * cfg.mlp_ratio);
+    // Q, K, V and the projection; fc1 and fc2; scores and `·V`.
+    let macs = batch * net.layers.len() * s * d * (4 * d + 2 * hd + 2 * s);
+    let parts = ServeConfig::auto().resolved_workers().min(macs / MIN_PART_MACS);
+    calibrate_in_parts(net, patches, batch, parts)
 }
 
 /// [`calibrate`] split into `parts` contiguous runs of images (clamped to
 /// `1..=batch`), each on its own [`parallel_map`] worker; the calling
 /// thread runs one part itself. Parts merge in image order: per-layer
-/// sampled rows are concatenated and the GELU maxima take the max, so the
-/// [`Calibration`] is bit-identical for every part count.
+/// sampled rows are concatenated, the GELU maxima take the max and the
+/// |score| tails merge into one, so the [`Calibration`] is bit-identical
+/// for every part count.
 ///
-/// All |scores| go into one buffer allocated here, each part writing its
-/// own disjoint slice of it. A score `Vec` per part would be freed into
-/// that worker thread's glibc arena and stay resident: on a 2-core Xeon it
-/// raised the `batch-m65` benchmark's `peak_rss_mb` by ~1.5 MiB (+12%).
+/// No part keeps every |score|. Of the `n = batch·layers·heads·s²` scores
+/// only the `n − ⌊0.98·n⌋` largest can hold the 98th percentile's rank,
+/// and each part keeps those of its own in an [`UpperTail`] of at most
+/// twice that many floats: O(parts·(n − ⌊0.98·n⌋)) floats in all, 2 × 43 KB
+/// at the m = 65 bench geometry where one buffer of every |score| took
+/// 1.08 MB. Each part allocates its own tail and scratch, so a worker's
+/// allocator arena keeps at most that much after the part is freed.
 ///
 /// # Errors
 ///
@@ -892,23 +991,11 @@ pub(crate) fn calibrate_in_parts(
 ) -> Result<Calibration, ScError> {
     let cfg = &net.vit;
     check_patch_count("calib_patches", patches.numel(), batch, cfg)?;
-    let layers = net.layers.len();
-    let s = cfg.seq_len();
     let per_image = cfg.num_patches() * cfg.patch_dim();
-    let scores_per_image = layers * cfg.heads * s * s;
-    let mut abs_scores = vec![0.0f32; batch * scores_per_image];
     let parts = parts.clamp(1, batch.max(1));
-    let mut rest = abs_scores.as_mut_slice();
-    let mut slots = Vec::with_capacity(parts);
-    for p in 0..parts {
-        let images = p * batch / parts..(p + 1) * batch / parts;
-        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(images.len() * scores_per_image);
-        rest = tail;
-        slots.push((images, Mutex::new(mine)));
-    }
-    let recorded = parallel_map(parts, 1, &slots, |_, (images, scores)| {
-        let scores = std::mem::take(&mut *scores.lock().unwrap_or_else(PoisonError::into_inner));
-        let mut probe = Probe::new(cfg, batch, layers, images.start, scores);
+    let runs: Vec<_> = (0..parts).map(|p| p * batch / parts..(p + 1) * batch / parts).collect();
+    let recorded = parallel_map(parts, 1, &runs, |_, images| {
+        let mut probe = Probe::new(net, batch, images.start);
         let mut scratch = ForwardScratch::for_geometry(cfg);
         let part = &patches.data()[images.start * per_image..images.end * per_image];
         for img in part.chunks_exact(per_image) {
@@ -916,35 +1003,26 @@ pub(crate) fn calibrate_in_parts(
             net.forward(img, &mut scratch, &mut blocks, &mut NoopObserver)?;
             probe.image += 1;
         }
-        Ok((probe.gelu_absmax, probe.score_rows))
+        Ok(probe)
     });
-    let mut gelu_absmax = vec![0.0f64; layers];
-    let mut score_rows = vec![Vec::new(); layers];
+    let mut recorded = recorded.into_iter();
+    // `parallel_map` returns one result per part, and there is at least one.
+    let mut merged = recorded.next().unwrap_or_else(|| Ok(Probe::new(net, batch, 0)))?;
     for part in recorded {
-        let (part_absmax, part_rows) = part?;
-        for (mx, v) in gelu_absmax.iter_mut().zip(part_absmax) {
-            *mx = mx.max(v);
-        }
-        for (rows, mut more) in score_rows.iter_mut().zip(part_rows) {
-            rows.append(&mut more);
-        }
+        merged.absorb(part?);
     }
-    Ok(Calibration {
-        score_scale: percentile_98(&mut abs_scores),
-        gelu_absmax,
-        score_rows: score_rows.into_iter().flatten().collect(),
-    })
+    Ok(merged.into_calibration())
 }
 
 /// The calibration recording hook for one part of the batch. It sees one
 /// image at a time, yet records exactly what a forward over the whole
-/// batch stacked together would: all |scores| (into its slice of the
-/// caller's buffer), the per-layer GELU-input maxima, and the sampled
-/// score rows in that forward's order — every `step`-th of the batch's
-/// `batch·heads·s` stacked rows per layer, layers in order, until 64 rows
-/// are held at a layer boundary. Row order matters: the αy search sums
-/// per-row errors in `f64`, and that order decides near-ties.
-struct Probe<'s> {
+/// batch stacked together would: the tail of |scores| that decides their
+/// 98th percentile ([`UpperTail`]), the per-layer GELU-input maxima, and
+/// the sampled score rows in that forward's order — every `step`-th of the
+/// batch's `batch·heads·s` stacked rows per layer, layers in order, until
+/// 64 rows are held at a layer boundary. Row order matters: the αy search
+/// sums per-row errors in `f64`, and that order decides near-ties.
+struct Probe {
     /// Index of the image being recorded, within the whole batch.
     image: usize,
     /// Score rows per image per layer (`heads · s`).
@@ -953,23 +1031,20 @@ struct Probe<'s> {
     step: usize,
     /// Rows sampled from each layer that is sampled at all.
     rows_per_layer: usize,
-    /// The part's |score| slots not yet written, front to back.
-    abs_scores: std::slice::IterMut<'s, f32>,
+    /// The part's largest |scores|, sized for the whole batch's count.
+    abs_scores: UpperTail,
     gelu_absmax: Vec<f64>,
     score_rows: Vec<Vec<Vec<f64>>>,
 }
 
-impl<'s> Probe<'s> {
+impl Probe {
     /// Rows held before a layer boundary that stop further sampling.
     const ROW_CAP: usize = 64;
 
-    fn new(
-        cfg: &VitConfig,
-        batch: usize,
-        layers: usize,
-        first_image: usize,
-        abs_scores: &'s mut [f32],
-    ) -> Probe<'s> {
+    /// A probe for the part of a `batch`-image calibration run over `net`
+    /// that starts at image `first_image`.
+    fn new(net: &FrozenNet, batch: usize, first_image: usize) -> Probe {
+        let (cfg, layers) = (&net.vit, net.layers.len());
         let rows_per_image = cfg.heads * cfg.seq_len();
         let rows = batch * rows_per_image;
         let step = (rows / 8).max(1);
@@ -978,15 +1053,15 @@ impl<'s> Probe<'s> {
             rows_per_image,
             step,
             rows_per_layer: rows.div_ceil(step),
-            abs_scores: abs_scores.iter_mut(),
+            abs_scores: UpperTail::for_percentile_98(layers * rows * cfg.seq_len()),
             gelu_absmax: vec![0.0; layers],
             score_rows: vec![Vec::new(); layers],
         }
     }
 
     fn record_scores(&mut self, layer: usize, scores: &[f32], s: usize) {
-        for (v, dst) in scores.iter().zip(&mut self.abs_scores) {
-            *dst = v.abs();
+        for v in scores {
+            self.abs_scores.push(v.abs());
         }
         if layer * self.rows_per_layer >= Self::ROW_CAP {
             return;
@@ -1005,11 +1080,93 @@ impl<'s> Probe<'s> {
             *mx = mx.max(v.abs() as f64);
         }
     }
+
+    /// Merges the probe of the part that follows this one.
+    fn absorb(&mut self, later: Probe) {
+        for (mx, v) in self.gelu_absmax.iter_mut().zip(later.gelu_absmax) {
+            *mx = mx.max(v);
+        }
+        for (rows, mut more) in self.score_rows.iter_mut().zip(later.score_rows) {
+            rows.append(&mut more);
+        }
+        self.abs_scores.absorb(&later.abs_scores);
+    }
+
+    fn into_calibration(self) -> Calibration {
+        Calibration {
+            score_scale: self.abs_scores.smallest(),
+            gelu_absmax: self.gelu_absmax,
+            score_rows: self.score_rows.into_iter().flatten().collect(),
+        }
+    }
+}
+
+/// The `keep` largest samples pushed, in `total_cmp` order, held exactly
+/// but not in order, in a buffer of at most `2·keep` floats.
+///
+/// Samples are appended until the buffer holds `2·keep`; a cut then keeps
+/// its `keep` largest (`select_nth_unstable_by`) and remembers the
+/// smallest of them as the floor. A later sample not above the floor is
+/// dropped: `keep` held samples are at least as large, so it cannot
+/// change the `keep` largest values. Their smallest is the sample at rank
+/// `n − keep` of all `n` pushed — whatever the order of pushes, and
+/// whatever the split into tails merged by [`UpperTail::absorb`].
+struct UpperTail {
+    keep: usize,
+    buf: Vec<f32>,
+    /// The smallest kept sample at the last cut.
+    floor: Option<f32>,
+}
+
+impl UpperTail {
+    /// The tail whose smallest sample is the 98th percentile of `n`: the
+    /// element at rank `⌊0.98·n⌋` (clamped to the last) in `total_cmp`
+    /// order, as a full sort would place it.
+    fn for_percentile_98(n: usize) -> UpperTail {
+        let rank = (((n as f64) * 0.98) as usize).min(n.saturating_sub(1));
+        let keep = n - rank;
+        UpperTail { keep, buf: Vec::with_capacity(2 * keep), floor: None }
+    }
+
+    #[inline]
+    fn push(&mut self, v: f32) {
+        if self.floor.is_some_and(|floor| v.total_cmp(&floor).is_le()) {
+            return;
+        }
+        self.buf.push(v);
+        if self.buf.len() == 2 * self.keep {
+            self.cut();
+        }
+    }
+
+    fn cut(&mut self) {
+        let (_, kth, _) = self.buf.select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
+        self.floor = Some(*kth);
+        self.buf.truncate(self.keep);
+    }
+
+    /// Adds every sample `other` holds.
+    fn absorb(&mut self, other: &UpperTail) {
+        for &v in &other.buf {
+            self.push(v);
+        }
+    }
+
+    /// The smallest of the `keep` largest samples, or 1.0 when fewer than
+    /// `keep` (or no samples at all) were pushed.
+    fn smallest(mut self) -> f64 {
+        if self.keep == 0 || self.buf.len() < self.keep {
+            return 1.0;
+        }
+        let (_, kth, _) = self.buf.select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
+        f64::from(*kth)
+    }
 }
 
 /// The element at rank `⌊0.98·n⌋` (clamped to the last) of `samples` in
 /// `total_cmp` order — the one a full sort would put there — or 1.0 for
-/// no samples. Reorders `samples`.
+/// no samples. Reorders `samples`. The reference [`UpperTail`] is held to.
+#[cfg(test)]
 fn percentile_98(samples: &mut [f32]) -> f64 {
     if samples.is_empty() {
         return 1.0;
@@ -1046,6 +1203,8 @@ mod tests {
         let cases: Vec<Vec<f32>> = vec![
             vec![],
             vec![0.75],
+            vec![-0.0],
+            vec![f32::NAN],
             vec![0.0; 40],
             vec![0.0, 0.0, 0.0, 2.0],
             [vec![1.5; 60], vec![3.0; 3], vec![0.0; 37]].concat(),
@@ -1054,8 +1213,152 @@ mod tests {
         ];
         for mut case in cases {
             let want = reference(&case);
+            for parts in 1..=4 {
+                let got = merged_tail(&case, parts).smallest();
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {}, {parts} parts", case.len());
+            }
             let got = percentile_98(&mut case);
             assert_eq!(got.to_bits(), want.to_bits(), "n = {}: {got} vs {want}", case.len());
+        }
+    }
+
+    /// `samples` split as [`calibrate_in_parts`] splits a batch, each part
+    /// pushed into its own tail and the tails merged in order.
+    fn merged_tail(samples: &[f32], parts: usize) -> UpperTail {
+        let n = samples.len();
+        let mut tails = (0..parts).map(|p| {
+            let mut tail = UpperTail::for_percentile_98(n);
+            for &v in &samples[p * n / parts..(p + 1) * n / parts] {
+                tail.push(v);
+            }
+            // Never grown past the `2·keep` it was made with.
+            assert_eq!(tail.buf.capacity(), 2 * tail.keep, "n = {n}");
+            tail
+        });
+        let mut merged = tails.next().unwrap();
+        for tail in tails {
+            merged.absorb(&tail);
+        }
+        merged
+    }
+
+    /// A sample biased towards the cases `total_cmp` orders specially.
+    fn special_f32(kind: u8, bits: u32) -> f32 {
+        let sign = bits & 0x8000_0000;
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            // Subnormal, either sign.
+            2 => f32::from_bits(sign | (bits & 0x007f_ffff).max(1)),
+            // NaN, either sign, any payload.
+            3 => f32::from_bits(sign | 0x7f80_0000 | (bits & 0x007f_ffff).max(1)),
+            4 => [f32::INFINITY, f32::NEG_INFINITY][(bits & 1) as usize],
+            // A few repeated values, so ties straddle the cuts.
+            5 | 6 => [0.5, 1.0, 2.0, 3.0][(bits & 3) as usize],
+            _ => f32::from_bits(bits),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The merged tails' smallest sample is the element the reference
+        /// `percentile_98` picks, for any split into 1..=4 parts.
+        #[test]
+        fn upper_tail_merged_from_any_split_is_the_98th_percentile(
+            raw in proptest::prelude::prop::collection::vec(
+                (0u8..9, proptest::prelude::any::<u32>()),
+                0..400,
+            ),
+            parts in 1usize..5,
+        ) {
+            let samples: Vec<f32> = raw.iter().map(|&(k, b)| special_f32(k, b)).collect();
+            let want = percentile_98(&mut samples.clone());
+            let got = merged_tail(&samples, parts).smallest();
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    /// `x` moved by `ulps` steps in `total_cmp` order (across ±0).
+    fn nudge(x: f32, ulps: i32) -> f32 {
+        let flip = |b: i32| b ^ (((b >> 31) as u32) >> 1) as i32;
+        f32::from_bits(flip(flip(x.to_bits() as i32).wrapping_add(ulps)) as u32)
+    }
+
+    /// The GELU-site inputs every shortcut test sweeps: every f32 within
+    /// ±2¹⁶ ulps of `step`, of its zero cut-off and of 0, a strided sweep
+    /// of [−16, 16], and the non-finite values.
+    fn gelu_sweep(step: f32) -> Vec<f32> {
+        let zero_below = 0.5 * step * (1.0 - 1.0 / 1024.0);
+        let mut xs = Vec::new();
+        for centre in [step, zero_below, 0.0] {
+            xs.extend((-(1 << 16)..=1 << 16).map(|u| nudge(centre, u)));
+        }
+        let mut x = -16.0f32;
+        while x <= 16.0 {
+            xs.push(x);
+            x = nudge(x, 4099);
+        }
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+        xs.push(f32::from_bits(0x7f80_0001));
+        xs
+    }
+
+    fn assert_gelu_site_exact(site: MidGelu, q: Quant, xs: &[f32], what: &str) {
+        for &x in xs {
+            let want = q.apply(ascend_tensor::graph::gelu_f(x));
+            let got = site.apply(x);
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: x = {x:e} ({:#010x})", x.to_bits());
+        }
+    }
+
+    #[test]
+    fn ternary_gelu_shortcut_is_bit_identical_to_the_exact_path() {
+        for step in [0.3402f32, 0.5, 0.7, 1.0, 4.0] {
+            let site = MidGelu::new(step, Some(2));
+            assert!(site.ternary.is_some(), "step {step} takes the shortcut");
+            let what = format!("step {step}");
+            assert_gelu_site_exact(site, Quant::new(step, Some(2)), &gelu_sweep(step), &what);
+        }
+    }
+
+    #[test]
+    fn gelu_sites_off_the_ternary_bound_run_the_exact_path() {
+        let sites = [
+            (0.3401f32, Some(2usize)),
+            (0.2, Some(2)),
+            (0.0, Some(2)),
+            (0.7, None),
+            (0.7, Some(1)),
+            (0.7, Some(3)),
+            (0.7, Some(4)),
+            (0.7, Some(16)),
+        ];
+        for (step, bsl) in sites {
+            let site = MidGelu::new(step, bsl);
+            let what = format!("step {step}, BSL {bsl:?}");
+            assert!(site.ternary.is_none(), "{what} falls back");
+            let mut xs: Vec<f32> = (-(1 << 10)..=1 << 10).map(|u| nudge(0.5 * step, u)).collect();
+            xs.extend((-160..=160).map(|i| i as f32 / 10.0));
+            assert_gelu_site_exact(site, Quant::new(step, bsl), &xs, &what);
+        }
+    }
+
+    /// Every negative f32 (~2.1·10⁹ of them): `gelu_f` is negative or −0
+    /// and at least −0.17004079, and exactly −0 below −16 — the bound the
+    /// ternary shortcut's zero branch rests on. About a minute in release:
+    /// `cargo test --release -p ascend --lib -- --ignored negative_gelu`.
+    #[test]
+    #[ignore]
+    fn every_negative_gelu_output_is_a_zero_or_a_small_negative() {
+        let floor = -0.170_040_79f32;
+        for bits in 0x8000_0000u32..=0xff7f_ffff {
+            let x = f32::from_bits(bits);
+            let y = ascend_tensor::graph::gelu_f(x);
+            assert!(y.is_sign_negative() && y >= floor, "gelu_f({x:e}) = {y:e}");
+            if x < -16.0 {
+                assert_eq!(y.to_bits(), (-0.0f32).to_bits(), "gelu_f({x:e})");
+            }
         }
     }
 
