@@ -73,7 +73,9 @@ pub fn full_report(outcome: &Outcome, baseline: &Baseline) -> String {
 
 /// Escapes message *data* for a GitHub workflow command.
 fn gh_data(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 /// Escapes a workflow-command *property* value (file, title), which
@@ -233,7 +235,9 @@ mod tests {
     fn github_format_anchors_ratchet_growth_at_the_baseline_file() {
         let text = render_github(&outcome(Vec::new(), 3), &Baseline::new());
         assert!(
-            text.contains("::error file=crates/lint/baseline.tsv,line=1,title=ascend-lint ratchet::"),
+            text.contains(
+                "::error file=crates/lint/baseline.tsv,line=1,title=ascend-lint ratchet::"
+            ),
             "{text}"
         );
         // Improvements are notices, and a clean run says OK.
@@ -241,7 +245,10 @@ mod tests {
             .into_iter()
             .collect();
         let text = render_github(&outcome(Vec::new(), 1), &baseline);
-        assert!(text.contains("::notice file=crates/lint/baseline.tsv"), "{text}");
+        assert!(
+            text.contains("::notice file=crates/lint/baseline.tsv"),
+            "{text}"
+        );
         assert!(text.contains("ascend-lint: OK"), "{text}");
     }
 }

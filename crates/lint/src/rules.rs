@@ -198,7 +198,10 @@ pub struct FileLint {
 impl FileLint {
     /// Well-formed waivers the file carries (for `--report` statistics).
     pub fn waiver_count(&self) -> usize {
-        self.waivers.iter().filter(|w| w.malformed.is_none()).count()
+        self.waivers
+            .iter()
+            .filter(|w| w.malformed.is_none())
+            .count()
     }
 }
 
@@ -426,7 +429,13 @@ pub fn lock_order(files: &[FileLint]) -> Vec<Violation> {
         for f in &fl.fns {
             for a in &f.acquires {
                 for h in &a.held {
-                    edges.insert((h.clone(), a.site.clone(), fl.path.clone(), a.line, String::new()));
+                    edges.insert((
+                        h.clone(),
+                        a.site.clone(),
+                        fl.path.clone(),
+                        a.line,
+                        String::new(),
+                    ));
                 }
             }
             for c in &f.calls {
@@ -652,7 +661,12 @@ mod tests {
         }
         let vs = lint_source(TOOLING_BIN, src);
         assert_eq!(vs.iter().filter(|v| v.rule == NO_PANIC_LIB).count(), 1);
-        assert_eq!(vs.iter().filter(|v| v.rule == MISSING_FORBID_UNSAFE).count(), 1);
+        assert_eq!(
+            vs.iter()
+                .filter(|v| v.rule == MISSING_FORBID_UNSAFE)
+                .count(),
+            1
+        );
         let clean = lint_source(TOOLING_BIN, "#![forbid(unsafe_code)]\nfn f() {}");
         assert!(clean.is_empty());
     }
@@ -704,7 +718,9 @@ mod tests {
         // clock read there needs a waiver naming why it is sanctioned.
         for file in ["crates/cli/src/main.rs", "crates/http/src/metrics.rs"] {
             assert!(
-                lint_source(file, src).iter().any(|v| v.rule == NO_WALLCLOCK),
+                lint_source(file, src)
+                    .iter()
+                    .any(|v| v.rule == NO_WALLCLOCK),
                 "{file} must be in wallclock scope"
             );
         }
@@ -920,7 +936,11 @@ mod tests {
         assert_eq!(order.len(), 2, "{vs:?}");
         assert_eq!((order[0].path.as_str(), order[0].line), (HOT, 3));
         assert_eq!((order[1].path.as_str(), order[1].line), (HOT, 7));
-        assert!(order[0].msg.contains("inverts the lock order"), "{}", order[0].msg);
+        assert!(
+            order[0].msg.contains("inverts the lock order"),
+            "{}",
+            order[0].msg
+        );
         assert!(order[0].msg.contains("core:a") && order[0].msg.contains("core:b"));
     }
 
@@ -967,10 +987,16 @@ mod tests {
         let f2 = analyze_file("crates/core/src/b.rs", callee);
         let vs = lock_order(&[f1, f2]);
         assert_eq!(vs.len(), 2, "{vs:?}");
-        let via = vs.iter().find(|v| v.path == "crates/core/src/a.rs").unwrap();
+        let via = vs
+            .iter()
+            .find(|v| v.path == "crates/core/src/a.rs")
+            .unwrap();
         assert_eq!(via.line, 3);
         assert!(via.msg.contains("helper"), "{}", via.msg);
-        let direct = vs.iter().find(|v| v.path == "crates/core/src/b.rs").unwrap();
+        let direct = vs
+            .iter()
+            .find(|v| v.path == "crates/core/src/b.rs")
+            .unwrap();
         assert_eq!(direct.line, 6);
     }
 
@@ -1013,7 +1039,10 @@ mod tests {
         let fired: Vec<_> = vs.iter().map(|v| v.rule).collect();
         assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK), "{vs:?}");
         assert!(!fired.contains(&CONDVAR_WAIT_LOOP), "{vs:?}");
-        let v = vs.iter().find(|v| v.rule == NO_BLOCKING_UNDER_LOCK).unwrap();
+        let v = vs
+            .iter()
+            .find(|v| v.rule == NO_BLOCKING_UNDER_LOCK)
+            .unwrap();
         assert_eq!(v.line, 5);
         assert!(v.msg.contains("core:state"), "{}", v.msg);
     }

@@ -206,8 +206,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 "fn" => {
-                    if let Some(name) = self.code.get(i + 1).filter(|n| n.kind == TokKind::Ident)
-                    {
+                    if let Some(name) = self.code.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
                         self.pending_fn = Some((name.text.clone(), t.line, t.in_test));
                     }
                 }
@@ -500,10 +499,12 @@ impl<'a> Parser<'a> {
         match &self.let_ctx {
             Some(lc) if lc.name.is_some() && lc.cond && term == "{" => {
                 // `if let Ok(g) = m.lock() {` — binds into the next block.
-                self.pending_cond_guard =
-                    Some((lc.name.clone().unwrap_or_default(), site));
+                self.pending_cond_guard = Some((lc.name.clone().unwrap_or_default(), site));
             }
-            Some(lc) if lc.name.is_some() && !lc.cond && (term == ";" || (lc.saw_match && term == "{")) =>
+            Some(lc)
+                if lc.name.is_some()
+                    && !lc.cond
+                    && (term == ";" || (lc.saw_match && term == "{")) =>
             {
                 // `let g = m.lock()…;` or the poison-recovery
                 // `let g = match m.lock() { … };` — a real binding,
@@ -604,17 +605,13 @@ mod tests {
 
     #[test]
     fn guard_dies_with_its_block_not_the_function() {
-        let f = only_fn(
-            "fn f() {\n  {\n    let g = m.lock().unwrap();\n  }\n  x.recv();\n}",
-        );
+        let f = only_fn("fn f() {\n  {\n    let g = m.lock().unwrap();\n  }\n  x.recv();\n}");
         assert_eq!(f.blocking[0].held, Vec::<String>::new());
     }
 
     #[test]
     fn drop_ends_the_held_region_early() {
-        let f = only_fn(
-            "fn f() {\n  let g = m.lock().unwrap();\n  drop(g);\n  x.recv();\n}",
-        );
+        let f = only_fn("fn f() {\n  let g = m.lock().unwrap();\n  drop(g);\n  x.recv();\n}");
         assert_eq!(f.blocking[0].held, Vec::<String>::new());
     }
 
@@ -638,9 +635,7 @@ mod tests {
 
     #[test]
     fn unbound_lock_is_a_statement_temporary() {
-        let f = only_fn(
-            "fn f() {\n  m.lock().unwrap().push(1);\n  x.recv();\n}",
-        );
+        let f = only_fn("fn f() {\n  m.lock().unwrap().push(1);\n  x.recv();\n}");
         // The temporary guard died at the `;`, so recv holds nothing.
         assert_eq!(f.blocking[0].held, Vec::<String>::new());
         // But within its own statement it IS held.
@@ -651,9 +646,7 @@ mod tests {
     #[test]
     fn chained_past_guard_does_not_bind() {
         // `let n = m.lock().unwrap().len();` — n is a usize, not a guard.
-        let f = only_fn(
-            "fn f() {\n  let n = m.lock().unwrap().len();\n  x.recv();\n}",
-        );
+        let f = only_fn("fn f() {\n  let n = m.lock().unwrap().len();\n  x.recv();\n}");
         assert_eq!(f.blocking[0].held, Vec::<String>::new());
     }
 
@@ -685,9 +678,8 @@ mod tests {
 
     #[test]
     fn acquire_records_already_held_sites() {
-        let f = only_fn(
-            "fn f() {\n  let ga = a.lock().unwrap();\n  let gb = b.lock().unwrap();\n}",
-        );
+        let f =
+            only_fn("fn f() {\n  let ga = a.lock().unwrap();\n  let gb = b.lock().unwrap();\n}");
         assert_eq!(f.acquires.len(), 2);
         assert_eq!(f.acquires[0].held, Vec::<String>::new());
         assert_eq!(f.acquires[1].site, "t:b");
@@ -732,9 +724,8 @@ mod tests {
 
     #[test]
     fn calls_record_held_guards_for_the_lock_order_union() {
-        let f = only_fn(
-            "fn f() {\n  let g = m.lock().unwrap();\n  helper(1);\n  self.other(2);\n}",
-        );
+        let f =
+            only_fn("fn f() {\n  let g = m.lock().unwrap();\n  helper(1);\n  self.other(2);\n}");
         let helper = f.calls.iter().find(|c| c.callee == "helper").unwrap();
         assert_eq!(helper.held, ["t:m"]);
         assert!(f.calls.iter().any(|c| c.callee == "other"));

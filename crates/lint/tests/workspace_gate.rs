@@ -69,8 +69,8 @@ fn baseline_file_is_canonical_and_minimal() {
     // edits that pad counts, reorder lines, or leave dead entries — the
     // ratchet only means something if the file is exactly the tree.
     let root = repo_root();
-    let text = std::fs::read_to_string(root.join(baseline::BASELINE_PATH))
-        .expect("baseline.tsv exists");
+    let text =
+        std::fs::read_to_string(root.join(baseline::BASELINE_PATH)).expect("baseline.tsv exists");
     let parsed = baseline::parse(&text).expect("baseline.tsv parses");
     assert_eq!(
         baseline::render(&parsed),
