@@ -8,6 +8,8 @@
 //! `backend_fault0_sc_batch32` should cost the same as bare SC (rate 0
 //! passes inputs through untouched).
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use ascend::engine::EngineConfig;
 use ascend::fixture::{session_or_load, FixtureRecipe};
 use ascend::{BackendKind, InferenceBackend};

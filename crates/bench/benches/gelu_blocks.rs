@@ -1,5 +1,7 @@
 //! Criterion benchmarks of the GELU blocks across circuit families.
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_nonlinear::bernstein::gelu_block as bernstein_gelu;
 use sc_nonlinear::fsm::{FsmGelu, FsmGeluConfig};

@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks of the SC arithmetic substrate.
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sc_core::bsn::{self, BitonicNetwork};
 use sc_core::rescale::{rescale, RescaleMode};

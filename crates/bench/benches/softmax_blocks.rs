@@ -1,6 +1,8 @@
 //! Criterion benchmarks of the softmax blocks (ours vs FSM baseline),
 //! including the bit-level simulator vs compiled-program gap.
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_nonlinear::softmax_fsm::{FsmSoftmax, FsmSoftmaxConfig};
 use sc_nonlinear::softmax_iter::{

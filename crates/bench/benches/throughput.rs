@@ -18,6 +18,8 @@
 //! These are micro-benchmarks only and write no file; end-to-end serving
 //! numbers come from the `perfbench` harness declared in `BENCHMARK.json`.
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use ascend::engine::EngineConfig;
 use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::instrument::InstrumentedBackend;

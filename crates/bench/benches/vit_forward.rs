@@ -3,6 +3,8 @@
 //! and float-reference forwards and `ScEngine::compile` with a
 //! calibration batch of 16, which is also timed at the m = 5 geometry.
 
+#![allow(clippy::expect_used, reason = "a criterion bench aborts on a set-up failure")]
+
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{train_or_load, FixtureRecipe};
 use ascend::{InferenceBackend, RefEngine};

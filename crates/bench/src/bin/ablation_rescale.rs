@@ -9,28 +9,27 @@
 
 use ascend::report::TextTable;
 use sc_core::rescale::RescaleMode;
+use sc_core::ScError;
 use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig};
 
-fn main() {
+fn main() -> Result<(), ScError> {
     ascend_bench::banner("re-scaling ablations", "DESIGN.md §3 / paper Table II");
     let rows = ascend_bench::softmax_rows(120, 64, 7);
 
     // (1) Rounding mode of every re-scaler in the block.
     let mut table = TextTable::new(vec!["Rescale mode", "MAE (By=8)", "MAE (By=16)"]);
     for mode in [RescaleMode::Floor, RescaleMode::Round, RescaleMode::Ceil] {
-        let mae = |by: usize| {
+        let mae = |by: usize| -> Result<f64, ScError> {
             IterSoftmaxBlock::new(IterSoftmaxConfig {
                 by,
                 ay: 1.0 / 64.0,
                 ax: 3.0,
                 mode,
                 ..IterSoftmaxConfig::default()
-            })
-            .expect("feasible")
+            })?
             .mae_levels(&rows)
-            .expect("runs")
         };
-        table.row(vec![format!("{mode:?}"), format!("{:.4}", mae(8)), format!("{:.4}", mae(16))]);
+        table.row(vec![format!("{mode:?}"), format!("{:.4}", mae(8)?), format!("{:.4}", mae(16)?)]);
     }
     println!("{}", table.render());
 
@@ -43,9 +42,8 @@ fn main() {
             ay: 1.0 / 64.0,
             ax: 3.0,
             ..IterSoftmaxConfig::default()
-        })
-        .expect("feasible");
-        let mae = block.mae_levels(&rows).expect("runs");
+        })?;
+        let mae = block.mae_levels(&rows)?;
         let note = match k {
             1 => "single Euler step",
             3 => "paper's recommended k (and k blocks in the accelerator)",
@@ -57,4 +55,5 @@ fn main() {
     println!("Euler error falls with k while area grows k-fold (Table VI note);");
     println!("non-power-of-two k additionally pays the /k gain error documented in");
     println!("sc_core::rescale::align_scale.");
+    Ok(())
 }

@@ -7,35 +7,36 @@
 #![forbid(unsafe_code)]
 
 use sc_core::encoding::Thermometer;
+use sc_core::ScError;
 use sc_nonlinear::bernstein::gelu_block as bernstein_gelu;
 use sc_nonlinear::fsm::{FsmGelu, FsmGeluConfig};
 use sc_nonlinear::gate_si::gelu_block_calibrated;
 use sc_nonlinear::ref_fn;
 use sc_nonlinear::si::SiBlock;
 
-fn main() {
+fn main() -> Result<(), ScError> {
     ascend_bench::banner("GELU transfer curves", "Fig. 2");
 
-    let fsm128 = FsmGelu::new(FsmGeluConfig { bsl: 128, ..Default::default() }).expect("valid");
-    let fsm1024 = FsmGelu::new(FsmGeluConfig { bsl: 1024, ..Default::default() }).expect("valid");
-    let bern128 = bernstein_gelu(4, 128).expect("valid");
-    let bern1024 = bernstein_gelu(4, 1024).expect("valid");
+    let fsm128 = FsmGelu::new(FsmGeluConfig { bsl: 128, ..Default::default() })?;
+    let fsm1024 = FsmGelu::new(FsmGeluConfig { bsl: 1024, ..Default::default() })?;
+    let bern128 = bernstein_gelu(4, 128)?;
+    let bern1024 = bernstein_gelu(4, 1024)?;
 
     // Both SI families run the paper's wide-input configuration: a 256-bit
     // accumulated thermometer input compressed to a 4b/8b output whose
     // scale is calibrated on the plotting window — the setup where Fig. 2
     // (c) and (d) differ *only* in the assist gates.
     let window: Vec<f64> = (0..700).map(|i| -3.0 + i as f64 * 0.005).collect();
-    let gate4 = gelu_block_calibrated(256, 4, &window).expect("calibrates");
-    let gate8 = gelu_block_calibrated(256, 8, &window).expect("calibrates");
-    let naive_like = |gate: &sc_nonlinear::gate_si::GateAssistedSi| {
-        let input = Thermometer::with_range(256, 4.0).expect("valid codec");
+    let gate4 = gelu_block_calibrated(256, 4, &window)?;
+    let gate8 = gelu_block_calibrated(256, 8, &window)?;
+    let naive_like = |gate: &sc_nonlinear::gate_si::GateAssistedSi| -> Result<SiBlock, ScError> {
+        let input = Thermometer::with_range(256, 4.0)?;
         let output =
-            Thermometer::new(gate.output().len(), gate.output().scale()).expect("valid codec");
-        SiBlock::compile(ref_fn::gelu, input, output).expect("compiles")
+            Thermometer::new(gate.output().len(), gate.output().scale())?;
+        SiBlock::compile(ref_fn::gelu, input, output)
     };
-    let naive4 = naive_like(&gate4);
-    let naive8 = naive_like(&gate8);
+    let naive4 = naive_like(&gate4)?;
+    let naive8 = naive_like(&gate8)?;
 
     println!(
         "{}",
@@ -77,4 +78,5 @@ fn main() {
     println!("#   FSM @1024b        {fsm_dip:.4}   (saturates at 0 — Fig. 2a)");
     println!("#   naive SI @8b      {naive_dip:.4}   (monotone hull — Fig. 2c)");
     println!("#   gate-assisted @8b {gate_dip:.4}   (tracks the dip — Fig. 2d)");
+    Ok(())
 }

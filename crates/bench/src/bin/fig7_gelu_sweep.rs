@@ -9,7 +9,7 @@ use sc_hw::{blocks, CellLibrary};
 use sc_nonlinear::bernstein::{gelu_block as bernstein_gelu, BernsteinConfig};
 use sc_nonlinear::gate_si::gelu_block_calibrated;
 
-fn main() {
+fn main() -> Result<(), sc_core::ScError> {
     ascend_bench::banner("GELU blocks across BSLs", "Fig. 7");
     let lib = CellLibrary::paper_calibrated();
     let xs = ascend_bench::gelu_inputs(3000, 42);
@@ -19,7 +19,7 @@ fn main() {
 
     for terms in [4usize, 5, 6] {
         for bsl in [128usize, 256, 1024] {
-            let block = bernstein_gelu(terms, bsl).expect("valid baseline");
+            let block = bernstein_gelu(terms, bsl)?;
             let cost = blocks::bernstein(
                 &lib,
                 &BernsteinConfig { terms, bsl, ..Default::default() },
@@ -35,7 +35,7 @@ fn main() {
         }
     }
     for by in [2usize, 4, 8] {
-        let block = gelu_block_calibrated(256, by, &xs).expect("calibrates");
+        let block = gelu_block_calibrated(256, by, &xs)?;
         let cost = blocks::gate_si(&lib, &block);
         let mae = ascend_bench::gelu_mae(|x| block.eval_value(x), &xs);
         table.row(vec![
@@ -48,4 +48,5 @@ fn main() {
     println!("{}", table.render());
     println!("Expected shape: Bernstein ADP grows with BSL while MAE falls slowly;");
     println!("gate-SI sits orders of magnitude lower in delay-driven ADP at equal or better MAE.");
+    Ok(())
 }

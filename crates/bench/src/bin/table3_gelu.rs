@@ -10,7 +10,7 @@ use sc_hw::{blocks, CellLibrary};
 use sc_nonlinear::bernstein::{BernsteinConfig, gelu_block as bernstein_gelu};
 use sc_nonlinear::gate_si::gelu_block_calibrated;
 
-fn main() {
+fn main() -> Result<(), sc_core::ScError> {
     ascend_bench::banner("GELU block comparison", "Table III");
     let lib = CellLibrary::paper_calibrated();
     let xs = ascend_bench::gelu_inputs(4000, 42);
@@ -22,7 +22,7 @@ fn main() {
     let mut bern_adp = Vec::new();
     let mut bern_mae = Vec::new();
     for terms in [4usize, 5, 6] {
-        let block = bernstein_gelu(terms, 1024).expect("valid baseline");
+        let block = bernstein_gelu(terms, 1024)?;
         let cost = blocks::bernstein(
             &lib,
             &BernsteinConfig { terms, bsl: 1024, ..Default::default() },
@@ -44,7 +44,7 @@ fn main() {
     let mut ours_adp = Vec::new();
     let mut ours_mae = Vec::new();
     for by in [2usize, 4, 8] {
-        let block = gelu_block_calibrated(256, by, &xs).expect("calibrates");
+        let block = gelu_block_calibrated(256, by, &xs)?;
         let cost = blocks::gate_si(&lib, &block);
         let mae = ascend_bench::gelu_mae(|x| block.eval_value(x), &xs);
         ours_adp.push(cost.adp());
@@ -75,4 +75,5 @@ fn main() {
         "  2b vs 8b gate-SI (allowing larger error): ADP x{:.2} further reduction",
         ours_adp[2] / ours_adp[0]
     );
+    Ok(())
 }

@@ -8,13 +8,14 @@
 
 use ascend::report::{eng, TextTable};
 use sc_core::rescale::RescaleMode;
+use sc_core::ScError;
 use sc_hw::{blocks, CellLibrary};
 use sc_nonlinear::softmax_fsm::{FsmSoftmax, FsmSoftmaxConfig};
 use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig};
 
 const M: usize = 64;
 
-fn main() {
+fn main() -> Result<(), ScError> {
     ascend_bench::banner("softmax block comparison (m = 64)", "Table IV");
     let lib = CellLibrary::paper_calibrated();
     let rows = ascend_bench::softmax_rows(120, M, 7);
@@ -28,9 +29,9 @@ fn main() {
     for bsl in [128usize, 256, 1024] {
         // The [17] design point: 6 fractional output bits, coarse exp LUT.
         let cfg = FsmSoftmaxConfig { m: M, bsl, frac_bits: 6, lut_entries: 16, ..Default::default() };
-        let block = FsmSoftmax::new(cfg).expect("valid baseline");
+        let block = FsmSoftmax::new(cfg)?;
         let cost = blocks::fsm_softmax(&lib, &cfg);
-        let mae = mae_of(|r| block.run(r).expect("runs"), &rows);
+        let mae = mae_of(|r| block.run(r), &rows)?;
         fsm_adp.push(cost.adp());
         fsm_mae.push(mae);
         table.row(vec![
@@ -46,8 +47,8 @@ fn main() {
     let mut ours_adp = Vec::new();
     let mut ours_mae = Vec::new();
     for by in [4usize, 8, 16] {
-        let block = paper_grid_block(by);
-        let mae = block.mae_levels(&rows).expect("runs");
+        let block = paper_grid_block(by)?;
+        let mae = block.mae_levels(&rows)?;
         let cost = blocks::iter_softmax(&lib, &block);
         ours_adp.push(cost.adp());
         ours_mae.push(mae);
@@ -78,13 +79,14 @@ fn main() {
         ours_adp[1] / ours_adp[0],
         100.0 * (ours_mae[0] / ours_mae[1] - 1.0)
     );
+    Ok(())
 }
 
 /// Builds the By-block on the paper's grids: αx spans ±6 over Bx = 4
 /// levels; αy = 1/m so the anchor y(0) = 1/m is exactly one level and the
 /// representable output range (±By/2m) grows with By — the mechanism
 /// behind Table IV/VI's accuracy-vs-By trend.
-fn paper_grid_block(by: usize) -> IterSoftmaxBlock {
+fn paper_grid_block(by: usize) -> Result<IterSoftmaxBlock, ScError> {
     IterSoftmaxBlock::new(IterSoftmaxConfig {
         m: M,
         k: 3,
@@ -96,19 +98,21 @@ fn paper_grid_block(by: usize) -> IterSoftmaxBlock {
         s2: 8,
         mode: RescaleMode::Round,
     })
-    .expect("paper configuration is feasible")
 }
 
-fn mae_of<F: Fn(&[f64]) -> Vec<f64>>(block: F, rows: &[Vec<f64>]) -> f64 {
+fn mae_of<F: Fn(&[f64]) -> Result<Vec<f64>, ScError>>(
+    block: F,
+    rows: &[Vec<f64>],
+) -> Result<f64, ScError> {
     let mut total = 0.0;
     let mut n = 0usize;
     for row in rows {
-        let got = block(row);
+        let got = block(row)?;
         let want = sc_nonlinear::ref_fn::softmax(row);
         for (g, w) in got.iter().zip(want.iter()) {
             total += (g - w).abs();
             n += 1;
         }
     }
-    total / n as f64
+    Ok(total / n as f64)
 }

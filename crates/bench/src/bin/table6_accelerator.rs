@@ -17,7 +17,7 @@ use sc_hw::CellLibrary;
 const QUADS: [(usize, usize, usize, usize); 4] =
     [(4, 128, 2, 2), (8, 32, 8, 3), (16, 128, 16, 4), (32, 128, 16, 4)];
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     ascend_bench::banner("SC accelerator configurations", "Table VI");
 
@@ -46,7 +46,7 @@ fn main() {
     let report = pipeline.run();
     println!("{}", report.table());
 
-    let model = pipeline.final_model.as_ref().expect("pipeline trains the final model");
+    let model = pipeline.final_model.as_ref().ok_or("pipeline trained no final model")?;
     let (train_set, test_set) = pipeline.datasets();
     let calib_idx: Vec<usize> = (0..32.min(train_set.len())).collect();
     let calib = train_set.patches(&calib_idx, model.config.patch);
@@ -62,8 +62,7 @@ fn main() {
 
     for (by, s1, s2, k) in QUADS {
         let ecfg = EngineConfig::from_quad(by, s1, s2, k);
-        let engine = ScEngine::compile(model, ecfg, &calib, calib_idx.len())
-            .expect("engine compiles for trained model");
+        let engine = ScEngine::compile(model, ecfg, &calib, calib_idx.len())?;
         let acc_cfg = AcceleratorConfig {
             softmax_by: by,
             softmax_s1: s1,
@@ -78,7 +77,7 @@ fn main() {
         // accelerator.
         let tile = ascend_vit::VitConfig { dim: 256, mlp_ratio: 2, ..model.config };
         let hw = AcceleratorModel::cost(&lib, &engine, &tile, &acc_cfg);
-        let accuracy = engine.accuracy(test_set, 64).expect("SC inference runs") * 100.0;
+        let accuracy = engine.accuracy(test_set, 64)? * 100.0;
         table.row(vec![
             format!("[{by}, {s1}, {s2}, {k}]"),
             eng(hw.breakdown().softmax),
@@ -92,4 +91,5 @@ fn main() {
     println!("Expected shape: softmax share small at the low end (~1.5% in the paper),");
     println!("area grows >30x across configs while accuracy improves by a point or two;");
     println!("[8, 32, 8, 3] is the recommended knee.");
+    Ok(())
 }

@@ -533,11 +533,11 @@ fn cmd_serve_http(flags: Flags) -> Result<(), CliError> {
     let memory_budget_mb: usize = flags.get_parsed("memory-budget-mb", 0)?;
     flags.reject_unknown()?;
 
-    let base = ascend::serve::ServeConfig { workers, queue_depth: 0, ..Default::default() };
-    let serve = ascend::serve::ServeConfig {
-        queue_depth: queue_depth.unwrap_or(4 * base.resolved_workers()),
-        ..base
-    };
+    let mut serve =
+        ascend::serve::ServeConfig { workers, ..Default::default() }.with_bounded_queue();
+    if let Some(depth) = queue_depth {
+        serve.queue_depth = depth;
+    }
     let registry = std::sync::Arc::new(ModelRegistry::new(RegistryConfig {
         memory_budget_bytes: memory_budget_mb.saturating_mul(1024 * 1024),
         ..Default::default()
@@ -871,6 +871,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test waits for each server's port file against a wall-clock deadline"
+    )]
     fn full_pipeline_through_artifact_files() {
         // The e2e smoke at miniature scale: train → compile → eval → serve
         // entirely through files in a temp dir.

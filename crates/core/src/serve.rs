@@ -108,6 +108,15 @@ impl ServeConfig {
         Self::default()
     }
 
+    /// This shape with the bounded admission queue every serving entry
+    /// point (session, registry model, `serve --listen`) defaults to:
+    /// `4 ×` [`Self::resolved_workers`] requests keeps every worker busy
+    /// with headroom while capping the memory a burst can pin. Only an
+    /// explicit `queue_depth: 0` opts out.
+    pub fn with_bounded_queue(self) -> Self {
+        ServeConfig { queue_depth: 4 * self.resolved_workers(), ..self }
+    }
+
     /// Rejects a malformed shape.
     ///
     /// # Errors
@@ -523,7 +532,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         let (reply, rx) = mpsc::sync_channel(1);
         let images = request.images;
         let trace = request.trace.unwrap_or_else(TraceId::mint);
-        // ascend-lint: allow(no-wallclock-in-forward) -- admission timestamp for the queue-wait split; never reaches the logits
+        #[expect(clippy::disallowed_methods, reason = "admission timestamp for the queue-wait split; never reaches the logits")]
         let submitted = Instant::now();
         let job = Job { patches: request.patches, images, trace, submitted, reply };
         // Count before the send: the worker's decrement on claim must
@@ -626,7 +635,7 @@ fn worker_loop<B: InferenceBackend + ?Sized>(
         };
         gauges.queued.fetch_sub(1, Ordering::Relaxed);
         gauges.in_flight.fetch_add(1, Ordering::Relaxed);
-        // ascend-lint: allow(no-wallclock-in-forward) -- queue-wait/service split for the pool histograms and the trace ring; timing never reaches the output tensor
+        #[expect(clippy::disallowed_methods, reason = "queue-wait/service split for the pool histograms and the trace ring; timing never reaches the output tensor")]
         let t0 = Instant::now();
         let queue_wait = t0.saturating_duration_since(job.submitted);
         let result = backend.forward_with(&job.patches, job.images, &mut scratch);

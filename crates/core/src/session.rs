@@ -221,12 +221,12 @@ impl SessionBuilder {
             reason: "Session::builder() needs .artifact(path), .checkpoint(..), or .engine(..)"
                 .into(),
         })?;
-        // Resolve the admission queue: bounded by default. `4 × workers`
-        // keeps every worker busy with headroom while capping the memory
-        // a burst can pin; only an explicit `.queue_depth(0)` opts out.
-        let mut serve = self.serve;
-        serve.queue_depth =
-            self.queue_depth.unwrap_or_else(|| 4 * serve.resolved_workers());
+        // Resolve the admission queue: bounded by default; only an
+        // explicit `.queue_depth(0)` opts out.
+        let mut serve = self.serve.with_bounded_queue();
+        if let Some(depth) = self.queue_depth {
+            serve.queue_depth = depth;
+        }
         // Validate the serving shape and fault parameters up front — a bad
         // knob must fail before the expensive load/compile, not after.
         serve.validate()?;

@@ -46,6 +46,10 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Fresh, zeroed metrics; the clock for throughput starts now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "serve-layer uptime anchor for the throughput gauge; never reaches the logits"
+    )]
     pub fn new() -> Self {
         let registry = Registry::new();
         let ok = registry.counter("ascend_http_responses_ok_total", "Requests answered 200.");
@@ -88,7 +92,6 @@ impl ServerMetrics {
             queue_capacity,
             in_flight,
             workers,
-            // ascend-lint: allow(no-wallclock-in-forward) -- serve-layer uptime anchor for the throughput gauge; never reaches the logits
             started: Instant::now(),
         }
     }

@@ -10,6 +10,13 @@
 //! many-connection storm, for one model and for two models thrashing one
 //! memory budget.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "an integration test fails by panicking, helpers included; its deadlines and latency checks read the clock"
+)]
+
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,6 +6,8 @@
 //! and refuses traffic until one model is warm, and `/metrics` carries
 //! the per-model registry gauges.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

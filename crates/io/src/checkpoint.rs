@@ -415,6 +415,10 @@ mod tests {
         m
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "i * 31 % 97 is below 97, exact in f32"
+    )]
     fn fake_patches(cfg: &VitConfig, batch: usize) -> Tensor {
         let n = batch * cfg.num_patches() * cfg.patch_dim();
         Tensor::from_vec(

@@ -200,7 +200,7 @@ impl SectionWriter {
 
     /// Appends a `usize` as `u64`.
     pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
+        self.put_u64(to_u64(v));
     }
 
     /// Appends an `f32` bit pattern.
@@ -426,6 +426,15 @@ fn to_usize(v: u64) -> Result<usize, ScError> {
     usize::try_from(v).map_err(|_| corrupt(format!("length {v} exceeds the address space")))
 }
 
+/// A `usize` length or offset as the `u64` the format stores.
+#[expect(
+    clippy::as_conversions,
+    reason = "usize is at most 64 bits wide on every target Rust supports, so the cast never truncates"
+)]
+const fn to_u64(v: usize) -> u64 {
+    v as u64
+}
+
 // ---------------------------------------------------------------------------
 // Artifact container
 // ---------------------------------------------------------------------------
@@ -463,25 +472,31 @@ impl ArtifactWriter {
     /// Serializes the container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let table_len = self.sections.len() * ENTRY_LEN;
-        let mut payload_offset = (HEADER_LEN + table_len) as u64;
+        let mut payload_offset = to_u64(HEADER_LEN + table_len);
 
         // Bytes [8, 24) of the header plus the table, covered by the
         // header CRC.
         let mut covered = Vec::with_capacity(16 + table_len);
         covered.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         covered.extend_from_slice(&self.kind.code().to_le_bytes());
-        // ascend-lint: allow(no-lossy-cast-in-io) -- add_section caps the count at MAX_SECTIONS (256), far inside u32
+        #[expect(
+            clippy::as_conversions,
+            reason = "add_section caps the count at MAX_SECTIONS (256), far inside u32"
+        )]
         covered.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         covered.extend_from_slice(&0u32.to_le_bytes()); // reserved
         for (tag, payload) in &self.sections {
             covered.extend_from_slice(tag);
             covered.extend_from_slice(&crc32(payload).to_le_bytes());
             covered.extend_from_slice(&payload_offset.to_le_bytes());
-            covered.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            payload_offset += payload.len() as u64;
+            covered.extend_from_slice(&to_u64(payload.len()).to_le_bytes());
+            payload_offset += to_u64(payload.len());
         }
 
-        // ascend-lint: allow(no-lossy-cast-in-io) -- capacity hint only; a truncated hint costs a realloc, never bytes
+        #[expect(
+            clippy::as_conversions,
+            reason = "capacity hint only; a truncated hint costs a realloc, never bytes"
+        )]
         let mut out = Vec::with_capacity(payload_offset as usize);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&covered[..12]);
@@ -569,7 +584,7 @@ impl ArtifactReader {
 
         let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
         let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
-        if file_len < HEADER_LEN as u64 {
+        if file_len < to_u64(HEADER_LEN) {
             return Err(corrupt(format!(
                 "file of {file_len} bytes is shorter than the header"
             )));
@@ -602,7 +617,7 @@ impl ArtifactReader {
         let stored_header_crc = word(20);
 
         let table_len = count * ENTRY_LEN;
-        if file_len < (HEADER_LEN + table_len) as u64 {
+        if file_len < to_u64(HEADER_LEN + table_len) {
             return Err(corrupt("file truncated inside the section table".into()));
         }
         let mut table = vec![0u8; table_len];
@@ -623,7 +638,7 @@ impl ArtifactReader {
         }
 
         let mut entries: Vec<TableEntry> = Vec::with_capacity(count);
-        let mut expected_offset = (HEADER_LEN + table_len) as u64;
+        let mut expected_offset = to_u64(HEADER_LEN + table_len);
         for i in 0..count {
             let e = &table[i * ENTRY_LEN..(i + 1) * ENTRY_LEN];
             let tag = [e[0], e[1], e[2], e[3]];

@@ -114,6 +114,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Every `as` in the artifact codec is denied, widening ones included: a
+// silent truncation reads garbage without failing the CRC honestly, so
+// lengths and counts go through `try_from` with a `CorruptArtifact` error,
+// or an `#[expect(clippy::as_conversions, reason = "…")]` that proves the
+// value bounded (was `no-lossy-cast-in-io`).
+#![deny(clippy::as_conversions)]
 
 pub mod checkpoint;
 pub mod format;

@@ -17,6 +17,12 @@
 //! again, so the damage reaches the decoder and `restore`. Either may
 //! succeed; neither may panic or allocate beyond what the file backs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "an integration test fails by panicking, helpers included"
+)]
+
 use std::path::{Path, PathBuf};
 
 use ascend_io::checkpoint::ModelCheckpoint;

@@ -2,12 +2,13 @@
 //!
 //! The runtime suite proves ASCEND's core guarantees dynamically: parallel
 //! `ServePool` output is bit-identical to serial, artifacts fail closed on
-//! corruption, serving errors are typed `ScError`s. Nothing *static*
-//! stopped a future change from sneaking a panicking `unwrap()`, a
-//! wall-clock read, or a `HashMap` iteration into a forward path the tests
-//! happen not to cover. This crate is that static gate: a hand-rolled,
-//! std-only token-level analysis over the workspace's own sources,
-//! enforcing the invariants on every push.
+//! corruption, serving errors are typed `ScError`s. The workspace clippy
+//! lints (root `Cargo.toml`, `clippy.toml`) keep panics, clock reads, hash
+//! containers and artifact-codec casts out of the code statically. This
+//! crate checks what clippy cannot: a hand-rolled, std-only token-level
+//! analysis of lock discipline (guards held across blocking calls, lock
+//! order, condvar waits) and of `#![forbid(unsafe_code)]` on every crate
+//! root, over the workspace's own sources on every push.
 //!
 //! * [`lexer`] — a real Rust surface lexer (comments, strings, raw
 //!   strings, char literals, `#[cfg(test)]` regions), so rules never fire
@@ -19,14 +20,11 @@
 //! * [`waiver`] — `// ascend-lint: allow(rule) -- reason` escape hatch
 //!   with a mandatory justification; unused and malformed waivers are
 //!   themselves violations.
-//! * [`baseline`] — the per-rule/per-crate ratchet (counts may only go
-//!   down), mirroring the CI test-count floor.
 //! * [`workspace`] — file discovery and the whole-tree run.
-//! * [`report`] — the `--check` / `--report` renderings.
+//! * [`report`] — the `--check` renderings.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod report;
 pub mod rules;

@@ -1,10 +1,8 @@
 //! `ascend-lint` — CLI for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p ascend-lint -- --check             # the CI gate
+//! cargo run -p ascend-lint -- --check                   # the CI gate
 //! cargo run -p ascend-lint -- --check --format github   # PR annotations
-//! cargo run -p ascend-lint -- --report            # every violation, incl. baselined
-//! cargo run -p ascend-lint -- --update-baseline   # rewrite crates/lint/baseline.tsv
 //! ```
 //!
 //! Exit codes follow the `ascend-cli` convention: 0 clean, 1 violations,
@@ -20,18 +18,15 @@ const USAGE: &str = "\
 ascend-lint — static workspace invariant checker (see crates/lint/RULES.md)
 
 USAGE:
-    ascend-lint <--check|--report|--update-baseline> [--root PATH] [--format FMT]
+    ascend-lint --check [--root PATH] [--format FMT]
 
 MODES:
-    --check            Fail (exit 1) on any deny-class violation or any
-                       ratchet count above the committed baseline
-    --report           Print every violation, including baselined ones
-    --update-baseline  Rewrite crates/lint/baseline.tsv from the current
-                       tree (counts may only be committed if they shrank)
+    --check            Fail (exit 1) on any violation, listing each with
+                       its file and line
 
 OPTIONS:
     --root PATH        Workspace root (default: found from the current dir)
-    --format FMT       Output format for --check: text (default) or github
+    --format FMT       Output format: text (default) or github
                        (workflow-command annotations)
 ";
 
@@ -40,7 +35,7 @@ fn main() {
 }
 
 fn run(args: &[String]) -> i32 {
-    let mut mode: Option<&str> = None;
+    let mut check = false;
     let mut root_flag: Option<PathBuf> = None;
     let mut format = "text";
     let mut it = args.iter();
@@ -50,17 +45,7 @@ fn run(args: &[String]) -> i32 {
                 print!("{USAGE}");
                 return 0;
             }
-            m @ ("--check" | "--report" | "--update-baseline") => {
-                if let Some(prev) = mode {
-                    eprintln!("ascend-lint: `{m}` conflicts with `{prev}`\n{USAGE}");
-                    return 2;
-                }
-                mode = match m {
-                    "--check" => Some("--check"),
-                    "--report" => Some("--report"),
-                    _ => Some("--update-baseline"),
-                };
-            }
+            "--check" => check = true,
             "--root" => match it.next() {
                 Some(p) => root_flag = Some(PathBuf::from(p)),
                 None => {
@@ -86,12 +71,8 @@ fn run(args: &[String]) -> i32 {
             }
         }
     }
-    let Some(mode) = mode else {
+    if !check {
         eprint!("{USAGE}");
-        return 2;
-    };
-    if format != "text" && mode != "--check" {
-        eprintln!("ascend-lint: `--format {format}` only applies to `--check`\n{USAGE}");
         return 2;
     }
 
@@ -122,70 +103,28 @@ fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let baseline = match workspace::load_baseline(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ascend-lint: {e}");
-            return 2;
-        }
-    };
 
-    match mode {
-        "--report" => {
-            print!("{}", report::full_report(&outcome, &baseline));
-            0
+    let errors = report::check(&outcome);
+    if format == "github" {
+        print!("{}", report::render_github(&outcome));
+        return i32::from(!errors.is_empty());
+    }
+    if errors.is_empty() {
+        println!(
+            "ascend-lint: OK — {} files, {} active waivers, 0 violations",
+            outcome.files, outcome.waivers
+        );
+        0
+    } else {
+        eprintln!("ascend-lint: FAIL — {} problem(s):", errors.len());
+        for e in &errors {
+            eprintln!("  {e}");
         }
-        "--update-baseline" => {
-            if let Err(e) = workspace::write_baseline(&root, &outcome) {
-                eprintln!("ascend-lint: {e}");
-                return 2;
-            }
-            println!(
-                "ascend-lint: baseline rewritten from {} files ({} ratcheted violations)",
-                outcome.files,
-                outcome.ratchet.values().map(Vec::len).sum::<usize>()
-            );
-            if !outcome.deny.is_empty() {
-                eprintln!(
-                    "ascend-lint: note — {} deny-class violations remain (a baseline never \
-                     covers those):",
-                    outcome.deny.len()
-                );
-                for v in &outcome.deny {
-                    eprintln!("  {}", v.render());
-                }
-                return 1;
-            }
-            0
-        }
-        _ => {
-            let result = report::check(&outcome, &baseline);
-            if format == "github" {
-                print!("{}", report::render_github(&outcome, &baseline));
-                return i32::from(!result.ok());
-            }
-            for note in &result.notes {
-                println!("ascend-lint: note — {note}");
-            }
-            if result.ok() {
-                println!(
-                    "ascend-lint: OK — {} files, {} active waivers, 0 deny violations, \
-                     ratchet within baseline",
-                    outcome.files, outcome.waivers
-                );
-                0
-            } else {
-                eprintln!("ascend-lint: FAIL — {} problem(s):", result.errors.len());
-                for e in &result.errors {
-                    eprintln!("  {e}");
-                }
-                eprintln!(
-                    "fix the violations, or waive a line with \
-                     `// ascend-lint: allow(<rule>) -- <reason>` (reason mandatory; \
-                     see crates/lint/RULES.md)"
-                );
-                1
-            }
-        }
+        eprintln!(
+            "fix the violations, or waive a line with \
+             `// ascend-lint: allow(<rule>) -- <reason>` (reason mandatory; \
+             see crates/lint/RULES.md)"
+        );
+        1
     }
 }

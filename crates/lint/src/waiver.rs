@@ -125,13 +125,13 @@ mod tests {
     #[test]
     fn well_formed_waiver_parses_rules_and_coverage() {
         let toks = lex(
-            "// ascend-lint: allow(no-panic-in-hot-path) -- guarded by the loop above\n\
+            "// ascend-lint: allow(no-blocking-under-lock) -- guarded by the loop above\n\
              let x = y.unwrap();",
         );
         let ws = extract(&toks);
         assert_eq!(ws.len(), 1);
         assert!(ws[0].malformed.is_none());
-        assert_eq!(ws[0].rules, ["no-panic-in-hot-path"]);
+        assert_eq!(ws[0].rules, ["no-blocking-under-lock"]);
         assert_eq!(ws[0].line, 1);
         assert_eq!(ws[0].covers, 2);
     }
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn trailing_waiver_covers_its_own_line() {
         let toks = lex(
-            "let x = y.unwrap(); // ascend-lint: allow(no-panic-in-hot-path) -- total by clamp",
+            "let x = y.unwrap(); // ascend-lint: allow(no-blocking-under-lock) -- total by clamp",
         );
         let ws = extract(&toks);
         assert_eq!(ws.len(), 1);
@@ -149,20 +149,17 @@ mod tests {
     #[test]
     fn multiple_rules_split_on_commas() {
         let ws = extract(&lex(
-            "// ascend-lint: allow(no-wallclock-in-forward, no-panic-in-hot-path) -- report timing\nf();",
+            "// ascend-lint: allow(lock-order, no-blocking-under-lock) -- report timing\nf();",
         ));
-        assert_eq!(
-            ws[0].rules,
-            ["no-wallclock-in-forward", "no-panic-in-hot-path"]
-        );
+        assert_eq!(ws[0].rules, ["lock-order", "no-blocking-under-lock"]);
     }
 
     #[test]
     fn missing_reason_is_malformed() {
         for bad in [
-            "// ascend-lint: allow(no-panic-in-hot-path)",
-            "// ascend-lint: allow(no-panic-in-hot-path) --",
-            "// ascend-lint: allow(no-panic-in-hot-path) --   ",
+            "// ascend-lint: allow(no-blocking-under-lock)",
+            "// ascend-lint: allow(no-blocking-under-lock) --",
+            "// ascend-lint: allow(no-blocking-under-lock) --   ",
         ] {
             let ws = extract(&lex(bad));
             assert_eq!(ws.len(), 1, "{bad}");
@@ -193,9 +190,9 @@ mod tests {
     #[test]
     fn doc_comments_never_carry_waivers() {
         for doc in [
-            "/// ascend-lint: allow(no-panic-in-hot-path) -- doc example\nf();",
-            "//! ascend-lint: allow(no-panic-in-hot-path) -- module docs\nf();",
-            "/** ascend-lint: allow(no-panic-in-hot-path) -- block docs */\nf();",
+            "/// ascend-lint: allow(no-blocking-under-lock) -- doc example\nf();",
+            "//! ascend-lint: allow(no-blocking-under-lock) -- module docs\nf();",
+            "/** ascend-lint: allow(no-blocking-under-lock) -- block docs */\nf();",
         ] {
             assert!(extract(&lex(doc)).is_empty(), "{doc}");
         }

@@ -10,30 +10,17 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, Baseline};
-use crate::rules::{self, RatchetMap, Violation};
+use crate::rules::{self, Violation};
 
 /// Everything one lint run produces.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Deny-class violations (must be zero for the gate to pass).
-    pub deny: Vec<Violation>,
-    /// Ratchet-class violations grouped per (rule, crate).
-    pub ratchet: RatchetMap,
+    /// Unwaived violations (must be zero for the gate to pass).
+    pub violations: Vec<Violation>,
     /// Files scanned.
     pub files: usize,
     /// Well-formed waivers found across the tree.
     pub waivers: usize,
-}
-
-impl Outcome {
-    /// Ratchet counts per (rule, crate) — the shape the baseline stores.
-    pub fn ratchet_counts(&self) -> BTreeMap<(String, String), usize> {
-        self.ratchet
-            .iter()
-            .map(|(k, v)| (k.clone(), v.len()))
-            .collect()
-    }
 }
 
 /// Locates the workspace root: walks up from `start` to the first
@@ -143,45 +130,17 @@ pub fn run(root: &Path) -> Result<Outcome, String> {
     for v in rules::lock_order(&lints) {
         cross.entry(v.path.clone()).or_default().push(v);
     }
-    // Phase 3: waivers apply per file, covering both rule classes.
-    let mut all = Vec::new();
+    // Phase 3: waivers apply per file.
+    let mut violations = Vec::new();
     for lint in lints {
         let extra = cross.remove(&lint.path).unwrap_or_default();
-        all.extend(rules::finish(lint, extra));
+        violations.extend(rules::finish(lint, extra));
     }
-    let (deny, ratchet) = rules::partition(all);
     Ok(Outcome {
-        deny,
-        ratchet,
+        violations,
         files: files.len(),
         waivers,
     })
-}
-
-/// Loads the committed baseline (missing file = empty baseline).
-///
-/// # Errors
-///
-/// Malformed baseline contents.
-pub fn load_baseline(root: &Path) -> Result<Baseline, String> {
-    let path = root.join(baseline::BASELINE_PATH);
-    match std::fs::read_to_string(&path) {
-        Ok(body) => baseline::parse(&body),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::new()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
-}
-
-/// Writes the measured counts as the new baseline.
-///
-/// # Errors
-///
-/// Propagates filesystem errors as strings.
-pub fn write_baseline(root: &Path, outcome: &Outcome) -> Result<(), String> {
-    let counts = outcome.ratchet_counts();
-    let path = root.join(baseline::BASELINE_PATH);
-    std::fs::write(&path, baseline::render(&counts))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -1,26 +1,86 @@
-//! The linter run against the live workspace — the same gate CI enforces.
+//! The workspace's static gates, checked from inside `cargo test`.
 //!
-//! Two invariants:
+//! Two gates guard the invariants behind bit-identical, panic-free serving:
 //!
-//! 1. **Zero deny-class violations.** Hot-path panics, wall-clock reads in
-//!    forward paths, unordered iteration in bit-identical crates, lossy
-//!    casts in the artifact codec and missing `#![forbid(unsafe_code)]`
-//!    must stay at zero (or carry a reasoned waiver).
-//! 2. **The checked-in baseline matches the tree exactly.** Growth is a
-//!    regression; shrinkage must be banked by tightening
-//!    `crates/lint/baseline.tsv` so improvements cannot silently erode.
+//! 1. **ascend-lint.** Lock discipline and `#![forbid(unsafe_code)]` must
+//!    stay at zero violations (or carry a reasoned waiver); the linter runs
+//!    here against the live tree, exactly as CI runs `--check`.
+//! 2. **The workspace clippy lints.** Panics, wall-clock reads, hash
+//!    containers and artifact-codec casts are denied by clippy, which only
+//!    CI's clippy step runs. These tests fail when the configuration that
+//!    denies them is weakened: a lint dropped from the root
+//!    `[workspace.lints.clippy]` table, a path dropped from `clippy.toml`,
+//!    or a member manifest that stops inheriting the workspace lints.
 
-use ascend_lint::baseline;
+#![allow(
+    clippy::expect_used,
+    reason = "an integration test fails by panicking, helpers included"
+)]
+
+use std::path::{Path, PathBuf};
+
 use ascend_lint::report;
 use ascend_lint::workspace;
 
-fn repo_root() -> std::path::PathBuf {
+fn repo_root() -> PathBuf {
     // crates/lint -> crates -> workspace root
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
-        .and_then(std::path::Path::parent)
+        .and_then(Path::parent)
         .expect("crates/lint sits two levels below the workspace root")
         .to_path_buf()
+}
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(repo_root().join(rel)).expect("workspace file is readable")
+}
+
+/// The TOML lines that carry content: `#` comments and blank lines
+/// dropped (no key or value this test reads contains a `#`).
+fn content_lines(toml: &str) -> Vec<&str> {
+    toml.lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+        .filter(|l| !l.is_empty())
+        .collect()
+}
+
+/// The `key = value` pairs of one `[header]` table, values unquoted.
+fn table(toml: &str, header: &str) -> Vec<(String, String)> {
+    let lines = content_lines(toml);
+    let Some(start) = lines.iter().position(|l| *l == header) else {
+        return Vec::new();
+    };
+    lines[start + 1..]
+        .iter()
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().trim_matches('"').to_string()))
+        .collect()
+}
+
+/// The body of the top-level array `key = [ … ]`, joined onto one line.
+fn array(toml: &str, key: &str) -> String {
+    let lines = content_lines(toml);
+    let mut body = String::new();
+    let mut open = false;
+    for l in lines {
+        if !open {
+            match l.split_once('=') {
+                Some((k, v)) if k.trim() == key => {
+                    open = true;
+                    body.push_str(v.trim());
+                }
+                _ => continue,
+            }
+        } else {
+            body.push(' ');
+            body.push_str(l);
+        }
+        if body.matches('[').count() == body.matches(']').count() {
+            break;
+        }
+    }
+    body
 }
 
 #[test]
@@ -32,57 +92,11 @@ fn workspace_has_no_deny_violations() {
         "walker found only {} files — the source walk is broken",
         outcome.files
     );
-    let rendered: Vec<String> = outcome.deny.iter().map(|v| v.render()).collect();
+    let rendered: Vec<String> = outcome.violations.iter().map(|v| v.render()).collect();
     assert!(
         rendered.is_empty(),
-        "deny-class lint violations in the workspace:\n{}",
+        "lint violations in the workspace:\n{}",
         rendered.join("\n")
-    );
-}
-
-#[test]
-fn ratchet_matches_checked_in_baseline_exactly() {
-    let root = repo_root();
-    let outcome = workspace::run(&root).expect("lint run over the live workspace");
-    let baseline = workspace::load_baseline(&root).expect("baseline.tsv parses");
-    let live = outcome.ratchet_counts();
-
-    let (errors, improvements) = baseline::compare(&live, &baseline);
-    assert!(
-        errors.is_empty(),
-        "ratcheted violation counts grew past the baseline:\n{}",
-        errors.join("\n")
-    );
-    assert!(
-        improvements.is_empty(),
-        "ratchet improved — bank it by regenerating the baseline \
-         (cargo run -p ascend-lint -- --update-baseline):\n{}",
-        improvements.join("\n")
-    );
-}
-
-#[test]
-fn baseline_file_is_canonical_and_minimal() {
-    // The committed TSV must be byte-identical to what the renderer
-    // would write for the measured counts: sorted, zero-count entries
-    // omitted, the standard header comment intact. This stops hand
-    // edits that pad counts, reorder lines, or leave dead entries — the
-    // ratchet only means something if the file is exactly the tree.
-    let root = repo_root();
-    let text =
-        std::fs::read_to_string(root.join(baseline::BASELINE_PATH)).expect("baseline.tsv exists");
-    let parsed = baseline::parse(&text).expect("baseline.tsv parses");
-    assert_eq!(
-        baseline::render(&parsed),
-        text,
-        "baseline.tsv is not in canonical form — regenerate it \
-         (cargo run -p ascend-lint -- --update-baseline)"
-    );
-    let outcome = workspace::run(&root).expect("lint run over the live workspace");
-    assert_eq!(
-        parsed,
-        outcome.ratchet_counts(),
-        "baseline.tsv does not equal the measured counts — regenerate it"
     );
 }
 
@@ -90,11 +104,94 @@ fn baseline_file_is_canonical_and_minimal() {
 fn check_entrypoint_agrees_with_the_gate() {
     let root = repo_root();
     let outcome = workspace::run(&root).expect("lint run over the live workspace");
-    let baseline = workspace::load_baseline(&root).expect("baseline.tsv parses");
-    let result = report::check(&outcome, &baseline);
+    let errors = report::check(&outcome);
     assert!(
-        result.ok(),
+        errors.is_empty(),
         "ascend-lint --check would fail CI:\n{}",
-        result.errors.join("\n")
+        errors.join("\n")
     );
+}
+
+#[test]
+fn workspace_lints_deny_every_moved_rule() {
+    let manifest = read("Cargo.toml");
+    let clippy = table(&manifest, "[workspace.lints.clippy]");
+    for lint in [
+        // panics (outside test code, see clippy.toml)
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "dbg_macro",
+        // clock reads and hash containers (the paths are in clippy.toml)
+        "disallowed_methods",
+        "disallowed_types",
+        // every exemption says why
+        "allow_attributes_without_reason",
+    ] {
+        assert!(
+            clippy.iter().any(|(k, v)| k == lint && v == "deny"),
+            "[workspace.lints.clippy] must set `{lint} = \"deny\"`"
+        );
+    }
+    let rust = table(&manifest, "[workspace.lints.rust]");
+    assert!(
+        rust.iter()
+            .any(|(k, v)| k == "unfulfilled_lint_expectations" && v == "deny"),
+        "[workspace.lints.rust] must deny unfulfilled_lint_expectations, \
+         or a stale #[expect] lingers"
+    );
+    // The artifact codec denies every `as` at its crate root.
+    assert!(
+        read("crates/io/src/lib.rs")
+            .lines()
+            .any(|l| l.trim() == "#![deny(clippy::as_conversions)]"),
+        "crates/io/src/lib.rs must carry #![deny(clippy::as_conversions)]"
+    );
+}
+
+#[test]
+fn clippy_toml_disallows_the_clock_and_the_hash_types() {
+    let config = read("clippy.toml");
+    let methods = array(&config, "disallowed-methods");
+    for path in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            methods.contains(&format!("\"{path}\"")),
+            "clippy.toml disallowed-methods must list {path}: {methods}"
+        );
+    }
+    let types = array(&config, "disallowed-types");
+    for path in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            types.contains(&format!("\"{path}\"")),
+            "clippy.toml disallowed-types must list {path}: {types}"
+        );
+    }
+}
+
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let members = array(&read("Cargo.toml"), "members");
+    let members: Vec<&str> = members
+        .trim_matches(|c| c == '[' || c == ']')
+        .split(',')
+        .map(|m| m.trim().trim_matches('"'))
+        .filter(|m| !m.is_empty())
+        .collect();
+    assert!(
+        members.len() > 10,
+        "workspace members not parsed: {members:?}"
+    );
+    for member in members {
+        let manifest = read(&format!("{member}/Cargo.toml"));
+        assert!(
+            table(&manifest, "[lints]")
+                .iter()
+                .any(|(k, v)| k == "workspace" && v == "true"),
+            "{member}/Cargo.toml lacks `[lints] workspace = true`: the crate \
+             escapes every workspace lint"
+        );
+    }
 }

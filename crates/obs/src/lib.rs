@@ -3,7 +3,7 @@
 //! Every other crate in the workspace is either *compute* (the SC kernels,
 //! tensor ops, the engine forward) or *serving glue* (pool, HTTP front-end,
 //! CLI). Compute must stay clock-free so outputs are bit-reproducible — the
-//! `no-wallclock-in-forward` lint denies `Instant::now()` there — yet the
+//! workspace `clippy::disallowed_methods` lint denies `Instant::now()` there — yet the
 //! serving layer has to answer "where did this request spend its time?".
 //! This crate resolves the tension by concentrating all timing in one place:
 //!
@@ -30,6 +30,12 @@
 //! be able to take down a worker thread.
 
 #![forbid(unsafe_code)]
+// The one crate that reads the clock: every duration in the workspace is
+// taken here, on the observer side of the kernels.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "ascend-obs is the timing authority; its clock reads feed metrics and traces, never the logits"
+)]
 #![warn(missing_docs)]
 
 pub mod metrics;

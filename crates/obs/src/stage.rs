@@ -1,7 +1,7 @@
 //! The clock-free stage-observer protocol and its timing implementation.
 //!
-//! The engine's `forward_one` must never read a clock (the
-//! `no-wallclock-in-forward` lint denies it), yet per-stage profiling needs
+//! The engine's `forward_one` must never read a clock (the workspace
+//! `clippy::disallowed_methods` lint denies it), yet per-stage profiling needs
 //! to know where a forward spends its time. The split: compute code emits
 //! *events* — [`StageObserver::enter`]/[`StageObserver::exit`] around each
 //! [`Stage`] — and only the observer implementation turns events into

@@ -137,18 +137,25 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// A spec serving `path` (an ASCNDART artifact) under `name` with the
-    /// default SC backend and serving configuration.
+    /// default SC backend and serving configuration (machine worker count,
+    /// bounded queue: [`ServeConfig::with_bounded_queue`]).
     pub fn artifact(name: impl Into<String>, path: impl Into<PathBuf>) -> Self {
         ModelSpec {
             name: name.into(),
             source: ModelSource::Artifact { path: path.into(), backend: BackendKind::Sc },
-            serve: ServeConfig::default(),
+            serve: ServeConfig::default().with_bounded_queue(),
         }
     }
 
-    /// A spec serving an already-constructed shared backend under `name`.
+    /// A spec serving an already-constructed shared backend under `name`
+    /// with the default serving configuration (bounded queue, as for
+    /// [`ModelSpec::artifact`]).
     pub fn shared(name: impl Into<String>, backend: Arc<dyn InferenceBackend>) -> Self {
-        ModelSpec { name: name.into(), source: ModelSource::Shared(backend), serve: ServeConfig::default() }
+        ModelSpec {
+            name: name.into(),
+            source: ModelSource::Shared(backend),
+            serve: ServeConfig::default().with_bounded_queue(),
+        }
     }
 
     /// A spec serving an already-built session (and its pool) under
@@ -991,6 +998,18 @@ mod tests {
         assert!(text.contains("ascend_registry_resident_bytes 96"), "{text}");
         assert!(text.contains("ascend_registry_budget_bytes 512"), "{text}");
         assert!(text.contains("ascend_registry_models 2"), "{text}");
+    }
+
+    #[test]
+    fn a_spec_without_serve_warms_with_the_bounded_default_queue() {
+        let reg = registry(0);
+        reg.register(ModelSpec::shared("m", Arc::new(TinyBackend::new(8)))).unwrap();
+        let handle = reg.acquire("m").unwrap();
+        let pool = handle.session().runner().unwrap();
+        assert_eq!(pool.queue_capacity(), 4 * pool.workers());
+        assert!(pool.queue_capacity() > 0, "the default queue is bounded");
+        let spec = ModelSpec::artifact("a", "/nonexistent/ascend/engine.sceng");
+        assert_eq!(spec.serve, ServeConfig::default().with_bounded_queue());
     }
 
     #[test]

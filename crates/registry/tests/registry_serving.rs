@@ -10,6 +10,8 @@
 //! * a property test over random access sequences: once warm, the
 //!   deduplicated resident total never exceeds the budget.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use std::sync::{Arc, Condvar, Mutex};
 
 use ascend::engine::{EngineConfig, ScEngine};

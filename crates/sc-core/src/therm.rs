@@ -83,12 +83,12 @@ impl ThermStream {
     ///
     /// Panics if `len` is odd or `scale` is not finite and positive; use
     /// [`ThermStream::from_level`] for fallible construction.
+    #[expect(clippy::expect_used, reason = "q was just clamped into [-len/2, len/2] and len/scale were asserted above, so from_level cannot reject")]
     pub fn encode_clamped(x: f64, len: usize, scale: f64) -> Self {
         assert!(len.is_multiple_of(2), "thermometer length must be even");
         assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
         let half = (len / 2) as i64;
         let q = (x / scale).round().clamp(-(half as f64), half as f64) as i64;
-        // ascend-lint: allow(no-panic-in-hot-path) -- q was just clamped into [-len/2, len/2] and len/scale were asserted above, so from_level cannot reject
         Self::from_level(q, len, scale).expect("clamped level is always in range")
     }
 

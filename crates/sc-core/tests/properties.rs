@@ -1,5 +1,7 @@
 //! Property-based tests for the SC substrate invariants.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use proptest::prelude::*;
 use sc_core::bsn::{self, BitonicNetwork};
 use sc_core::rescale::{rescale, RescaleMode};

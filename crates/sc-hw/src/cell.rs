@@ -138,8 +138,8 @@ impl CellLibrary {
         self.wire_factor
     }
 
+    #[expect(clippy::expect_used, reason = "ALL enumerates every CellKind variant; a silent fallback index would misattribute area, the expect catches a stale table in tests")]
     fn index(kind: CellKind) -> usize {
-        // ascend-lint: allow(no-panic-in-hot-path) -- ALL enumerates every CellKind variant; a silent fallback index would misattribute area, the expect catches a stale table in tests
         CellKind::ALL.iter().position(|k| *k == kind).expect("kind in table")
     }
 }

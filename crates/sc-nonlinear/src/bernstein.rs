@@ -256,17 +256,17 @@ impl BernsteinBlock {
         let z = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
         let degree = c.terms - 1;
 
+        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
         let mut input_sngs: Vec<Lfsr> = (0..degree)
             .map(|i| {
                 let seed = c.seed.wrapping_mul(2654435761).wrapping_add(i as u32 * 7919 + 1);
-                // ascend-lint: allow(no-panic-in-hot-path) -- Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted
                 Lfsr::new(16, seed).expect("valid width")
             })
             .collect();
+        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
         let mut coeff_sngs: Vec<Lfsr> = (0..c.terms)
             .map(|i| {
                 let seed = c.seed.wrapping_add(0x9E3779B9).wrapping_add(i as u32 * 104729 + 1);
-                // ascend-lint: allow(no-panic-in-hot-path) -- Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted
                 Lfsr::new(16, seed).expect("valid width")
             })
             .collect();

@@ -192,16 +192,16 @@ impl FsmGelu {
         // path the MUX forwards.
         let gate_seed = c.seed.wrapping_mul(2654435761).max(1);
         let val_seed = c.seed.wrapping_add(0x9E3779B9).max(1);
-        // ascend-lint: allow(no-panic-in-hot-path) -- Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted
+        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
         let mut sng_gate = ComparatorSng::new(Lfsr::new(16, gate_seed).expect("valid width"));
-        // ascend-lint: allow(no-panic-in-hot-path) -- Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted
+        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
         let mut sng_val = ComparatorSng::new(Lfsr::new(16, val_seed).expect("valid width"));
-        // ascend-lint: allow(no-panic-in-hot-path) -- xv was clamped to [-1, 1] above, the only range bipolar rejects
+        #[expect(clippy::expect_used, reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects")]
         let gate_stream = sng_gate.bipolar(xv, c.bsl).expect("clamped value is in range");
-        // ascend-lint: allow(no-panic-in-hot-path) -- xv was clamped to [-1, 1] above, the only range bipolar rejects
+        #[expect(clippy::expect_used, reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects")]
         let val_stream = sng_val.bipolar(xv, c.bsl).expect("clamped value is in range");
 
-        // ascend-lint: allow(no-panic-in-hot-path) -- c.states was validated by FsmGelu::new before eval can run
+        #[expect(clippy::expect_used, reason = "c.states was validated by FsmGelu::new before eval can run")]
         let mut fsm = SaturatingCounter::new(c.states).expect("validated in new");
         let mut toggle = false;
         let out = Bitstream::from_fn(c.bsl, |i| {

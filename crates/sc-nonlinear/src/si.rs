@@ -27,9 +27,9 @@ pub fn isotonic_regression(y: &[f64]) -> Vec<f64> {
             if mean_prev <= mean_last {
                 break;
             }
-            // ascend-lint: allow(no-panic-in-hot-path) -- the `sums.len() > 1` loop guard proves both stacks are non-empty here
+            #[expect(clippy::expect_used, reason = "the `sums.len() > 1` loop guard proves both stacks are non-empty here")]
             let s = sums.pop().expect("non-empty");
-            // ascend-lint: allow(no-panic-in-hot-path) -- counts grows in lockstep with sums, so the same guard applies
+            #[expect(clippy::expect_used, reason = "counts grows in lockstep with sums, so the same guard applies")]
             let c = counts.pop().expect("non-empty");
             sums[n - 2] += s;
             counts[n - 2] += c;
@@ -161,6 +161,7 @@ impl SiBlock {
     /// # Panics
     ///
     /// Panics if the stream length differs from the compiled input codec.
+    #[expect(clippy::expect_used, reason = "the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants")]
     pub fn eval(&self, x: &ThermStream) -> ThermStream {
         assert_eq!(x.len(), self.input.len(), "input BSL mismatch");
         let sorted = x.normalized();
@@ -169,7 +170,6 @@ impl SiBlock {
             Tap::One => true,
             Tap::Input(i) => sorted.bits().get(*i),
         }));
-        // ascend-lint: allow(no-panic-in-hot-path) -- the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants
         ThermStream::new(bits, self.output.scale()).expect("compiled output codec is valid")
     }
 

@@ -126,10 +126,10 @@ impl FsmSoftmax {
             .enumerate()
             .map(|(i, &xi)| {
                 let seed = c.seed.wrapping_add(i as u32 * 48271 + 1);
-                // ascend-lint: allow(no-panic-in-hot-path) -- Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted
+                #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
                 let mut sng = ComparatorSng::new(Lfsr::new(16, seed).expect("valid width"));
                 let v = (xi / c.range).clamp(-1.0, 1.0);
-                // ascend-lint: allow(no-panic-in-hot-path) -- v was clamped to [-1, 1] on the previous line, the only range bipolar rejects
+                #[expect(clippy::expect_used, reason = "v was clamped to [-1, 1] on the previous line, the only range bipolar rejects")]
                 let s = sng.bipolar(v, c.bsl).expect("clamped value in range");
                 (2.0 * s.frac_ones() - 1.0) * c.range
             })

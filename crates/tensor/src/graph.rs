@@ -157,9 +157,10 @@ impl<'g> Var<'g> {
     }
 
     /// Elementwise addition (same shape).
-    // Method-call style is this API's idiom; `Var` handles are consumed by
-    // value, which std operator traits on references would obscure.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "method-call style is this API's idiom; `Var` handles are consumed by value, which std operator traits on references would obscure"
+    )]
     pub fn add(self, o: Var<'g>) -> Var<'g> {
         let out = self.value().add(&o.value());
         self.g.push(
@@ -170,7 +171,10 @@ impl<'g> Var<'g> {
     }
 
     /// Elementwise subtraction (same shape).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "method-call style is this API's idiom; `Var` handles are consumed by value, which std operator traits on references would obscure"
+    )]
     pub fn sub(self, o: Var<'g>) -> Var<'g> {
         let out = self.value().sub(&o.value());
         self.g.push(
@@ -181,7 +185,10 @@ impl<'g> Var<'g> {
     }
 
     /// Elementwise multiplication (same shape).
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "method-call style is this API's idiom; `Var` handles are consumed by value, which std operator traits on references would obscure"
+    )]
     pub fn mul(self, o: Var<'g>) -> Var<'g> {
         let a = self.value();
         let b = o.value();
@@ -211,7 +218,10 @@ impl<'g> Var<'g> {
     }
 
     /// Negation.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "method-call style is this API's idiom; `Var` handles are consumed by value, which std operator traits on references would obscure"
+    )]
     pub fn neg(self) -> Var<'g> {
         self.scale(-1.0)
     }
@@ -334,6 +344,10 @@ impl<'g> Var<'g> {
             vec![self.id],
             Some(Box::new(move |go: &Tensor| {
                 // gx = s ∘ (go − rowsum(go ∘ s))
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`s` came out of `softmax_last`, which already required rank ≥ 1"
+                )]
                 let m = *s.shape().last().expect("rank ≥ 1");
                 let rows = s.numel() / m;
                 let mut gx = vec![0.0f32; s.numel()];
@@ -599,6 +613,10 @@ impl<'g> Var<'g> {
     /// of the in-graph iterative approximate softmax.
     pub fn row_sum_bcast(self) -> Var<'g> {
         let x = self.value();
+        #[expect(
+            clippy::expect_used,
+            reason = "a reduction over the last axis needs rank ≥ 1, a shape precondition like the asserts on every other op"
+        )]
         let m = *x.shape().last().expect("rank ≥ 1");
         let rows = x.numel() / m;
         let mut out = vec![0.0f32; x.numel()];

@@ -359,7 +359,11 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics unless 2-D with at least one column.
+    /// Panics unless 2-D with at least one column, or on a NaN entry.
+    #[expect(
+        clippy::expect_used,
+        reason = "the asserts make every row non-empty; a NaN has no argmax and panics like the shape preconditions"
+    )]
     pub fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.shape.len(), 2, "argmax_rows needs 2-D");
         let (n, m) = (self.shape[0], self.shape[1]);
@@ -396,6 +400,10 @@ impl Tensor {
     /// Row-wise softmax over the last axis (any rank ≥ 1), numerically
     /// stable.
     pub fn softmax_last(&self) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "rank ≥ 1 is the documented precondition, like the asserts on every other op"
+        )]
         let m = *self.shape.last().expect("rank ≥ 1");
         let rows = self.numel() / m;
         let mut out = vec![0.0f32; self.numel()];

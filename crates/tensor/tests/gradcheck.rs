@@ -1,6 +1,8 @@
 //! Gradient checking: every operator's analytic gradient is verified
 //! against central differences on randomized inputs.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use ascend_tensor::{Graph, Tensor, Var};
 use proptest::prelude::*;
 

@@ -135,7 +135,6 @@ impl Attention {
     }
 
     /// Forward over `[b·s, d]` given the batch/sequence geometry.
-    #[allow(clippy::too_many_arguments)]
     fn forward<'g>(
         &self,
         bind: &mut Binder<'g>,
@@ -291,7 +290,10 @@ impl Block {
         out.push(&self.res_site2.step);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the batch geometry, config, plan and mode travel with every block forward"
+    )]
     fn forward<'g>(
         &self,
         bind: &mut Binder<'g>,
@@ -541,11 +543,14 @@ impl VitModel {
         }
         let mut it = states.iter().cloned();
         for b in &mut self.blocks {
+            #[expect(clippy::expect_used, reason = "the count was checked against the blocks above")]
             let (m, v) = it.next().expect("count checked");
             b.norm1.set_running_stats(m, v)?;
+            #[expect(clippy::expect_used, reason = "the count was checked against the blocks above")]
             let (m, v) = it.next().expect("count checked");
             b.norm2.set_running_stats(m, v)?;
         }
+        #[expect(clippy::expect_used, reason = "the count was checked against the blocks above")]
         let (m, v) = it.next().expect("count checked");
         self.head_norm.set_running_stats(m, v)?;
         Ok(())

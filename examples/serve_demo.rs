@@ -7,6 +7,10 @@
 //! Run with: `cargo run --release -p ascend-examples --bin serve_demo`
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the demo prints wall-clock latency and throughput; nothing it asserts depends on the clock"
+)]
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::fixture::{engine_or_load, FixtureRecipe};
 use ascend::serve::{ServeConfig, ServePool, ServeRequest};
@@ -15,20 +19,20 @@ use ascend_examples::section;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), sc_core::ScError> {
     section("training a tiny SC-friendly ViT (checkpoint-cached)");
     let mut recipe = FixtureRecipe::tiny("serve-demo", 5);
     recipe.pre_epochs = 4;
     recipe.qat_epochs = 4;
     let (compiled, _train, test) =
-        engine_or_load(&recipe, EngineConfig::default()).expect("engine compiles");
+        engine_or_load(&recipe, EngineConfig::default())?;
 
     section("persisting and re-loading the engine artifact");
     let artifact = std::env::temp_dir().join(format!("serve-demo-{}.sceng", std::process::id()));
-    compiled.save(&artifact).expect("engine saves");
+    compiled.save(&artifact)?;
     // From here on the demo serves from the *loaded* engine — exactly what
     // a serving process does: no model, no dataset, no training code.
-    let engine = Arc::new(ScEngine::load(&artifact).expect("engine loads"));
+    let engine = Arc::new(ScEngine::load(&artifact)?);
     println!(
         "saved + re-loaded {} ({} bytes) — serving from the loaded artifact",
         artifact.display(),
@@ -44,12 +48,11 @@ fn main() {
         .backend(ascend::BackendKind::Sc)
         .workers(2)
         .micro_batch(4)
-        .build()
-        .expect("session builds");
+        .build()?;
     let demo = test.patches(&(0..8).collect::<Vec<_>>(), 4);
     for round in 1..=3 {
         let t0 = Instant::now();
-        let logits = session.serve_batch(&demo, 8).expect("session serves");
+        let logits = session.serve_batch(&demo, 8)?;
         println!(
             "`{}` round {round}: {:?} logits in {:.1} ms",
             session.backend().name(),
@@ -63,7 +66,7 @@ fn main() {
     let n = test.len();
     let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
     let t0 = Instant::now();
-    let serial = engine.forward(&patches, n).expect("serial forward");
+    let serial = engine.forward(&patches, n)?;
     let serial_wall = t0.elapsed();
     println!(
         "serial: {n} images in {:.1} ms — {:.1} images/s",
@@ -76,13 +79,12 @@ fn main() {
         let pool = ServePool::new(
             Arc::clone(&engine),
             ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
-        )
-        .expect("pool builds");
+        )?;
         // Two rounds on the SAME pool: the long-lived workers (one
         // reusable scratch each) must be numerically invisible.
         for round in 1..=2 {
             let t0 = Instant::now();
-            let logits = pool.run_batch(&patches, n).expect("parallel run");
+            let logits = pool.run_batch(&patches, n)?;
             let wall = t0.elapsed();
             let identical = logits
                 .data()
@@ -117,15 +119,14 @@ fn main() {
     let pool = ServePool::new(
         Arc::clone(&engine),
         ServeConfig { workers: 2, micro_batch: 4, queue_depth: 2 },
-    )
-    .expect("pool builds");
+    )?;
     let sizes = [5usize, 1, 9, 3, 14, 2, 8, 6];
     let mut handles = Vec::new();
     let mut offset = 0usize;
     for &sz in &sizes {
         let idx: Vec<usize> = (offset..offset + sz).collect();
         handles.push(
-            pool.submit(ServeRequest::new(test.patches(&idx, 4), sz)).expect("submit"),
+            pool.submit(ServeRequest::new(test.patches(&idx, 4), sz))?,
         );
         offset += sz;
     }
@@ -133,7 +134,7 @@ fn main() {
     let mut max_latency = std::time::Duration::ZERO;
     for handle in handles {
         images += handle.images();
-        let (_logits, timing) = handle.collect().expect("collect");
+        let (_logits, timing) = handle.collect()?;
         max_latency = max_latency.max(timing.total());
     }
     println!(
@@ -144,4 +145,5 @@ fn main() {
     pool.shutdown();
     println!();
     println!("serve demo OK");
+    Ok(())
 }

@@ -11,7 +11,7 @@ use ascend::pipeline::{Pipeline, PipelineConfig};
 use ascend_examples::section;
 use ascend_vit::train::evaluate;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     section("two-stage pipeline (reduced scale)");
     let cfg = PipelineConfig {
         classes: 10,
@@ -26,14 +26,13 @@ fn main() {
     let report = pipeline.run();
     println!("{}", report.table());
 
-    let model = pipeline.final_model.as_ref().expect("pipeline trains the final model");
+    let model = pipeline.final_model.as_ref().ok_or("pipeline trained no final model")?;
     let (train_set, test_set) = pipeline.datasets();
 
     section("compiling the SC engine ([By, s1, s2, k] = [8, 32, 8, 3])");
     let calib_idx: Vec<usize> = (0..32).collect();
     let calib = train_set.patches(&calib_idx, model.config.patch);
-    let engine = ScEngine::compile(model, EngineConfig::default(), &calib, calib_idx.len())
-        .expect("engine compiles");
+    let engine = ScEngine::compile(model, EngineConfig::default(), &calib, calib_idx.len())?;
     let sm = engine.softmax_block().config();
     println!(
         "softmax block: m={} Bx={} ax={:.3} By={} ay={:.4} s1={} s2={} k={}",
@@ -42,13 +41,13 @@ fn main() {
 
     section("float vs SC classification");
     let float_acc = evaluate(model, test_set, 64) * 100.0;
-    let sc_acc = engine.accuracy(test_set, 64).expect("SC inference runs") * 100.0;
+    let sc_acc = engine.accuracy(test_set, 64)? * 100.0;
     println!("float (quantized) model accuracy: {float_acc:.2}%");
     println!("SC engine accuracy:               {sc_acc:.2}%");
 
     let idx: Vec<usize> = (0..10).collect();
     let patches = test_set.patches(&idx, model.config.patch);
-    let sc_logits = engine.forward(&patches, 10).expect("SC inference runs");
+    let sc_logits = engine.forward(&patches, 10)?;
     let float_logits = model.predict(&patches, 10);
     println!();
     println!("sample  label  float-pred  sc-pred");
@@ -59,4 +58,5 @@ fn main() {
             sc_logits.argmax_rows()[i]
         );
     }
+    Ok(())
 }

@@ -11,6 +11,8 @@
 //! * at a small non-zero rate, thermometer fault tolerance must show: the
 //!   network degrades gracefully instead of collapsing.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use ascend::engine::EngineConfig;
 use ascend::fixture::{session_or_load, FixtureRecipe};
 use ascend::{BackendKind, FaultInjectingBackend, InferenceBackend, Session};

@@ -20,6 +20,8 @@
 //! demand exact bit equality — serialization has no platform-dependent
 //! math to excuse.
 
+#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::InferenceBackend;
 use ascend::fixture::{train_or_load, FixtureRecipe};

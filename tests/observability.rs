@@ -7,6 +7,12 @@
 //!   claims leaves a queue-wait and a service span attributed to its trace
 //!   id; a shed request (bounded queue full) leaves none.
 
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    reason = "an integration test fails by panicking, helpers included; its deadlines and latency checks read the clock"
+)]
+
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
