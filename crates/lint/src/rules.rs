@@ -2,10 +2,10 @@
 //!
 //! Each rule backstops a runtime guarantee the test suite already proves
 //! dynamically (see `RULES.md` for the catalog and the mapping to tests).
-//! Every rule is deny-class: an unwaived violation fails the gate. The
-//! token rules this crate once carried for panics, clock reads, hash
-//! containers and casts are workspace clippy lints now (root `Cargo.toml`
-//! and `clippy.toml`), checked with type information.
+//! Every rule is deny-class: an unwaived violation fails the gate. Panics,
+//! clock reads, hash containers and artifact-codec casts are checked by
+//! the workspace clippy lints (root `Cargo.toml` and `clippy.toml`), which
+//! see types.
 //!
 //! Detection is token-sequence matching over [`crate::lexer`] output and
 //! the [`crate::scope`] layer built on it: comments, strings, and
