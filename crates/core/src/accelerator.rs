@@ -93,8 +93,7 @@ impl AcceleratorModel {
         let mac_cost = 4.0 * lib.area(CellKind::And2) + 2.0 * lib.area(CellKind::Or2);
         let msa_macs = rows * d * 4; // q,k,v,proj lanes
         let mlp_macs = rows * hidden * 2; // fc1/fc2 lanes
-        let mac_array =
-            (msa_macs + mlp_macs) as f64 * mac_cost * lib.wire_factor();
+        let mac_array = (msa_macs + mlp_macs) as f64 * mac_cost * lib.wire_factor();
 
         // --- Accumulators: one BSN per output lane over the d (or hidden)
         // partial products at 2-bit streams.
@@ -115,13 +114,16 @@ impl AcceleratorModel {
         let softmax = softmax_unit.area_um2 * acc.softmax_k as f64;
 
         // --- Residual registers (R16 per lane) + rescale taps.
-        let residual = (rows * d * 16) as f64
-            * lib.area(CellKind::Dff)
-            * lib.wire_factor()
-            / 4.0; // 4:1 time-multiplexed
+        let residual = (rows * d * 16) as f64 * lib.area(CellKind::Dff) * lib.wire_factor() / 4.0; // 4:1 time-multiplexed
 
         AcceleratorModel {
-            breakdown: AreaBreakdown { mac_array, accumulators, gelu, softmax, residual },
+            breakdown: AreaBreakdown {
+                mac_array,
+                accumulators,
+                gelu,
+                softmax,
+                residual,
+            },
             softmax_unit,
         }
     }
@@ -157,7 +159,12 @@ mod tests {
         };
         let mut model = VitModel::new(cfg);
         let (train, test) = synth_cifar(4, 48, 24, 8, 5);
-        let tc = TrainConfig { epochs: 1, batch: 16, lr: 2e-3, ..Default::default() };
+        let tc = TrainConfig {
+            epochs: 1,
+            batch: 16,
+            lr: 2e-3,
+            ..Default::default()
+        };
         train_model(&mut model, None, &train, &test, &tc);
         model.set_plan(PrecisionPlan::w2_a2_r16());
         let calib = train.patches(&(0..8).collect::<Vec<_>>(), 4);
@@ -172,7 +179,11 @@ mod tests {
         // Use the paper-scale array geometry (the test engine's blocks are
         // small, but the arrays dominate at real ViT dimensions).
         let (engine, _) = engine_for(4, 2);
-        let vit = VitConfig { dim: 256, mlp_ratio: 2, ..VitConfig::default() };
+        let vit = VitConfig {
+            dim: 256,
+            mlp_ratio: 2,
+            ..VitConfig::default()
+        };
         let lib = CellLibrary::tsmc28_like();
         let acc = AcceleratorConfig {
             softmax_by: 4,
@@ -182,7 +193,10 @@ mod tests {
         };
         let model = AcceleratorModel::cost(&lib, &engine, &vit, &acc);
         let share = model.breakdown().softmax_share_pct();
-        assert!(share < 15.0, "small softmax config should be a minor share, got {share}%");
+        assert!(
+            share < 15.0,
+            "small softmax config should be a minor share, got {share}%"
+        );
         assert!(model.breakdown().total() > 0.0);
         assert!(model.softmax_unit().area_um2 > 0.0);
     }
@@ -191,10 +205,18 @@ mod tests {
     fn softmax_area_grows_with_by_and_k() {
         let lib = CellLibrary::tsmc28_like();
         let (e_small, vit) = engine_for(4, 2);
-        let acc_small = AcceleratorConfig { softmax_by: 4, softmax_k: 2, ..Default::default() };
+        let acc_small = AcceleratorConfig {
+            softmax_by: 4,
+            softmax_k: 2,
+            ..Default::default()
+        };
         let small = AcceleratorModel::cost(&lib, &e_small, &vit, &acc_small);
         let (e_big, _) = engine_for(16, 4);
-        let acc_big = AcceleratorConfig { softmax_by: 16, softmax_k: 4, ..Default::default() };
+        let acc_big = AcceleratorConfig {
+            softmax_by: 16,
+            softmax_k: 4,
+            ..Default::default()
+        };
         let big = AcceleratorModel::cost(&lib, &e_big, &vit, &acc_big);
         assert!(
             big.breakdown().softmax > 4.0 * small.breakdown().softmax,

@@ -93,9 +93,13 @@ impl ScEngine {
             }
             // `mlp_mid_step` is not written separately: it is the GELU
             // output codec's scale by construction, recovered on load.
-            for step in
-                [sn.attn_in_step, sn.attn_out_step, sn.res1_step, sn.res2_step, sn.mlp_in_step]
-            {
+            for step in [
+                sn.attn_in_step,
+                sn.attn_out_step,
+                sn.res1_step,
+                sn.res2_step,
+                sn.mlp_in_step,
+            ] {
                 layr.put_f32(step);
             }
         }
@@ -301,7 +305,10 @@ fn validate_engine(engine: &ScEngine) -> Result<(), ScError> {
     linear("patch embed", &e.patch_embed, cfg.patch_dim(), d)?;
     linear("head", &e.head, d, cfg.classes)?;
     if e.cls_token.numel() != d {
-        return bad(format!("cls token of {} values, expected {d}", e.cls_token.numel()));
+        return bad(format!(
+            "cls token of {} values, expected {d}",
+            e.cls_token.numel()
+        ));
     }
     if e.pos_embedding.numel() != cfg.seq_len() * d {
         return bad(format!(
@@ -330,7 +337,10 @@ fn put_linear(w: &mut SectionWriter, lin: &QuantLinear) {
 }
 
 fn get_linear(r: &mut SectionReader<'_>) -> Result<QuantLinear, ScError> {
-    Ok(QuantLinear { w: r.get_tensor()?, b: r.get_tensor()? })
+    Ok(QuantLinear {
+        w: r.get_tensor()?,
+        b: r.get_tensor()?,
+    })
 }
 
 fn put_gelu(w: &mut SectionWriter, g: &GateAssistedSi) {
@@ -427,7 +437,6 @@ fn get_softmax_config(r: &mut SectionReader<'_>) -> Result<IterSoftmaxConfig, Sc
     })
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +451,9 @@ mod tests {
         recipe.n_test = 16;
         recipe.pre_epochs = 1;
         recipe.qat_epochs = 0;
-        engine_or_load(&recipe, EngineConfig::default()).expect("engine compiles").0
+        engine_or_load(&recipe, EngineConfig::default())
+            .expect("engine compiles")
+            .0
     }
 
     /// A temp path unique to this process and `name`.
@@ -503,10 +514,16 @@ mod tests {
 
     #[test]
     fn wrong_artifact_kind_is_rejected() {
-        let err = decode("wrong-kind", &ArtifactWriter::new(ArtifactKind::ModelCheckpoint))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        let err = decode(
+            "wrong-kind",
+            &ArtifactWriter::new(ArtifactKind::ModelCheckpoint),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -519,7 +536,9 @@ mod tests {
         let cfg = loaded.vit_config();
         let n = cfg.num_patches() * cfg.patch_dim();
         let patches = ascend_tensor::Tensor::from_vec(
-            (0..n).map(|i| ((i * 37 % 113) as f32 - 56.0) / 56.0).collect(),
+            (0..n)
+                .map(|i| ((i * 37 % 113) as f32 - 56.0) / 56.0)
+                .collect(),
             &[cfg.num_patches(), cfg.patch_dim()],
         );
         let a = loaded.forward(&patches, 1).unwrap();
@@ -532,17 +551,32 @@ mod tests {
 
     #[test]
     fn load_from_missing_path_is_a_not_found_io_error() {
-        let err =
-            ScEngine::load(Path::new("/nonexistent/ascend/engine.sceng")).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+        let err = ScEngine::load(Path::new("/nonexistent/ascend/engine.sceng"))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn inconsistent_cls_token_is_rejected_at_load_not_inference() {
         let mut engine = tiny_engine();
         engine.net.cls_token = ascend_tensor::Tensor::zeros(&[3]);
-        let err = decode("cls-token", &engine.to_artifact()).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        let err = decode("cls-token", &engine.to_artifact())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -550,16 +584,26 @@ mod tests {
         let mut engine = tiny_engine();
         engine.net.layers.pop();
         engine.gelu.pop();
-        let err = decode("layer-count", &engine.to_artifact()).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        let err = decode("layer-count", &engine.to_artifact())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn truncated_weight_matrix_is_rejected_at_load() {
         let mut engine = tiny_engine();
         engine.net.layers[0].fc1.w = ascend_tensor::Tensor::zeros(&[1, 1]);
-        let err = decode("fc1", &engine.to_artifact()).map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        let err = decode("fc1", &engine.to_artifact())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -575,10 +619,16 @@ mod tests {
             s2: 1,
             ..*engine.softmax_block().config()
         };
-        let err = decode("smax-overflow", &with_softmax(&engine, "smax-overflow-src", sm))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        let err = decode(
+            "smax-overflow",
+            &with_softmax(&engine, "smax-overflow-src", sm),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -587,14 +637,38 @@ mod tests {
         let stored = *engine.softmax_block().config();
         for (what, sm) in [
             ("m", IterSoftmaxConfig { m: 1000, ..stored }),
-            ("k", IterSoftmaxConfig { k: stored.k + 1, ..stored }),
-            ("Bx", IterSoftmaxConfig { bx: stored.bx * 2, ..stored }),
-            ("By", IterSoftmaxConfig { by: stored.by * 2, ..stored }),
+            (
+                "k",
+                IterSoftmaxConfig {
+                    k: stored.k + 1,
+                    ..stored
+                },
+            ),
+            (
+                "Bx",
+                IterSoftmaxConfig {
+                    bx: stored.bx * 2,
+                    ..stored
+                },
+            ),
+            (
+                "By",
+                IterSoftmaxConfig {
+                    by: stored.by * 2,
+                    ..stored
+                },
+            ),
         ] {
-            let err = decode("smax-geometry", &with_softmax(&engine, "smax-geometry-src", sm))
-                .map(|_| ())
-                .unwrap_err();
-            assert!(err.to_string().contains("does not match the engine"), "{what}: got {err}");
+            let err = decode(
+                "smax-geometry",
+                &with_softmax(&engine, "smax-geometry-src", sm),
+            )
+            .map(|_| ())
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("does not match the engine"),
+                "{what}: got {err}"
+            );
         }
     }
 
@@ -625,8 +699,7 @@ mod tests {
 
     /// The sections of the fixture engine's artifact, built once.
     fn fixture_sections() -> &'static [([u8; 4], Vec<u8>)] {
-        static SECTIONS: std::sync::OnceLock<Vec<([u8; 4], Vec<u8>)>> =
-            std::sync::OnceLock::new();
+        static SECTIONS: std::sync::OnceLock<Vec<([u8; 4], Vec<u8>)>> = std::sync::OnceLock::new();
         SECTIONS.get_or_init(|| sections_of("proptest-src", &tiny_engine().to_artifact()))
     }
 

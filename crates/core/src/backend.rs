@@ -154,11 +154,7 @@ pub trait InferenceBackend: Send + Sync {
     /// # Errors
     ///
     /// Propagates [`InferenceBackend::forward`] errors.
-    fn accuracy(
-        &self,
-        data: &ascend_vit::data::Dataset,
-        batch: usize,
-    ) -> Result<f32, ScError> {
+    fn accuracy(&self, data: &ascend_vit::data::Dataset, batch: usize) -> Result<f32, ScError> {
         let patch = self.vit_config().patch;
         let mut correct = 0usize;
         let all: Vec<usize> = (0..data.len()).collect();
@@ -205,7 +201,10 @@ pub(crate) fn check_patch_count(
     cfg: &ascend_vit::VitConfig,
 ) -> Result<(), ScError> {
     let (p, pd) = (cfg.num_patches(), cfg.patch_dim());
-    let reason = match p.checked_mul(pd).and_then(|per_image| images.checked_mul(per_image)) {
+    let reason = match p
+        .checked_mul(pd)
+        .and_then(|per_image| images.checked_mul(per_image))
+    {
         Some(want) if want == values => return Ok(()),
         Some(want) => format!(
             "{name}: {values} values, expected {want} for {images} images of [{p}, {pd}] patches"
@@ -287,14 +286,15 @@ impl RefEngine {
         if model.config.norm != NormKind::Batch {
             return Err(ScError::InvalidParam {
                 name: "model",
-                reason: "reference backend requires a BatchNorm model (paper §V LN→BN swap)"
-                    .into(),
+                reason: "reference backend requires a BatchNorm model (paper §V LN→BN swap)".into(),
             });
         }
         // The very same capture the SC engine compiles from — the "same
         // frozen state" premise of `tests/backend_parity.rs` is held by
         // construction, not by parallel maintenance.
-        Ok(RefEngine { net: FrozenNet::capture(model) })
+        Ok(RefEngine {
+            net: FrozenNet::capture(model),
+        })
     }
 
     /// Compiles the reference backend from a persisted model checkpoint —
@@ -304,9 +304,7 @@ impl RefEngine {
     ///
     /// [`ScError::CorruptArtifact`] if the checkpoint cannot be restored,
     /// plus every [`RefEngine::compile`] error.
-    pub fn compile_from_checkpoint(
-        ckpt: &ascend_io::ModelCheckpoint,
-    ) -> Result<Self, ScError> {
+    pub fn compile_from_checkpoint(ckpt: &ascend_io::ModelCheckpoint) -> Result<Self, ScError> {
         RefEngine::compile(&ckpt.restore()?)
     }
 
@@ -345,7 +343,8 @@ impl InferenceBackend for RefEngine {
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        self.net.forward(patches, scratch, &mut FloatBlocks::new(&self.net), observer)
+        self.net
+            .forward(patches, scratch, &mut FloatBlocks::new(&self.net), observer)
     }
 }
 
@@ -414,7 +413,13 @@ impl<B: InferenceBackend> FaultInjectingBackend<B> {
             });
         }
         let name = format!("fault(rate={rate})+{}", inner.name());
-        Ok(FaultInjectingBackend { inner, rate, seed, bsl, name })
+        Ok(FaultInjectingBackend {
+            inner,
+            rate,
+            seed,
+            bsl,
+            name,
+        })
     }
 
     /// The wrapped backend.
@@ -581,7 +586,10 @@ mod tests {
         let engine = RefEngine::compile(&batchnorm_model()).unwrap();
         let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
         let two = train.patches(&[0, 1], 4);
-        assert!(engine.forward(&two, 3).is_err(), "3 images claimed, 2 provided");
+        assert!(
+            engine.forward(&two, 3).is_err(),
+            "3 images claimed, 2 provided"
+        );
     }
 
     #[cfg(target_pointer_width = "64")]
@@ -603,10 +611,20 @@ mod tests {
         assert!(invalid(engine.forward(&one, images).map(drop)), "forward");
         let pool = ServePool::new(
             std::sync::Arc::new(engine),
-            ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 },
+            ServeConfig {
+                workers: 1,
+                micro_batch: 1,
+                queue_depth: 0,
+            },
         )
         .unwrap();
-        assert!(invalid(pool.submit(ServeRequest::new(one.clone(), images)).map(drop)), "submit");
+        assert!(
+            invalid(
+                pool.submit(ServeRequest::new(one.clone(), images))
+                    .map(drop)
+            ),
+            "submit"
+        );
         assert!(invalid(pool.run_batch(&one, images).map(drop)), "run_batch");
     }
 
@@ -652,7 +670,11 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits(), "same image ⇒ same faults");
         }
         // Each scalar moves by at most bsl LSBs of the modelled codec.
-        let absmax = patches.data().iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
+        let absmax = patches
+            .data()
+            .iter()
+            .fold(0.0f32, |m, v| m.max(v.abs()))
+            .max(1e-6);
         let step = absmax / (FaultInjectingBackend::<&RefEngine>::DEFAULT_BSL as f32 / 2.0);
         for (x, y) in patches.data().iter().zip(a.data().iter()) {
             assert!(
@@ -679,7 +701,11 @@ mod tests {
         let wrapper = FaultInjectingBackend::with_bsl(&engine, 1.0, 9, 3).unwrap();
         let (train, _) = ascend_vit::data::synth_cifar(2, 4, 2, 8, 3);
         let patches = train.patches(&[0], 4);
-        let absmax = patches.data().iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
+        let absmax = patches
+            .data()
+            .iter()
+            .fold(0.0f32, |m, v| m.max(v.abs()))
+            .max(1e-6);
         let mut p = patches.clone();
         wrapper.perturb_in_place(p.data_mut());
         for v in p.data() {

@@ -103,7 +103,13 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The `[By, s1, s2, k]` quadruple of Table VI.
     pub fn from_quad(by: usize, s1: usize, s2: usize, k: usize) -> Self {
-        EngineConfig { softmax_by: by, softmax_s1: s1, softmax_s2: s2, softmax_k: k, ..Default::default() }
+        EngineConfig {
+            softmax_by: by,
+            softmax_s1: s1,
+            softmax_s2: s2,
+            softmax_k: k,
+            ..Default::default()
+        }
     }
 }
 
@@ -121,7 +127,10 @@ pub(crate) struct QuantLinear {
 impl QuantLinear {
     pub(crate) fn compile(lin: &ascend_vit::model::Linear, bsl: Option<usize>) -> QuantLinear {
         let q = Quant::new(lin.w_site.step_value(), bsl);
-        QuantLinear { w: lin.w.map(|v| q.apply(v)), b: lin.b.clone() }
+        QuantLinear {
+            w: lin.w.map(|v| q.apply(v)),
+            b: lin.b.clone(),
+        }
     }
 
     /// Bytes of the materialized weight + bias buffers.
@@ -236,7 +245,10 @@ impl FrozenNet {
     /// Bytes of every materialized buffer.
     pub(crate) fn resident_bytes(&self) -> usize {
         let f32s = std::mem::size_of::<f32>();
-        self.layers.iter().map(QuantLayerSnapshot::resident_bytes).sum::<usize>()
+        self.layers
+            .iter()
+            .map(QuantLayerSnapshot::resident_bytes)
+            .sum::<usize>()
             + (self.head_affine.0.len() + self.head_affine.1.len()) * f32s
             + self.patch_embed.resident_bytes()
             + self.head.resident_bytes()
@@ -270,7 +282,17 @@ impl FrozenNet {
         let (acts, residual) = (self.plan.acts, self.plan.residual);
         let inv_sqrt_dh = 1.0 / (dh as f32).sqrt();
         scratch.fit(cfg);
-        let ForwardScratch { softmax, x, xq, q, kt, v, scores, hidden, acc } = scratch;
+        let ForwardScratch {
+            softmax,
+            x,
+            xq,
+            q,
+            kt,
+            v,
+            scores,
+            hidden,
+            acc,
+        } = scratch;
 
         // Patch embedding: row 0 is cls + pos, row 1 + i is token i + pos.
         observer.enter(Stage::PatchEmbed);
@@ -416,7 +438,10 @@ fn norm_quant(
 /// accumulated in `acc`.
 fn residual_linear(input: &[f32], lin: &QuantLinear, x: &mut [f32], q: Quant, acc: &mut [f32]) {
     let d = acc.len();
-    for (ir, xr) in input.chunks_exact(lin.w.shape()[0]).zip(x.chunks_exact_mut(d)) {
+    for (ir, xr) in input
+        .chunks_exact(lin.w.shape()[0])
+        .zip(x.chunks_exact_mut(d))
+    {
         matvec(ir, lin.w.data(), d, acc);
         for ((xv, &a), &b) in xr.iter_mut().zip(acc.iter()).zip(lin.b.data()) {
             *xv = q.apply(*xv + (a + b));
@@ -435,7 +460,10 @@ struct Quant {
 
 impl Quant {
     fn new(step: f32, bsl: Option<usize>) -> Self {
-        Quant { step, half: bsl.map(|l| (l / 2) as f32) }
+        Quant {
+            step,
+            half: bsl.map(|l| (l / 2) as f32),
+        }
     }
 
     #[inline]
@@ -594,7 +622,10 @@ impl MidGelu {
     fn new(step: f32, bsl: Option<usize>) -> Self {
         let ternary = (bsl == Some(2) && step > Self::MIN_TERNARY_STEP)
             .then(|| (step, 0.5 * step * (1.0 - 1.0 / 1024.0)));
-        MidGelu { q: Quant::new(step, bsl), ternary }
+        MidGelu {
+            q: Quant::new(step, bsl),
+            ternary,
+        }
     }
 
     #[inline]
@@ -762,8 +793,15 @@ impl ScEngine {
         let (s1, s2) = feasible_rates(requested)?;
         let mut softmax: Option<(f64, IterSoftmaxBlock)> = None;
         for mult in [0.25, 0.5, 1.0] {
-            let candidate = IterSoftmaxConfig { ay: base_ay * mult, s1, s2, ..requested };
-            let Ok(block) = IterSoftmaxBlock::new(candidate) else { continue };
+            let candidate = IterSoftmaxConfig {
+                ay: base_ay * mult,
+                s1,
+                s2,
+                ..requested
+            };
+            let Ok(block) = IterSoftmaxBlock::new(candidate) else {
+                continue;
+            };
             // Calibration metric: overall MAE plus a heavy penalty on the
             // row's dominant entry — clamping the top attention weight is
             // far more damaging than diffuse small-entry error.
@@ -811,7 +849,12 @@ impl ScEngine {
             })
             .collect::<Result<Vec<_>, ScError>>()?;
 
-        Ok(ScEngine { config, softmax, gelu, net })
+        Ok(ScEngine {
+            config,
+            softmax,
+            gelu,
+            net,
+        })
     }
 
     /// The engine configuration.
@@ -860,7 +903,11 @@ impl crate::backend::InferenceBackend for ScEngine {
 
     fn resident_bytes(&self) -> usize {
         self.net.resident_bytes()
-            + self.gelu.iter().map(|g| std::mem::size_of_val(g.ones_table())).sum::<usize>()
+            + self
+                .gelu
+                .iter()
+                .map(|g| std::mem::size_of_val(g.ones_table()))
+                .sum::<usize>()
     }
 
     fn make_scratch(&self) -> ForwardScratch {
@@ -881,7 +928,10 @@ impl crate::backend::InferenceBackend for ScEngine {
         scratch: &mut ForwardScratch,
         observer: &mut dyn StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let mut blocks = ScBlocks { softmax: &self.softmax, gelu: &self.gelu };
+        let mut blocks = ScBlocks {
+            softmax: &self.softmax,
+            gelu: &self.gelu,
+        };
         self.net.forward(patches, scratch, &mut blocks, observer)
     }
 }
@@ -961,7 +1011,9 @@ pub(crate) fn calibrate(
     let (s, d, hd) = (cfg.seq_len(), cfg.dim, cfg.dim * cfg.mlp_ratio);
     // Q, K, V and the projection; fc1 and fc2; scores and `·V`.
     let macs = batch * net.layers.len() * s * d * (4 * d + 2 * hd + 2 * s);
-    let parts = ServeConfig::auto().resolved_workers().min(macs / MIN_PART_MACS);
+    let parts = ServeConfig::auto()
+        .resolved_workers()
+        .min(macs / MIN_PART_MACS);
     calibrate_in_parts(net, patches, batch, parts)
 }
 
@@ -993,13 +1045,18 @@ pub(crate) fn calibrate_in_parts(
     check_patch_count("calib_patches", patches.numel(), batch, cfg)?;
     let per_image = cfg.num_patches() * cfg.patch_dim();
     let parts = parts.clamp(1, batch.max(1));
-    let runs: Vec<_> = (0..parts).map(|p| p * batch / parts..(p + 1) * batch / parts).collect();
+    let runs: Vec<_> = (0..parts)
+        .map(|p| p * batch / parts..(p + 1) * batch / parts)
+        .collect();
     let recorded = parallel_map(parts, 1, &runs, |_, images| {
         let mut probe = Probe::new(net, batch, images.start);
         let mut scratch = ForwardScratch::for_geometry(cfg);
         let part = &patches.data()[images.start * per_image..images.end * per_image];
         for img in part.chunks_exact(per_image) {
-            let mut blocks = FloatBlocks { net, probe: Some(&mut probe) };
+            let mut blocks = FloatBlocks {
+                net,
+                probe: Some(&mut probe),
+            };
             net.forward(img, &mut scratch, &mut blocks, &mut NoopObserver)?;
             probe.image += 1;
         }
@@ -1007,7 +1064,9 @@ pub(crate) fn calibrate_in_parts(
     });
     let mut recorded = recorded.into_iter();
     // `parallel_map` returns one result per part, and there is at least one.
-    let mut merged = recorded.next().unwrap_or_else(|| Ok(Probe::new(net, batch, 0)))?;
+    let mut merged = recorded
+        .next()
+        .unwrap_or_else(|| Ok(Probe::new(net, batch, 0)))?;
     for part in recorded {
         merged.absorb(part?);
     }
@@ -1125,7 +1184,11 @@ impl UpperTail {
     fn for_percentile_98(n: usize) -> UpperTail {
         let rank = (((n as f64) * 0.98) as usize).min(n.saturating_sub(1));
         let keep = n - rank;
-        UpperTail { keep, buf: Vec::with_capacity(2 * keep), floor: None }
+        UpperTail {
+            keep,
+            buf: Vec::with_capacity(2 * keep),
+            floor: None,
+        }
     }
 
     #[inline]
@@ -1140,7 +1203,9 @@ impl UpperTail {
     }
 
     fn cut(&mut self) {
-        let (_, kth, _) = self.buf.select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
+        let (_, kth, _) = self
+            .buf
+            .select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
         self.floor = Some(*kth);
         self.buf.truncate(self.keep);
     }
@@ -1158,7 +1223,9 @@ impl UpperTail {
         if self.keep == 0 || self.buf.len() < self.keep {
             return 1.0;
         }
-        let (_, kth, _) = self.buf.select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
+        let (_, kth, _) = self
+            .buf
+            .select_nth_unstable_by(self.keep - 1, |a, b| b.total_cmp(a));
         f64::from(*kth)
     }
 }
@@ -1183,7 +1250,11 @@ mod tests {
     use crate::fixture::{train_or_load, FixtureRecipe};
     use ascend_vit::VitConfig;
 
-    fn trained_quant_model() -> (VitModel, ascend_vit::data::Dataset, ascend_vit::data::Dataset) {
+    fn trained_quant_model() -> (
+        VitModel,
+        ascend_vit::data::Dataset,
+        ascend_vit::data::Dataset,
+    ) {
         // The shared checkpoint-cached converged fixture (trains once per
         // cache lifetime; `tests/backend_parity.rs` rides the same cache).
         train_or_load(&FixtureRecipe::tiny_converged("engine-unit", 5))
@@ -1196,9 +1267,13 @@ mod tests {
             let mut wide: Vec<f64> = samples.iter().map(|&v| v as f64).collect();
             wide.sort_by(f64::total_cmp);
             let idx = ((wide.len() as f64) * 0.98) as usize;
-            wide.get(idx.min(wide.len().saturating_sub(1))).copied().unwrap_or(1.0)
+            wide.get(idx.min(wide.len().saturating_sub(1)))
+                .copied()
+                .unwrap_or(1.0)
         };
-        let mut noisy: Vec<f32> = (0..997).map(|i| ((i as f32) * 0.731).sin().abs() * 4.0).collect();
+        let mut noisy: Vec<f32> = (0..997)
+            .map(|i| ((i as f32) * 0.731).sin().abs() * 4.0)
+            .collect();
         noisy.extend([9.5, 9.5, 12.0]);
         let cases: Vec<Vec<f32>> = vec![
             vec![],
@@ -1215,10 +1290,20 @@ mod tests {
             let want = reference(&case);
             for parts in 1..=4 {
                 let got = merged_tail(&case, parts).smallest();
-                assert_eq!(got.to_bits(), want.to_bits(), "n = {}, {parts} parts", case.len());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n = {}, {parts} parts",
+                    case.len()
+                );
             }
             let got = percentile_98(&mut case);
-            assert_eq!(got.to_bits(), want.to_bits(), "n = {}: {got} vs {want}", case.len());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "n = {}: {got} vs {want}",
+                case.len()
+            );
         }
     }
 
@@ -1308,7 +1393,12 @@ mod tests {
         for &x in xs {
             let want = q.apply(ascend_tensor::graph::gelu_f(x));
             let got = site.apply(x);
-            assert_eq!(got.to_bits(), want.to_bits(), "{what}: x = {x:e} ({:#010x})", x.to_bits());
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what}: x = {x:e} ({:#010x})",
+                x.to_bits()
+            );
         }
     }
 
@@ -1338,7 +1428,9 @@ mod tests {
             let site = MidGelu::new(step, bsl);
             let what = format!("step {step}, BSL {bsl:?}");
             assert!(site.ternary.is_none(), "{what} falls back");
-            let mut xs: Vec<f32> = (-(1 << 10)..=1 << 10).map(|u| nudge(0.5 * step, u)).collect();
+            let mut xs: Vec<f32> = (-(1 << 10)..=1 << 10)
+                .map(|u| nudge(0.5 * step, u))
+                .collect();
             xs.extend((-160..=160).map(|i| i as f32 / 10.0));
             assert_gelu_site_exact(site, Quant::new(step, bsl), &xs, &what);
         }
@@ -1400,9 +1492,17 @@ mod tests {
         let (train, _) = ascend_vit::data::synth_cifar(2, 2, 2, 8, 3);
         let one = train.patches(&[0], 4);
         let invalid = |r: Result<ScEngine, ScError>| matches!(r, Err(ScError::InvalidParam { .. }));
-        assert!(invalid(ScEngine::compile(&model, EngineConfig::default(), &one, 3)));
+        assert!(invalid(ScEngine::compile(
+            &model,
+            EngineConfig::default(),
+            &one,
+            3
+        )));
         let ckpt = ascend_io::ModelCheckpoint::capture(&model).with_calib(one, 3);
-        assert!(invalid(ScEngine::compile_from_checkpoint(&ckpt, EngineConfig::default())));
+        assert!(invalid(ScEngine::compile_from_checkpoint(
+            &ckpt,
+            EngineConfig::default()
+        )));
     }
 
     #[test]
@@ -1445,7 +1545,10 @@ mod tests {
             .zip(float_logits.argmax_rows().iter())
             .filter(|(a, b)| a == b)
             .count();
-        assert!(agree >= 22, "SC engine diverges from approx-softmax model: {agree}/32 agree");
+        assert!(
+            agree >= 22,
+            "SC engine diverges from approx-softmax model: {agree}/32 agree"
+        );
     }
 
     #[test]

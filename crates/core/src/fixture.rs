@@ -122,7 +122,13 @@ impl FixtureRecipe {
 
     /// The regenerated `(train, test)` datasets for this recipe.
     pub fn datasets(&self) -> (Dataset, Dataset) {
-        synth_cifar(self.classes, self.n_train, self.n_test, self.model.image, self.data_seed)
+        synth_cifar(
+            self.classes,
+            self.n_train,
+            self.n_test,
+            self.model.image,
+            self.data_seed,
+        )
     }
 }
 
@@ -135,21 +141,22 @@ fn cache_dir() -> PathBuf {
 }
 
 fn cache_path(recipe: &FixtureRecipe) -> PathBuf {
-    cache_dir().join(format!("{}-{:016x}.ckpt", recipe.name, recipe.fingerprint()))
+    cache_dir().join(format!(
+        "{}-{:016x}.ckpt",
+        recipe.name,
+        recipe.fingerprint()
+    ))
 }
 
 /// The one cache-or-train primitive behind every public fixture entry
 /// point: the trained model *and* its captured checkpoint (with the
 /// recipe's calibration batch attached), plus the datasets.
-fn train_or_load_full(
-    recipe: &FixtureRecipe,
-) -> (VitModel, ModelCheckpoint, Dataset, Dataset) {
+fn train_or_load_full(recipe: &FixtureRecipe) -> (VitModel, ModelCheckpoint, Dataset, Dataset) {
     let (train, test) = recipe.datasets();
     let path = cache_path(recipe);
     if let Ok(ckpt) = ModelCheckpoint::load(&path) {
         if let Ok(model) = ckpt.restore() {
-            if model.config == recipe.model && model.plan() == recipe.plan && ckpt.calib.is_some()
-            {
+            if model.config == recipe.model && model.plan() == recipe.plan && ckpt.calib.is_some() {
                 return (model, ckpt, train, test);
             }
         }
@@ -169,7 +176,10 @@ fn train_or_load_full(
         model.set_plan(recipe.plan);
         model.calibrate_steps(&calib, recipe.calib_n);
         if recipe.qat_epochs > 0 {
-            let qat = TrainConfig { epochs: recipe.qat_epochs, ..tc };
+            let qat = TrainConfig {
+                epochs: recipe.qat_epochs,
+                ..tc
+            };
             train_model(&mut model, None, &train, &test, &qat);
         }
     }
@@ -265,7 +275,11 @@ mod tests {
         let la = a.predict(&patches, 8);
         let lb = b.predict(&patches, 8);
         for (x, y) in la.data().iter().zip(lb.data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "cached model must be bit-identical");
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "cached model must be bit-identical"
+            );
         }
     }
 
@@ -274,7 +288,11 @@ mod tests {
         let a = FixtureRecipe::tiny("fixture-a", 1);
         let mut b = FixtureRecipe::tiny("fixture-a", 1);
         b.pre_epochs += 1;
-        assert_ne!(cache_path(&a), cache_path(&b), "fingerprint must cover the schedule");
+        assert_ne!(
+            cache_path(&a),
+            cache_path(&b),
+            "fingerprint must cover the schedule"
+        );
         let c = FixtureRecipe::tiny("fixture-c", 1);
         assert_ne!(cache_path(&a), cache_path(&c));
     }

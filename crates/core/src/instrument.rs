@@ -62,7 +62,11 @@ impl StageStats {
             "ascend_forward_seconds",
             "Whole-forward duration (sum of stage durations).",
         );
-        StageStats { registry, stages, forward }
+        StageStats {
+            registry,
+            stages,
+            forward,
+        }
     }
 
     /// Folds one forward's [`StageTimer`] into the histograms. A timer with
@@ -111,8 +115,10 @@ impl StageStats {
     /// the forward's stage time.
     pub fn table(&self) -> String {
         let forwards = self.forwards().max(1);
-        let snaps: Vec<(Stage, HistSnapshot)> =
-            Stage::ALL.iter().map(|&s| (s, self.stage_snapshot(s))).collect();
+        let snaps: Vec<(Stage, HistSnapshot)> = Stage::ALL
+            .iter()
+            .map(|&s| (s, self.stage_snapshot(s)))
+            .collect();
         let stage_sum_ns: u64 = snaps.iter().map(|(_, s)| s.sum_ns).sum();
         let mut out = String::new();
         out.push_str(&format!(

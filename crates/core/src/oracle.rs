@@ -322,13 +322,19 @@ fn kernel_is_bit_identical_to_the_tensor_dataflow() -> Result<(), ScError> {
                 let got = per_image(&reference, &patches, &mut scratch)?;
                 assert_same_bits(&got, want.data(), &what);
 
-                for quad in [EngineConfig::default(), EngineConfig::from_quad(32, 8, 4, 3)] {
+                for quad in [
+                    EngineConfig::default(),
+                    EngineConfig::from_quad(32, 8, 4, 3),
+                ] {
                     let engine = ScEngine::compile(&model, quad, &patches, n)?;
                     let (want, live) = sc_forward(&engine, &patches, n)?;
                     let what = format!("{what}, By = {}", quad.softmax_by);
                     // At By = 8 the m = 65 rows may all decode to zero; the
                     // By = 32 leg must exercise real attention weights.
-                    assert!(live || quad.softmax_by != 32, "{what}: all attention weights zero");
+                    assert!(
+                        live || quad.softmax_by != 32,
+                        "{what}: all attention weights zero"
+                    );
                     let got = per_image(&engine, &patches, &mut scratch)?;
                     assert_same_bits(&got, want.data(), &what);
                     assert_same_bits(engine.forward(&patches, n)?.data(), want.data(), &what);
@@ -340,14 +346,31 @@ fn kernel_is_bit_identical_to_the_tensor_dataflow() -> Result<(), ScError> {
 }
 
 fn assert_same_calibration(got: &Calibration, want: &Calibration, layers: usize, what: &str) {
-    assert_eq!(got.score_scale.to_bits(), want.score_scale.to_bits(), "{what}: scale");
-    assert_eq!(got.gelu_absmax.len(), layers, "{what}: one GELU maximum per layer");
+    assert_eq!(
+        got.score_scale.to_bits(),
+        want.score_scale.to_bits(),
+        "{what}: scale"
+    );
+    assert_eq!(
+        got.gelu_absmax.len(),
+        layers,
+        "{what}: one GELU maximum per layer"
+    );
     for (g, w) in got.gelu_absmax.iter().zip(&want.gelu_absmax) {
         assert_eq!(g.to_bits(), w.to_bits(), "{what}: GELU maximum");
     }
-    assert_eq!(got.score_rows.len(), want.score_rows.len(), "{what}: sampled rows");
+    assert_eq!(
+        got.score_rows.len(),
+        want.score_rows.len(),
+        "{what}: sampled rows"
+    );
     for (g, w) in got.score_rows.iter().zip(&want.score_rows) {
-        assert!(g.iter().map(|v| v.to_bits()).eq(w.iter().map(|v| v.to_bits())), "{what}");
+        assert!(
+            g.iter()
+                .map(|v| v.to_bits())
+                .eq(w.iter().map(|v| v.to_bits())),
+            "{what}"
+        );
     }
 }
 
@@ -362,7 +385,10 @@ fn calibration_matches_the_batched_probe() -> Result<(), ScError> {
             let (model, patches) = model_at(image, heads, layers, batch, plan);
             let net = FrozenNet::capture(&model);
             let want = batched_probe(&net, &patches, batch);
-            let what = format!("m = {}, {layers} layers, batch {batch}", model.config.seq_len());
+            let what = format!(
+                "m = {}, {layers} layers, batch {batch}",
+                model.config.seq_len()
+            );
             assert_same_calibration(&calibrate(&net, &patches, batch)?, &want, layers, &what);
             // `calibrate` splits the batch by the host's core count; every
             // split must give the same bits, and a batch the patches do not

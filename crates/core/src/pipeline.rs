@@ -113,7 +113,11 @@ pub struct PipelineReport {
 impl PipelineReport {
     /// Formats the rows as an aligned text table.
     pub fn table(&self) -> String {
-        let mut out = format!("{:<46} {:>9}\n", format!("Model ({})", self.dataset), "Acc (%)");
+        let mut out = format!(
+            "{:<46} {:>9}\n",
+            format!("Model ({})", self.dataset),
+            "Acc (%)"
+        );
         for row in &self.rows {
             out.push_str(&format!("{:<46} {:>9.2}\n", row.name, row.accuracy));
         }
@@ -122,7 +126,10 @@ impl PipelineReport {
 
     /// Accuracy of a named row.
     pub fn accuracy(&self, name: &str) -> Option<f32> {
-        self.rows.iter().find(|r| r.name == name).map(|r| r.accuracy)
+        self.rows
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.accuracy)
     }
 }
 
@@ -148,7 +155,13 @@ impl Pipeline {
             cfg.model.image,
             cfg.data_seed,
         );
-        Pipeline { cfg, train_set, test_set, final_model: None, teacher_fp: None }
+        Pipeline {
+            cfg,
+            train_set,
+            test_set,
+            final_model: None,
+            teacher_fp: None,
+        }
     }
 
     /// The generated datasets (train, test).
@@ -184,8 +197,10 @@ impl Pipeline {
 
         // Row 1 — FP LN-ViT reference [24].
         self.log("training FP LN-ViT reference");
-        let mut ln_vit =
-            VitModel::new(VitConfig { norm: NormKind::Layer, ..model_cfg });
+        let mut ln_vit = VitModel::new(VitConfig {
+            norm: NormKind::Layer,
+            ..model_cfg
+        });
         train_model(
             &mut ln_vit,
             None,
@@ -194,11 +209,17 @@ impl Pipeline {
             &self.train_cfg(c.stage1_epochs, c.lr_stage1, 1),
         );
         let acc_ln = evaluate(&ln_vit, &self.test_set, c.batch) * 100.0;
-        rows.push(StageResult { name: "FP LN-ViT [24]".into(), accuracy: acc_ln });
+        rows.push(StageResult {
+            name: "FP LN-ViT [24]".into(),
+            accuracy: acc_ln,
+        });
 
         // FP BN-ViT (LN→BN swap under KD; <0.1% impact in the paper).
         self.log("training FP BN-ViT (LN->BN swap, KD from LN-ViT)");
-        let mut bn_vit = VitModel::new(VitConfig { norm: NormKind::Batch, ..model_cfg });
+        let mut bn_vit = VitModel::new(VitConfig {
+            norm: NormKind::Batch,
+            ..model_cfg
+        });
         train_model(
             &mut bn_vit,
             Some(&ln_vit),
@@ -324,8 +345,14 @@ mod tests {
         let report = PipelineReport {
             dataset: "X".into(),
             rows: vec![
-                StageResult { name: "a".into(), accuracy: 1.0 },
-                StageResult { name: "b".into(), accuracy: 2.0 },
+                StageResult {
+                    name: "a".into(),
+                    accuracy: 1.0,
+                },
+                StageResult {
+                    name: "b".into(),
+                    accuracy: 2.0,
+                },
             ],
         };
         let t = report.table();

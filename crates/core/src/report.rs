@@ -20,7 +20,10 @@ pub struct TextTable {
 impl TextTable {
     /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
-        TextTable { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
+        TextTable {
+            header: header.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+        }
     }
 
     /// Appends a row.

@@ -97,7 +97,11 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { workers: 0, micro_batch: 8, queue_depth: 0 }
+        ServeConfig {
+            workers: 0,
+            micro_batch: 8,
+            queue_depth: 0,
+        }
     }
 }
 
@@ -114,7 +118,10 @@ impl ServeConfig {
     /// with headroom while capping the memory a burst can pin. Only an
     /// explicit `queue_depth: 0` opts out.
     pub fn with_bounded_queue(self) -> Self {
-        ServeConfig { queue_depth: 4 * self.resolved_workers(), ..self }
+        ServeConfig {
+            queue_depth: 4 * self.resolved_workers(),
+            ..self
+        }
     }
 
     /// Rejects a malformed shape.
@@ -145,7 +152,9 @@ impl ServeConfig {
             self.workers
         } else {
             *CORES.get_or_init(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
             })
         }
     }
@@ -166,7 +175,11 @@ pub struct ServeRequest {
 impl ServeRequest {
     /// Wraps a patch tensor as a request.
     pub fn new(patches: Tensor, images: usize) -> Self {
-        ServeRequest { patches, images, trace: None }
+        ServeRequest {
+            patches,
+            images,
+            trace: None,
+        }
     }
 
     /// Tags the request with a trace id minted at admission, so the spans
@@ -415,9 +428,7 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
                 let observability = Arc::clone(&observability);
                 std::thread::Builder::new()
                     .name(format!("ascend-serve-{i}"))
-                    .spawn(move || {
-                        worker_loop(&*backend, &rx, &gauges, &observability, i as u32)
-                    })
+                    .spawn(move || worker_loop(&*backend, &rx, &gauges, &observability, i as u32))
                     .map_err(|e| ScError::Io {
                         path: format!("thread ascend-serve-{i}"),
                         reason: e.to_string(),
@@ -425,7 +436,14 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
                     })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServePool { backend, cfg, queue: Some(queue), gauges, observability, workers })
+        Ok(ServePool {
+            backend,
+            cfg,
+            queue: Some(queue),
+            gauges,
+            observability,
+            workers,
+        })
     }
 
     /// The pool's configuration.
@@ -505,7 +523,9 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
     /// [`ScError::InvalidParam`] for a malformed request, and
     /// [`ScError::PoolGone`] when no live workers remain.
     pub fn try_submit(&self, request: ServeRequest) -> Result<ServeHandle, ScError> {
-        self.enqueue(request, |queue, job| queue.try_send(job, self.cfg.queue_depth))
+        self.enqueue(request, |queue, job| {
+            queue.try_send(job, self.cfg.queue_depth)
+        })
     }
 
     /// The shared body of [`ServePool::submit`] and
@@ -532,9 +552,18 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
         let (reply, rx) = mpsc::sync_channel(1);
         let images = request.images;
         let trace = request.trace.unwrap_or_else(TraceId::mint);
-        #[expect(clippy::disallowed_methods, reason = "admission timestamp for the queue-wait split; never reaches the logits")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission timestamp for the queue-wait split; never reaches the logits"
+        )]
         let submitted = Instant::now();
-        let job = Job { patches: request.patches, images, trace, submitted, reply };
+        let job = Job {
+            patches: request.patches,
+            images,
+            trace,
+            submitted,
+            reply,
+        };
         // Count before the send: the worker's decrement on claim must
         // never precede this increment. A refused send is uncounted.
         self.gauges.queued.fetch_add(1, Ordering::Relaxed);
@@ -635,7 +664,10 @@ fn worker_loop<B: InferenceBackend + ?Sized>(
         };
         gauges.queued.fetch_sub(1, Ordering::Relaxed);
         gauges.in_flight.fetch_add(1, Ordering::Relaxed);
-        #[expect(clippy::disallowed_methods, reason = "queue-wait/service split for the pool histograms and the trace ring; timing never reaches the output tensor")]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-wait/service split for the pool histograms and the trace ring; timing never reaches the output tensor"
+        )]
         let t0 = Instant::now();
         let queue_wait = t0.saturating_duration_since(job.submitted);
         let result = backend.forward_with(&job.patches, job.images, &mut scratch);
@@ -644,10 +676,20 @@ fn worker_loop<B: InferenceBackend + ?Sized>(
         // so the ring's mutex never sits inside a measured interval.
         observability.queue_wait.observe(queue_wait);
         observability.service.observe(service);
-        observability.trace.record(job.trace, "queue_wait", worker, job.submitted, queue_wait);
-        observability.trace.record(job.trace, "service", worker, t0, service);
+        observability
+            .trace
+            .record(job.trace, "queue_wait", worker, job.submitted, queue_wait);
+        observability
+            .trace
+            .record(job.trace, "service", worker, t0, service);
         // A dropped handle just means nobody wants this answer.
-        let _ = job.reply.send(Served { result, timing: JobTiming { queue_wait, service } });
+        let _ = job.reply.send(Served {
+            result,
+            timing: JobTiming {
+                queue_wait,
+                service,
+            },
+        });
         gauges.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -692,7 +734,11 @@ where
             }
             let lo = c * chunk;
             let hi = (lo + chunk).min(items.len());
-            let out: Vec<R> = items[lo..hi].iter().enumerate().map(|(i, t)| f(lo + i, t)).collect();
+            let out: Vec<R> = items[lo..hi]
+                .iter()
+                .enumerate()
+                .map(|(i, t)| f(lo + i, t))
+                .collect();
             mine.push((c, out));
         }
         mine
@@ -801,8 +847,15 @@ mod tests {
     fn serve_config_resolves_workers() {
         let auto = ServeConfig::auto().resolved_workers();
         assert!(auto >= 1);
-        assert_eq!(ServeConfig::auto().resolved_workers(), auto, "looked up once, then kept");
-        let cfg = ServeConfig { workers: 3, ..ServeConfig::default() };
+        assert_eq!(
+            ServeConfig::auto().resolved_workers(),
+            auto,
+            "looked up once, then kept"
+        );
+        let cfg = ServeConfig {
+            workers: 3,
+            ..ServeConfig::default()
+        };
         assert_eq!(cfg.resolved_workers(), 3);
     }
 }

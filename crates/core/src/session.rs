@@ -265,7 +265,12 @@ impl SessionBuilder {
             None => backend,
             Some(s) => Box::new(InstrumentedBackend::with_stats(backend, Arc::clone(s))),
         };
-        Ok(Session { backend: Arc::from(backend), serve, pool: OnceLock::new(), stats })
+        Ok(Session {
+            backend: Arc::from(backend),
+            serve,
+            pool: OnceLock::new(),
+            stats,
+        })
     }
 
     fn compile(
@@ -356,7 +361,12 @@ impl Session {
         serve: ServeConfig,
     ) -> Result<Session, ScError> {
         serve.validate()?;
-        Ok(Session { backend, serve, pool: OnceLock::new(), stats: None })
+        Ok(Session {
+            backend,
+            serve,
+            pool: OnceLock::new(),
+            stats: None,
+        })
     }
 
     /// The session's backend, as the trait object every consumer codes
@@ -413,11 +423,7 @@ impl Session {
     /// # Errors
     ///
     /// Same conditions as [`InferenceBackend::accuracy`].
-    pub fn accuracy(
-        &self,
-        data: &ascend_vit::data::Dataset,
-        batch: usize,
-    ) -> Result<f32, ScError> {
+    pub fn accuracy(&self, data: &ascend_vit::data::Dataset, batch: usize) -> Result<f32, ScError> {
         self.backend().accuracy(data, batch)
     }
 
@@ -453,7 +459,10 @@ mod tests {
     #[test]
     fn builder_without_a_source_is_rejected() {
         let err = Session::builder().build().map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "source", .. }), "got {err:?}");
+        assert!(
+            matches!(err, ScError::InvalidParam { name: "source", .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -464,7 +473,16 @@ mod tests {
             .build()
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "micro_batch", .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::InvalidParam {
+                    name: "micro_batch",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -477,7 +495,10 @@ mod tests {
             .build()
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "rate", .. }), "got {err:?}");
+        assert!(
+            matches!(err, ScError::InvalidParam { name: "rate", .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -496,7 +517,16 @@ mod tests {
             .build()
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "backend", .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::InvalidParam {
+                    name: "backend",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     fn unit_engine() -> crate::engine::ScEngine {
@@ -538,18 +568,35 @@ mod tests {
         let backend: Arc<dyn InferenceBackend> = Arc::new(unit_engine());
         let session = Session::from_shared_backend(
             Arc::clone(&backend),
-            ServeConfig { workers: 1, micro_batch: 4, queue_depth: 3 },
+            ServeConfig {
+                workers: 1,
+                micro_batch: 4,
+                queue_depth: 3,
+            },
         )
         .expect("session builds");
         // No defaulting on this path: the embedder's config is law.
         assert_eq!(session.runner().expect("pool").queue_capacity(), 3);
         let err = Session::from_shared_backend(
             backend,
-            ServeConfig { workers: 1, micro_batch: 0, queue_depth: 3 },
+            ServeConfig {
+                workers: 1,
+                micro_batch: 0,
+                queue_depth: 3,
+            },
         )
         .map(|_| ())
         .unwrap_err();
-        assert!(matches!(err, ScError::InvalidParam { name: "micro_batch", .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::InvalidParam {
+                    name: "micro_batch",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -561,7 +608,16 @@ mod tests {
             .build()
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -573,7 +629,16 @@ mod tests {
         )
         .map(|_| ())
         .unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err:?}");
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
 
         let dir = std::env::temp_dir().join(format!("ascend-loadbk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -582,7 +647,10 @@ mod tests {
         let err = load_backend(&garbage, BackendKind::Sc, EngineConfig::default())
             .map(|_| ())
             .unwrap_err();
-        assert!(matches!(err, ScError::CorruptArtifact { .. }), "got {err:?}");
+        assert!(
+            matches!(err, ScError::CorruptArtifact { .. }),
+            "got {err:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

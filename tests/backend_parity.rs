@@ -11,7 +11,10 @@
 //! * at a small non-zero rate, thermometer fault tolerance must show: the
 //!   network degrades gracefully instead of collapsing.
 
-#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+#![allow(
+    clippy::expect_used,
+    reason = "an integration test fails by panicking, helpers included"
+)]
 
 use ascend::engine::EngineConfig;
 use ascend::fixture::{session_or_load, FixtureRecipe};
@@ -30,8 +33,8 @@ fn sessions() -> (Session, Session, Dataset) {
     let recipe = parity_recipe();
     let (sc, _, test) =
         session_or_load(&recipe, EngineConfig::default(), BackendKind::Sc).expect("sc session");
-    let (reference, _, _) = session_or_load(&recipe, EngineConfig::default(), BackendKind::Ref)
-        .expect("ref session");
+    let (reference, _, _) =
+        session_or_load(&recipe, EngineConfig::default(), BackendKind::Ref).expect("ref session");
     (sc, reference, test)
 }
 
@@ -100,7 +103,9 @@ fn zero_rate_fault_wrapper_is_bit_identical_to_its_inner_backend() {
         .expect("fault session builds");
     assert_eq!(via_builder.backend().name(), "fault(rate=0)+sc-exact");
     let clean = sc.forward(&patches, n).expect("clean forward");
-    let got = via_builder.forward(&patches, n).expect("fault-session forward");
+    let got = via_builder
+        .forward(&patches, n)
+        .expect("fault-session forward");
     assert_bit_identical(&got, &clean, "rate-0 session");
 }
 
@@ -160,11 +165,17 @@ fn fault_injecting_backend_stays_deterministic_on_a_reused_pool() {
         .expect("fault session builds");
     let n = 13usize;
     let patches = test.patches(&(0..n).collect::<Vec<_>>(), 4);
-    let serial = session.forward(&patches, n).expect("serial faulted forward");
+    let serial = session
+        .forward(&patches, n)
+        .expect("serial faulted forward");
     for round in 0..3 {
         // Every round reuses the session's one pool (same worker threads).
         let parallel = session.serve_batch(&patches, n).expect("faulted serve");
-        assert_bit_identical(&parallel, &serial, &format!("faulted pool reuse round {round}"));
+        assert_bit_identical(
+            &parallel,
+            &serial,
+            &format!("faulted pool reuse round {round}"),
+        );
         assert_eq!(session.runner().expect("session pool").workers(), 2);
     }
 }

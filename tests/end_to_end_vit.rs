@@ -1,12 +1,16 @@
 //! Integration: trained quantized ViT → SC engine, end to end.
 
 use ascend::engine::{EngineConfig, ScEngine};
-use ascend::InferenceBackend;
 use ascend::fixture::{train_or_load, FixtureRecipe};
+use ascend::InferenceBackend;
 use ascend_vit::train::evaluate;
 use ascend_vit::{SoftmaxKind, VitConfig, VitModel};
 
-fn trained_model() -> (VitModel, ascend_vit::data::Dataset, ascend_vit::data::Dataset) {
+fn trained_model() -> (
+    VitModel,
+    ascend_vit::data::Dataset,
+    ascend_vit::data::Dataset,
+) {
     // Checkpoint-cached fixture: 6 + 6 epochs at lr 2e-3 on a larger
     // split (trains once per cache lifetime).
     let mut recipe = FixtureRecipe::tiny("e2e-qat", 21);
@@ -23,7 +27,10 @@ fn trained_model() -> (VitModel, ascend_vit::data::Dataset, ascend_vit::data::Da
 fn quantized_training_reaches_useful_accuracy() {
     let (model, _, test) = trained_model();
     let acc = evaluate(&model, &test, 16);
-    assert!(acc > 0.4, "W2-A2-R16 model should beat 25% chance clearly, got {acc}");
+    assert!(
+        acc > 0.4,
+        "W2-A2-R16 model should beat 25% chance clearly, got {acc}"
+    );
 }
 
 #[test]

@@ -30,7 +30,11 @@ fn single_bit_flip_moves_value_by_one_lsb() {
 fn binary_msb_flip_is_catastrophic_by_contrast() {
     let value: i8 = 64;
     let flipped = value ^ (1i8 << 6); // flip bit 6
-    assert_eq!((value as i16 - flipped as i16).abs(), 64, "positional weight");
+    assert_eq!(
+        (value as i16 - flipped as i16).abs(),
+        64,
+        "positional weight"
+    );
     // Thermometer: any flip = 1 LSB (shown above). The ratio grows with
     // word size; this is the fault-tolerance argument for SC ([11]).
 }
@@ -69,5 +73,8 @@ fn k_flips_bounded_by_k_lsb() {
     }
     let corrupted = ThermStream::new(bits, x.scale()).unwrap();
     let delta = (corrupted.value() - x.value()).abs();
-    assert!(delta <= 4.0 * x.scale() + 1e-12, "4 flips moved value by {delta}");
+    assert!(
+        delta <= 4.0 * x.scale() + 1e-12,
+        "4 flips moved value by {delta}"
+    );
 }

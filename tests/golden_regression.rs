@@ -20,11 +20,14 @@
 //! demand exact bit equality — serialization has no platform-dependent
 //! math to excuse.
 
-#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+#![allow(
+    clippy::expect_used,
+    reason = "an integration test fails by panicking, helpers included"
+)]
 
 use ascend::engine::{EngineConfig, ScEngine};
-use ascend::InferenceBackend;
 use ascend::fixture::{train_or_load, FixtureRecipe};
+use ascend::InferenceBackend;
 use ascend_io::ModelCheckpoint;
 use ascend_vit::data::Dataset;
 use ascend_vit::VitModel;
@@ -88,7 +91,10 @@ fn fixed_seed_pipeline_matches_golden_snapshot() {
     // Fresh values, for updating the constants after intentional changes.
     eprintln!("golden accuracy: {accuracy:?}");
     for r in 0..3 {
-        eprintln!("golden logits[{r}]: {:?}", &logits.data()[r * 4..(r + 1) * 4]);
+        eprintln!(
+            "golden logits[{r}]: {:?}",
+            &logits.data()[r * 4..(r + 1) * 4]
+        );
     }
 
     assert!(
@@ -127,8 +133,12 @@ fn checkpoint_roundtrip_compiles_a_bit_identical_engine() {
 
     let idx: Vec<usize> = (0..test.len()).collect();
     let patches = test.patches(&idx, 4);
-    let want = in_memory.forward(&patches, idx.len()).expect("in-memory forward");
-    let got = from_disk.forward(&patches, idx.len()).expect("from-disk forward");
+    let want = in_memory
+        .forward(&patches, idx.len())
+        .expect("in-memory forward");
+    let got = from_disk
+        .forward(&patches, idx.len())
+        .expect("from-disk forward");
     assert_bit_identical(&got, &want, "checkpoint round-trip");
 }
 
@@ -142,7 +152,11 @@ fn engine_artifact_roundtrip_is_bit_identical() {
     let loaded = ScEngine::load(&path).expect("engine loads");
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(loaded.config(), engine.config(), "engine config must round-trip");
+    assert_eq!(
+        loaded.config(),
+        engine.config(),
+        "engine config must round-trip"
+    );
     assert_eq!(
         loaded.softmax_block().config(),
         engine.softmax_block().config(),
@@ -154,13 +168,19 @@ fn engine_artifact_roundtrip_is_bit_identical() {
 
     let idx: Vec<usize> = (0..test.len()).collect();
     let patches = test.patches(&idx, 4);
-    let want = engine.forward(&patches, idx.len()).expect("original forward");
+    let want = engine
+        .forward(&patches, idx.len())
+        .expect("original forward");
     let got = loaded.forward(&patches, idx.len()).expect("loaded forward");
     assert_bit_identical(&got, &want, "engine round-trip");
 
     let want_acc = engine.accuracy(&test, 8).expect("original accuracy");
     let got_acc = loaded.accuracy(&test, 8).expect("loaded accuracy");
-    assert_eq!(want_acc.to_bits(), got_acc.to_bits(), "accuracy must match exactly");
+    assert_eq!(
+        want_acc.to_bits(),
+        got_acc.to_bits(),
+        "accuracy must match exactly"
+    );
 }
 
 #[test]
@@ -187,7 +207,10 @@ fn cached_fixture_matches_fresh_training_bit_for_bit() {
         model.set_plan(recipe.plan);
         let calib = train.patches(&(0..recipe.calib_n).collect::<Vec<_>>(), recipe.model.patch);
         model.calibrate_steps(&calib, recipe.calib_n);
-        let qat = TrainConfig { epochs: recipe.qat_epochs, ..tc };
+        let qat = TrainConfig {
+            epochs: recipe.qat_epochs,
+            ..tc
+        };
         train_model(&mut model, None, &train, &test2, &qat);
         (model, train, test2)
     };

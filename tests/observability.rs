@@ -49,7 +49,11 @@ fn instrumented_pool_is_bit_identical_to_bare_pool() {
     let n = 13usize; // ragged: 3 full requests of 4 images plus a tail of 1
     let idx: Vec<usize> = (0..n).collect();
     let patches = test.patches(&idx, 4);
-    let cfg = ServeConfig { workers: 2, micro_batch: 4, queue_depth: 0 };
+    let cfg = ServeConfig {
+        workers: 2,
+        micro_batch: 4,
+        queue_depth: 0,
+    };
 
     let bare = ServePool::new(Arc::clone(&engine), cfg).expect("bare pool builds");
     let reference = bare.run_batch(&patches, n).expect("bare run");
@@ -58,7 +62,9 @@ fn instrumented_pool_is_bit_identical_to_bare_pool() {
     let wrapped = InstrumentedBackend::with_stats(Arc::clone(&engine), Arc::clone(&stats));
     let instrumented = ServePool::new(Arc::new(wrapped), cfg).expect("instrumented pool builds");
     let before = instrumented.obs().service().snapshot().count();
-    let observed = instrumented.run_batch(&patches, n).expect("instrumented run");
+    let observed = instrumented
+        .run_batch(&patches, n)
+        .expect("instrumented run");
 
     assert_bit_identical(&observed, &reference, "instrumented vs bare pool");
     // One request per 4 images, one counted forward per image.
@@ -150,7 +156,11 @@ fn spans_cover_every_served_request_and_never_a_shed_one() {
     let backend = Arc::new(GatedBackend::new());
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_depth: 1,
+        },
     )
     .expect("pool builds");
 
@@ -162,7 +172,10 @@ fn spans_cover_every_served_request_and_never_a_shed_one() {
     let a = pool.submit(request(0)).expect("submit A");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while pool.queued() > 0 {
-        assert!(std::time::Instant::now() < deadline, "worker never claimed A");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "worker never claimed A"
+        );
         std::thread::yield_now();
     }
     let b = pool.try_submit(request(1)).expect("submit B");
@@ -181,15 +194,29 @@ fn spans_cover_every_served_request_and_never_a_shed_one() {
     backend.open();
     let (_, timing_a) = a.collect().expect("collect A");
     let (_, timing_b) = b.collect().expect("collect B");
-    assert!(timing_a.service >= held, "A's gate-blocked time must land in service");
-    assert!(timing_b.queue_wait >= held, "B's queued time must land in queue_wait");
+    assert!(
+        timing_a.service >= held,
+        "A's gate-blocked time must land in service"
+    );
+    assert!(
+        timing_b.queue_wait >= held,
+        "B's queued time must land in queue_wait"
+    );
 
     let obs = pool.obs();
-    assert_eq!(obs.queue_wait().snapshot().count(), 2, "queue-wait histogram");
+    assert_eq!(
+        obs.queue_wait().snapshot().count(),
+        2,
+        "queue-wait histogram"
+    );
     assert_eq!(obs.service().snapshot().count(), 2, "service histogram");
 
     let spans = obs.trace().snapshot();
-    assert_eq!(spans.len(), 4, "two spans per served request, none for the shed one");
+    assert_eq!(
+        spans.len(),
+        4,
+        "two spans per served request, none for the shed one"
+    );
     for (i, expect_served) in [(0usize, true), (1, true), (2, false)] {
         let mine: Vec<_> = spans.iter().filter(|s| s.trace_id == ids[i]).collect();
         if expect_served {
@@ -202,5 +229,8 @@ fn spans_cover_every_served_request_and_never_a_shed_one() {
     }
     let json = obs.trace().to_chrome_json();
     assert!(json.starts_with("{\"traceEvents\":["), "chrome envelope");
-    assert!(!json.contains(&format!("\"trace_id\":{}", ids[2].0)), "shed id in chrome export");
+    assert!(
+        !json.contains(&format!("\"trace_id\":{}", ids[2].0)),
+        "shed id in chrome export"
+    );
 }

@@ -19,7 +19,9 @@ fn pipeline_rows_reproduce_paper_ordering_at_smoke_scale() {
 
     let fp = report.accuracy("FP LN-ViT [24]").unwrap();
     let prog = report.accuracy("BN-ViT + progressive quant").unwrap();
-    let ft = report.accuracy("BN-ViT + progressive quant + appr-aware ft").unwrap();
+    let ft = report
+        .accuracy("BN-ViT + progressive quant + appr-aware ft")
+        .unwrap();
 
     // The FP reference must be strong on the smoke task.
     assert!(fp > 40.0, "FP reference too weak: {fp}");

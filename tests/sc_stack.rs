@@ -28,7 +28,11 @@ fn sc_dot_product_equals_integer_dot_product() {
 
     // Integer path.
     let exact: f64 = weights.iter().zip(acts.iter()).map(|(w, x)| w * x).sum();
-    assert!((acc.value() - exact).abs() < 1e-12, "{} vs {exact}", acc.value());
+    assert!(
+        (acc.value() - exact).abs() < 1e-12,
+        "{} vs {exact}",
+        acc.value()
+    );
 
     // The accumulated stream re-scales into a narrower residual stream with
     // bounded error.

@@ -67,7 +67,11 @@ fn batch_runner_is_bit_identical_across_worker_counts() {
         for workers in [1usize, 2, 4] {
             let runner = ServePool::new(
                 Arc::clone(&engine),
-                ServeConfig { workers, micro_batch: 4, queue_depth: 0 },
+                ServeConfig {
+                    workers,
+                    micro_batch: 4,
+                    queue_depth: 0,
+                },
             )
             .expect("runner builds");
             let before = runner.obs().service().snapshot().count();
@@ -98,14 +102,22 @@ fn request_queue_matches_per_request_serial_forward() {
     }
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 3, micro_batch: 4, queue_depth: 2 },
+        ServeConfig {
+            workers: 3,
+            micro_batch: 4,
+            queue_depth: 2,
+        },
     )
     .expect("pool builds");
-    let handles: Vec<_> =
-        requests.iter().map(|req| pool.submit(req.clone()).expect("submit")).collect();
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|req| pool.submit(req.clone()).expect("submit"))
+        .collect();
     for (req, handle) in requests.iter().zip(handles) {
         let (got, _) = handle.collect().expect("collect");
-        let want = engine.forward(&req.patches, req.images).expect("serial forward");
+        let want = engine
+            .forward(&req.patches, req.images)
+            .expect("serial forward");
         assert_bit_identical(&got, &want, &format!("request of {} images", req.images));
     }
     assert_eq!(pool.obs().service().snapshot().count(), sizes.len() as u64);
@@ -129,7 +141,11 @@ fn pool_reuse_is_bit_identical_to_fresh_pools_for_both_backends() {
     for (backend, label) in [(&sc, "sc"), (&reference, "ref")] {
         let serial = backend.forward(&patches, n).expect("serial forward");
         for workers in [1usize, 2, 4] {
-            let cfg = ServeConfig { workers, micro_batch: 4, queue_depth: 0 };
+            let cfg = ServeConfig {
+                workers,
+                micro_batch: 4,
+                queue_depth: 0,
+            };
             let reused = ServePool::new(Arc::clone(backend), cfg).expect("pool builds");
             for round in 0..3 {
                 let from_reused = reused.run_batch(&patches, n).expect("reused-pool run");
@@ -159,7 +175,11 @@ fn streaming_submit_collect_preserves_request_order() {
     let (engine, test) = tiny_engine();
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 2, micro_batch: 4, queue_depth: 3 },
+        ServeConfig {
+            workers: 2,
+            micro_batch: 4,
+            queue_depth: 3,
+        },
     )
     .expect("pool builds");
     // Submit a stream of single-image requests, collect handles in
@@ -189,7 +209,11 @@ fn pool_with_more_workers_than_requests_drains_cleanly() {
     let (engine, test) = tiny_engine();
     let pool = ServePool::new(
         Arc::clone(&engine),
-        ServeConfig { workers: 8, micro_batch: 4, queue_depth: 1 },
+        ServeConfig {
+            workers: 8,
+            micro_batch: 4,
+            queue_depth: 1,
+        },
     )
     .expect("pool builds");
     let patches = test.patches(&[0, 1], 4);
@@ -225,7 +249,12 @@ impl GatedBackend {
             classes: 2,
             ..Default::default()
         };
-        GatedBackend { cfg, plan: PrecisionPlan::fp(), gate: Mutex::new(false), opened: Condvar::new() }
+        GatedBackend {
+            cfg,
+            plan: PrecisionPlan::fp(),
+            gate: Mutex::new(false),
+            opened: Condvar::new(),
+        }
     }
 
     fn open(&self) {
@@ -272,7 +301,11 @@ fn full_queue_blocks_submitters_without_dropping_or_reordering() {
     // block — that is the backpressure contract.
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_depth: 1,
+        },
     )
     .expect("pool builds");
     let total = 6usize;
@@ -339,7 +372,11 @@ fn try_submit_sheds_on_a_full_queue_and_the_gauges_track_it() {
     };
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_depth: 1,
+        },
     )
     .expect("pool builds");
     assert_eq!(pool.queue_capacity(), 1);
@@ -370,12 +407,23 @@ fn try_submit_sheds_on_a_full_queue_and_the_gauges_track_it() {
     for (handle, v) in [(a, 1.0f32), (b, 2.0f32)] {
         let (logits, _) = handle.collect().expect("collect");
         let want = v * (p * pd) as f32;
-        assert_eq!(logits.data(), &[want, -want], "request {v} dropped or corrupted");
+        assert_eq!(
+            logits.data(),
+            &[want, -want],
+            "request {v} dropped or corrupted"
+        );
     }
-    wait_until("gauges drain to zero", Box::new(|| pool.queued() == 0 && pool.in_flight() == 0));
+    wait_until(
+        "gauges drain to zero",
+        Box::new(|| pool.queued() == 0 && pool.in_flight() == 0),
+    );
 
     // The shed request was never enqueued: the drained pool serves again.
-    let (logits, _) = pool.try_submit(make(4.0)).expect("post-drain admit").collect().expect("ok");
+    let (logits, _) = pool
+        .try_submit(make(4.0))
+        .expect("post-drain admit")
+        .collect()
+        .expect("ok");
     assert_eq!(logits.data()[0], 4.0 * (p * pd) as f32);
     pool.shutdown();
 }
@@ -395,7 +443,11 @@ fn queued_gauge_never_wraps_below_zero() {
     let patches = Tensor::from_vec(vec![1.0; p * pd], &[p, pd]);
     let pool = ServePool::new(
         Arc::clone(&backend),
-        ServeConfig { workers: 2, micro_batch: 1, queue_depth: 0 },
+        ServeConfig {
+            workers: 2,
+            micro_batch: 1,
+            queue_depth: 0,
+        },
     )
     .expect("pool builds");
     let worst = AtomicUsize::new(0);
@@ -421,7 +473,10 @@ fn queued_gauge_never_wraps_below_zero() {
                             break;
                         }
                         let request = ServeRequest::new(patches.clone(), 1);
-                        pool.submit(request).expect("submit").collect().expect("collect");
+                        pool.submit(request)
+                            .expect("submit")
+                            .collect()
+                            .expect("collect");
                     }
                 })
             })
@@ -435,7 +490,10 @@ fn queued_gauge_never_wraps_below_zero() {
         }
     });
     let worst = worst.into_inner();
-    assert!(worst <= SUBMITTERS, "queued() read {worst} with {SUBMITTERS} requests outstanding");
+    assert!(
+        worst <= SUBMITTERS,
+        "queued() read {worst} with {SUBMITTERS} requests outstanding"
+    );
     pool.shutdown();
 }
 
@@ -473,10 +531,17 @@ fn worker_loss_surfaces_pool_gone_instead_of_hanging() {
     let gated = GatedBackend::new(); // only for its VitConfig geometry
     let (p, pd) = (gated.cfg.num_patches(), gated.cfg.patch_dim());
     let make = |v: f32| ServeRequest::new(Tensor::from_vec(vec![v; p * pd], &[p, pd]), 1);
-    let backend = Arc::new(PanickingBackend { cfg: gated.cfg, plan: PrecisionPlan::fp() });
+    let backend = Arc::new(PanickingBackend {
+        cfg: gated.cfg,
+        plan: PrecisionPlan::fp(),
+    });
     let pool = ServePool::new(
         backend,
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 1 },
+        ServeConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_depth: 1,
+        },
     )
     .expect("pool builds");
 
@@ -507,7 +572,10 @@ fn worker_loss_surfaces_pool_gone_instead_of_hanging() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     let err = pool.submit(make(3.0)).map(|_| ()).unwrap_err();
-    assert!(matches!(err, ScError::PoolGone), "blocking submit must error too, got {err:?}");
+    assert!(
+        matches!(err, ScError::PoolGone),
+        "blocking submit must error too, got {err:?}"
+    );
     pool.shutdown();
 }
 
@@ -549,7 +617,9 @@ fn forward_one_composes_to_batched_forward() {
         let mut rows = Vec::new();
         for img in patches.data().chunks_exact(p * pd) {
             rows.extend(
-                backend.forward_one(img, &mut scratch, &mut NoopObserver).expect("forward_one"),
+                backend
+                    .forward_one(img, &mut scratch, &mut NoopObserver)
+                    .expect("forward_one"),
             );
         }
         let composed = Tensor::from_vec(rows, &[n, cfg.classes]);
@@ -558,7 +628,10 @@ fn forward_one_composes_to_batched_forward() {
         // deep the instrumented stack.
         if !stats.is_empty() {
             let recorded: u64 = stats.iter().map(|s| s.forwards()).sum();
-            assert_eq!(recorded, n as u64, "{label}: one recorded forward per image");
+            assert_eq!(
+                recorded, n as u64,
+                "{label}: one recorded forward per image"
+            );
         }
     }
 }
@@ -624,7 +697,10 @@ fn runner_rejects_malformed_configs_and_requests() {
     assert!(
         ServePool::new(
             Arc::clone(&engine),
-            ServeConfig { micro_batch: 0, ..ServeConfig::auto() }
+            ServeConfig {
+                micro_batch: 0,
+                ..ServeConfig::auto()
+            }
         )
         .is_err(),
         "micro_batch = 0 must be rejected"

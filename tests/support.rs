@@ -9,6 +9,10 @@ use ascend_tensor::Tensor;
 pub fn assert_bit_identical(a: &Tensor, b: &Tensor, context: &str) {
     assert_eq!(a.shape(), b.shape(), "{context}: shapes differ");
     for (i, (x, y)) in a.data().iter().zip(b.data().iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{context}: logit {i} differs: {x} vs {y}");
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{context}: logit {i} differs: {x} vs {y}"
+        );
     }
 }

@@ -35,6 +35,10 @@ fn tiny_pipeline_runs_end_to_end_with_finite_outputs() {
     // The rendered table must mention every row label.
     let table = report.table();
     for row in &report.rows {
-        assert!(table.contains(&row.name), "table is missing row {:?}", row.name);
+        assert!(
+            table.contains(&row.name),
+            "table is missing row {:?}",
+            row.name
+        );
     }
 }
