@@ -5,10 +5,15 @@
 //! the way the accelerator would:
 //!
 //! * every quantizer site becomes a thermometer codec (`level = value/step`,
-//!   BSL from the plan) — linear layers are then *exact* in SC, because
-//!   truth-table multiplication and BSN accumulation of thermometer levels
-//!   reproduce integer arithmetic bit-for-bit (`sc-core` proves this by
-//!   property test, so the engine computes on levels directly);
+//!   BSL from the plan). In the circuit, truth-table multiplication and BSN
+//!   accumulation of thermometer levels reproduce integer arithmetic bit
+//!   for bit (`sc-core` proves this by property test). The engine does not
+//!   compute on levels, though: each linear sums the f32 products of
+//!   level·step values in input order (`matvec`), and that sum differs
+//!   from the integer level sum by rounding — on synthetic ternary data,
+//!   8219 of 18720 pre-bias outputs differed. ROADMAP.md item 10(b) would
+//!   compute the integer sum; item 14 would check the whole engine against
+//!   the stream-level circuit;
 //! * BatchNorm folds into per-channel affines absorbed by the neighbouring
 //!   scale factors ([`ascend_vit::norm::Norm::folded_affine`]);
 //! * GELU runs through a **gate-assisted SI** transfer table compiled per
@@ -44,11 +49,17 @@
 //! 3. folds bias, residual add and fake-quant into the epilogue of each
 //!    output row of the projection, fc1 and fc2 passes.
 //!
-//! Every output element keeps the float order of the `Tensor`-op dataflow
-//! it replaced, so logits are bit-identical to it: a linear accumulates
-//! from 0 over its inputs in order (`ikj`), skipping zero inputs, and then
-//! adds the bias; scores are scaled by `1/√dh` in a separate multiply; no
-//! fused multiply-add, and no scale is folded into a weight.
+//! Every linear — patch embedding, Q/K/V, the scores against Kᵀ, `·V`,
+//! the projection, fc1, fc2 and the head — runs through one register-tiled
+//! kernel (`matvec`): it keeps a tile of up to 32 output columns in local
+//! accumulators for the whole input row and stores them once. The tiles
+//! decide which outputs are summed together, never the order within one,
+//! so every output element keeps the float order of the `Tensor`-op
+//! dataflow the kernel replaced, and logits are bit-identical to it: a
+//! linear accumulates from +0 over its non-zero inputs in input order (the
+//! `ikj` order), one rounded product at a time, and then adds the bias;
+//! scores are scaled by `1/√dh` in a separate multiply; no fused
+//! multiply-add, and no scale is folded into a weight.
 
 use std::ops::ControlFlow;
 
@@ -392,22 +403,63 @@ impl FrozenNet {
 }
 
 /// `out = row · W` for one input row, where row `p` of `W` is the first
-/// `out.len()` values of `w[p·stride..]`: `out` is zeroed, then every
-/// non-zero input `a = row[p]` adds `a · W[p]` in `p` order — the `ikj`
-/// loop of [`Tensor::matmul`], so each output keeps its summation order.
-/// `stride` lets `W` be a column block of a wider matrix (one head of V,
-/// one head of the transposed K).
+/// `out.len()` values of `w[p·stride..]`. `stride` lets `W` be a column
+/// block of a wider matrix (one head of V, one head of the transposed K).
+///
+/// The output columns are cut into register tiles: as many 32-wide as fit,
+/// then at most one each of 16, 8, 4, 2 and 1. A tile's accumulators live
+/// in a fixed-size local array for the whole input row and are stored
+/// once, instead of loading and storing every output again for every
+/// input. Within a tile each output starts at `+0.0`, and every input
+/// `a = row[p]` that is not zero (`a == 0.0`, so both signs of zero are
+/// skipped and NaN is not) adds the separately rounded product `a · W[p]`
+/// in `p` order: the per-output order of the `ikj` loop of
+/// [`Tensor::matmul`], with no fused multiply-add, so the result is the
+/// same bit for bit.
+///
+/// Inputs past the rows `w` holds are ignored; every row that `row`
+/// reaches must hold all `out.len()` values, as the encoder's buffers do.
 #[inline]
 fn matvec(row: &[f32], w: &[f32], stride: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for (&a, wrow) in row.iter().zip(w.chunks(stride)) {
+    let (mut col, mut out) = (0, out);
+    while out.len() >= 32 {
+        out = matvec_tile::<32>(row, w, stride, &mut col, out);
+    }
+    out = matvec_tile::<16>(row, w, stride, &mut col, out);
+    out = matvec_tile::<8>(row, w, stride, &mut col, out);
+    out = matvec_tile::<4>(row, w, stride, &mut col, out);
+    out = matvec_tile::<2>(row, w, stride, &mut col, out);
+    matvec_tile::<1>(row, w, stride, &mut col, out);
+}
+
+/// One register tile of [`matvec`]: if `out` holds at least `T` values,
+/// its first `T` become columns `col..col + T` of `row · W`, `col`
+/// advances by `T` and the rest of `out` is returned; otherwise `out` is
+/// returned untouched.
+#[inline(always)]
+fn matvec_tile<'o, const T: usize>(
+    row: &[f32],
+    w: &[f32],
+    stride: usize,
+    col: &mut usize,
+    out: &'o mut [f32],
+) -> &'o mut [f32] {
+    if out.len() < T {
+        return out;
+    }
+    let mut acc = [0.0f32; T];
+    for (&a, wrow) in row.iter().zip(w[*col..].chunks(stride)) {
         if a == 0.0 {
             continue;
         }
-        for (o, &b) in out.iter_mut().zip(wrow) {
-            *o += a * b;
+        for (s, &b) in acc.iter_mut().zip(&wrow[..T]) {
+            *s += a * b;
         }
     }
+    let (tile, rest) = out.split_at_mut(T);
+    tile.copy_from_slice(&acc);
+    *col += T;
+    rest
 }
 
 #[inline]
@@ -1344,8 +1396,138 @@ mod tests {
         }
     }
 
+    /// The scalar `ikj` loop the tiled [`matvec`] replaced, kept as its
+    /// reference: zero `out`, then add `a · W[p]` to every output for each
+    /// non-zero input in order.
+    fn matvec_ikj(row: &[f32], w: &[f32], stride: usize, out: &mut [f32]) {
+        out.fill(0.0);
+        for (&a, wrow) in row.iter().zip(w.chunks(stride)) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out.iter_mut().zip(wrow) {
+                *o += a * b;
+            }
+        }
+    }
+
+    /// A kernel operand biased towards the values that decide float
+    /// results: both zeros, subnormals, infinities, NaN, ±step of a
+    /// ternary site, and (most often) finite values in ±[2⁻⁷, 2⁹), where
+    /// summation order and a fused multiply-add change the rounding.
+    fn matvec_value(kind: u8, bits: u32) -> f32 {
+        let sign = bits & 0x8000_0000;
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(sign | (bits & 0x007f_ffff).max(1)),
+            3 => [f32::INFINITY, f32::NEG_INFINITY][(bits & 1) as usize],
+            4 => f32::from_bits(sign | 0x7f80_0000 | (bits & 0x007f_ffff).max(1)),
+            5 | 6 => [0.37, -0.37][(bits & 1) as usize],
+            _ => f32::from_bits(sign | ((120 + (bits >> 23 & 15)) << 23) | (bits & 0x007f_ffff)),
+        }
+    }
+
+    /// `n` kernel operands from `seed`, one in `special` of them drawn
+    /// from every kind and the rest finite (see [`matvec_value`]).
+    fn matvec_values(seed: u64, n: usize, special: u64) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let kind = if z.is_multiple_of(special) {
+                    (z >> 8) as u8 % 8
+                } else {
+                    7
+                };
+                matvec_value(kind, (z >> 32) as u32)
+            })
+            .collect()
+    }
+
+    /// Asserts that [`matvec`] equals [`matvec_ikj`] bit for bit on a
+    /// `k`-input row against the `n` columns at `offset` of a `k`-row
+    /// matrix of `stride` columns, cut to end at its last row's column
+    /// block (the tightest `w` the kernel may be given).
+    ///
+    /// A NaN output must be NaN in both, with any payload: Rust leaves the
+    /// payload of an arithmetic NaN unspecified, and a release build of
+    /// the `ikj` loop itself may swap the operands of an add whose both
+    /// operands are NaN.
+    fn assert_matvec_twin(row: &[f32], matrix: &[f32], stride: usize, offset: usize, n: usize) {
+        let k = row.len();
+        let end = (k.max(1) - 1) * stride + offset + n;
+        let w = &matrix[offset..end];
+        let mut want = vec![f32::NAN; n];
+        matvec_ikj(row, w, stride, &mut want);
+        // Stale values the kernel must overwrite.
+        let mut got = vec![-1.0e30; n];
+        matvec(row, w, stride, &mut got);
+        for (j, (g, e)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                "k = {k}, n = {n}, stride = {stride}, offset = {offset}, column {j}: {g:e} vs {e:e}"
+            );
+        }
+    }
+
+    /// Every input length and output width in the given ranges, each as
+    /// a whole matrix (`stride = n`) and as a column block of a wider one.
+    fn sweep_matvec_twin(lengths: &[usize], widths: &[usize], seed: u64) {
+        for &k in lengths {
+            for &n in widths {
+                let seed = seed ^ ((k as u64) << 32 | n as u64);
+                for (stride, offset) in [(n, 0), (n + 7, 7), (2 * n + 3, n / 2)] {
+                    let row = matvec_values(seed, k, 9);
+                    let matrix = matvec_values(!seed, k.max(1) * stride + offset, 9);
+                    assert_matvec_twin(&row, &matrix, stride, offset, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matvec_matches_the_ikj_loop_at_every_output_width() {
+        let widths: Vec<usize> = (1..=160).collect();
+        sweep_matvec_twin(&[0, 1, 2, 3, 16, 33, 65, 160], &widths, 1);
+    }
+
+    #[test]
+    fn tiled_matvec_matches_the_ikj_loop_at_every_input_length() {
+        let lengths: Vec<usize> = (0..=160).collect();
+        sweep_matvec_twin(&lengths, &[1, 3, 4, 7, 16, 31, 32, 33, 64, 65, 127, 160], 2);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// [`matvec`] equals the `ikj` loop bit for bit on any shape, any
+        /// column block and any mix of operand kinds.
+        #[test]
+        fn tiled_matvec_matches_the_ikj_loop_on_any_operands(
+            shape in (0usize..=160, 1usize..=160, 0usize..=40, 0usize..=40),
+            raw in proptest::prelude::prop::collection::vec(
+                (0u8..64, proptest::prelude::any::<u32>()),
+                1..=64,
+            ),
+        ) {
+            let (k, n, pad, offset) = shape;
+            let stride = n + pad;
+            let offset = offset.min(pad);
+            let value = |i: usize| {
+                // About one operand in nine is special.
+                let (kind, bits) = raw[i % raw.len()];
+                matvec_value(kind.min(7), bits.rotate_left(i as u32 % 32) ^ i as u32)
+            };
+            let row: Vec<f32> = (0..k).map(value).collect();
+            let matrix: Vec<f32> = (0..k.max(1) * stride + offset).map(|i| value(i + k)).collect();
+            assert_matvec_twin(&row, &matrix, stride, offset, n);
+        }
 
         /// The merged tails' smallest sample is the element the reference
         /// `percentile_98` picks, for any split into 1..=4 parts.
