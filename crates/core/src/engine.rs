@@ -448,7 +448,8 @@ fn matvec_tile<'o, const T: usize>(
         return out;
     }
     let mut acc = [0.0f32; T];
-    for (&a, wrow) in row.iter().zip(w[*col..].chunks(stride)) {
+    let w = w.get(*col..).unwrap_or_default();
+    for (&a, wrow) in row.iter().zip(w.chunks(stride)) {
         if a == 0.0 {
             continue;
         }
@@ -1412,34 +1413,27 @@ mod tests {
     }
 
     /// A kernel operand biased towards the values that decide float
-    /// results: both zeros, subnormals, infinities, NaN, ±step of a
-    /// ternary site, and (most often) finite values in ±[2⁻⁷, 2⁹), where
-    /// summation order and a fused multiply-add change the rounding.
+    /// results: both zeros, subnormals, NaN and infinities (kinds 0–4, as
+    /// [`special_f32`] draws them), ±step of a ternary site, and (most
+    /// often) finite values in ±[2⁻⁷, 2⁹), where summation order and a
+    /// fused multiply-add change the rounding.
     fn matvec_value(kind: u8, bits: u32) -> f32 {
-        let sign = bits & 0x8000_0000;
         match kind {
-            0 => 0.0,
-            1 => -0.0,
-            2 => f32::from_bits(sign | (bits & 0x007f_ffff).max(1)),
-            3 => [f32::INFINITY, f32::NEG_INFINITY][(bits & 1) as usize],
-            4 => f32::from_bits(sign | 0x7f80_0000 | (bits & 0x007f_ffff).max(1)),
+            0..=4 => special_f32(kind, bits),
             5 | 6 => [0.37, -0.37][(bits & 1) as usize],
-            _ => f32::from_bits(sign | ((120 + (bits >> 23 & 15)) << 23) | (bits & 0x007f_ffff)),
+            _ => f32::from_bits(
+                (bits & 0x8000_0000) | ((120 + (bits >> 23 & 15)) << 23) | (bits & 0x007f_ffff),
+            ),
         }
     }
 
     /// `n` kernel operands from `seed`, one in `special` of them drawn
     /// from every kind and the rest finite (see [`matvec_value`]).
     fn matvec_values(seed: u64, n: usize, special: u64) -> Vec<f32> {
-        let mut state = seed;
+        let mut rng = proptest::test_runner::TestRng::new(seed);
         (0..n)
             .map(|_| {
-                // splitmix64
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
+                let z = rng.next_u64();
                 let kind = if z.is_multiple_of(special) {
                     (z >> 8) as u8 % 8
                 } else {
@@ -1495,6 +1489,12 @@ mod tests {
     fn tiled_matvec_matches_the_ikj_loop_at_every_output_width() {
         let widths: Vec<usize> = (1..=160).collect();
         sweep_matvec_twin(&[0, 1, 2, 3, 16, 33, 65, 160], &widths, 1);
+        // No input, no weights: every output is +0.0.
+        for &n in &widths {
+            let mut got = vec![f32::NAN; n];
+            matvec(&[], &[], n, &mut got);
+            assert!(got.iter().all(|v| v.to_bits() == 0), "n = {n}");
+        }
     }
 
     #[test]
