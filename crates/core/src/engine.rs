@@ -1427,14 +1427,14 @@ mod tests {
         }
     }
 
-    /// `n` kernel operands from `seed`, one in `special` of them drawn
-    /// from every kind and the rest finite (see [`matvec_value`]).
-    fn matvec_values(seed: u64, n: usize, special: u64) -> Vec<f32> {
+    /// `n` kernel operands from `seed`, one in nine of them drawn from
+    /// every kind and the rest finite (see [`matvec_value`]).
+    fn matvec_values(seed: u64, n: usize) -> Vec<f32> {
         let mut rng = proptest::test_runner::TestRng::new(seed);
         (0..n)
             .map(|_| {
                 let z = rng.next_u64();
-                let kind = if z.is_multiple_of(special) {
+                let kind = if z.is_multiple_of(9) {
                     (z >> 8) as u8 % 8
                 } else {
                     7
@@ -1455,7 +1455,7 @@ mod tests {
     /// operands are NaN.
     fn assert_matvec_twin(row: &[f32], matrix: &[f32], stride: usize, offset: usize, n: usize) {
         let k = row.len();
-        let end = (k.max(1) - 1) * stride + offset + n;
+        let end = k.saturating_sub(1) * stride + offset + n;
         let w = &matrix[offset..end];
         let mut want = vec![f32::NAN; n];
         matvec_ikj(row, w, stride, &mut want);
@@ -1470,15 +1470,15 @@ mod tests {
         }
     }
 
-    /// Every input length and output width in the given ranges, each as
-    /// a whole matrix (`stride = n`) and as a column block of a wider one.
+    /// Every pair of the given input lengths and output widths, each as a
+    /// whole matrix (`stride = n`) and as column blocks of two wider ones.
     fn sweep_matvec_twin(lengths: &[usize], widths: &[usize], seed: u64) {
         for &k in lengths {
             for &n in widths {
                 let seed = seed ^ ((k as u64) << 32 | n as u64);
                 for (stride, offset) in [(n, 0), (n + 7, 7), (2 * n + 3, n / 2)] {
-                    let row = matvec_values(seed, k, 9);
-                    let matrix = matvec_values(!seed, k.max(1) * stride + offset, 9);
+                    let row = matvec_values(seed, k);
+                    let matrix = matvec_values(!seed, k.max(1) * stride + offset);
                     assert_matvec_twin(&row, &matrix, stride, offset, n);
                 }
             }
