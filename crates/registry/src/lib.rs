@@ -142,7 +142,10 @@ impl ModelSpec {
     pub fn artifact(name: impl Into<String>, path: impl Into<PathBuf>) -> Self {
         ModelSpec {
             name: name.into(),
-            source: ModelSource::Artifact { path: path.into(), backend: BackendKind::Sc },
+            source: ModelSource::Artifact {
+                path: path.into(),
+                backend: BackendKind::Sc,
+            },
             serve: ServeConfig::default().with_bounded_queue(),
         }
     }
@@ -162,7 +165,11 @@ impl ModelSpec {
     /// `name`; the serving configuration is the session's own.
     pub fn session(name: impl Into<String>, session: Arc<Session>) -> Self {
         let serve = *session.serve_config();
-        ModelSpec { name: name.into(), source: ModelSource::Session(session), serve }
+        ModelSpec {
+            name: name.into(),
+            source: ModelSource::Session(session),
+            serve,
+        }
     }
 
     /// Overrides the backend kind (artifact sources only; no-op for
@@ -318,10 +325,13 @@ impl ModelRegistry {
                 "Configured memory budget in bytes (0 = unlimited)",
             )
             .set(u64::try_from(config.memory_budget_bytes).unwrap_or(u64::MAX));
-        let models_gauge =
-            metrics.gauge("ascend_registry_models", "Number of registered models");
+        let models_gauge = metrics.gauge("ascend_registry_models", "Number of registered models");
         ModelRegistry {
-            inner: Mutex::new(Inner { slots: Vec::new(), shared: Vec::new(), clock: 0 }),
+            inner: Mutex::new(Inner {
+                slots: Vec::new(),
+                shared: Vec::new(),
+                clock: 0,
+            }),
             warmed: Condvar::new(),
             budget: config.memory_budget_bytes,
             engine_config: config.engine_config,
@@ -368,7 +378,8 @@ impl ModelRegistry {
     fn update_registry_gauges_locked(&self, inner: &Inner) {
         self.resident_gauge
             .set(u64::try_from(Self::resident_locked(inner)).unwrap_or(u64::MAX));
-        self.models_gauge.set(u64::try_from(inner.slots.len()).unwrap_or(u64::MAX));
+        self.models_gauge
+            .set(u64::try_from(inner.slots.len()).unwrap_or(u64::MAX));
     }
 
     fn validate_name(name: &str) -> Result<(), ScError> {
@@ -424,7 +435,12 @@ impl ModelRegistry {
                 "Times this model was evicted back to cold",
             ),
         };
-        inner.slots.push(Slot { spec, state: SlotState::Cold, last_used: 0, metrics });
+        inner.slots.push(Slot {
+            spec,
+            state: SlotState::Cold,
+            last_used: 0,
+            metrics,
+        });
         self.update_registry_gauges_locked(&inner);
         Ok(())
     }
@@ -447,17 +463,23 @@ impl ModelRegistry {
         let mut inner = self.lock();
         loop {
             let Some(idx) = Self::slot_index(&inner, name) else {
-                return Err(ScError::UnknownModel { model: name.to_string() });
+                return Err(ScError::UnknownModel {
+                    model: name.to_string(),
+                });
             };
             let state = inner.slots.get(idx).map(Slot::state_enum);
             match state {
                 None => {
-                    return Err(ScError::UnknownModel { model: name.to_string() });
+                    return Err(ScError::UnknownModel {
+                        model: name.to_string(),
+                    });
                 }
                 Some(ModelState::Warm) => {
                     inner.clock += 1;
                     let tick = inner.clock;
-                    let Some(slot) = inner.slots.get_mut(idx) else { continue };
+                    let Some(slot) = inner.slots.get_mut(idx) else {
+                        continue;
+                    };
                     slot.last_used = tick;
                     if let SlotState::Warm(handle) = &slot.state {
                         return Ok(Arc::clone(handle));
@@ -471,7 +493,9 @@ impl ModelRegistry {
                 }
                 Some(ModelState::Cold) => {
                     let (source, serve) = {
-                        let Some(slot) = inner.slots.get_mut(idx) else { continue };
+                        let Some(slot) = inner.slots.get_mut(idx) else {
+                            continue;
+                        };
                         slot.set_state(SlotState::Warming);
                         (slot.spec.source.clone(), slot.spec.serve)
                     };
@@ -584,7 +608,11 @@ impl ModelRegistry {
             // request hits a ready pool, and so a spawn failure surfaces
             // here as a typed error instead of on the request path.
             session.runner()?;
-            Ok(Arc::new(ModelHandle { name: name.to_string(), session, bytes }))
+            Ok(Arc::new(ModelHandle {
+                name: name.to_string(),
+                session,
+                bytes,
+            }))
         });
         let mut inner = self.lock();
         let handle = match warmed {
@@ -605,7 +633,9 @@ impl ModelRegistry {
         let Some(idx) = Self::slot_index(&inner, name) else {
             drop(inner);
             self.warmed.notify_all();
-            return Err(ScError::UnknownModel { model: name.to_string() });
+            return Err(ScError::UnknownModel {
+                model: name.to_string(),
+            });
         };
         if let Some(slot) = inner.slots.get_mut(idx) {
             slot.set_state(SlotState::Warm(Arc::clone(&handle)));
@@ -670,7 +700,11 @@ impl ModelRegistry {
     /// Produces the session for a source: session sources are served
     /// as-is, shared backends are wrapped in a fresh session, and artifact
     /// sources go through [`Self::load_shared`].
-    fn materialize(&self, source: &ModelSource, serve: ServeConfig) -> Result<Arc<Session>, ScError> {
+    fn materialize(
+        &self,
+        source: &ModelSource,
+        serve: ServeConfig,
+    ) -> Result<Arc<Session>, ScError> {
         let backend = match source {
             ModelSource::Session(session) => return Ok(Arc::clone(session)),
             ModelSource::Shared(backend) => Arc::clone(backend),
@@ -681,7 +715,11 @@ impl ModelRegistry {
 
     /// Loads an artifact's backend through the weak `(path, kind)` cache,
     /// so two models over one artifact share one copy of the weights.
-    fn load_shared(&self, path: &Path, kind: BackendKind) -> Result<Arc<dyn InferenceBackend>, ScError> {
+    fn load_shared(
+        &self,
+        path: &Path,
+        kind: BackendKind,
+    ) -> Result<Arc<dyn InferenceBackend>, ScError> {
         if let Some(hit) = Self::cached_locked(&self.lock(), path, kind) {
             return Ok(hit);
         }
@@ -702,7 +740,11 @@ impl ModelRegistry {
         Ok(backend)
     }
 
-    fn cached_locked(inner: &Inner, path: &Path, kind: BackendKind) -> Option<Arc<dyn InferenceBackend>> {
+    fn cached_locked(
+        inner: &Inner,
+        path: &Path,
+        kind: BackendKind,
+    ) -> Option<Arc<dyn InferenceBackend>> {
         inner
             .shared
             .iter()
@@ -813,11 +855,18 @@ mod tests {
     }
 
     fn serve_cfg() -> ServeConfig {
-        ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 }
+        ServeConfig {
+            workers: 1,
+            micro_batch: 1,
+            queue_depth: 0,
+        }
     }
 
     fn registry(budget: usize) -> ModelRegistry {
-        ModelRegistry::new(RegistryConfig { memory_budget_bytes: budget, ..Default::default() })
+        ModelRegistry::new(RegistryConfig {
+            memory_budget_bytes: budget,
+            ..Default::default()
+        })
     }
 
     fn shared_spec(name: &str, bytes: usize) -> ModelSpec {
@@ -831,7 +880,10 @@ mod tests {
             let err = reg
                 .register(ModelSpec::shared(bad, Arc::new(TinyBackend::new(1))))
                 .unwrap_err();
-            assert!(matches!(err, ScError::InvalidParam { name: "model", .. }), "{bad:?}: {err}");
+            assert!(
+                matches!(err, ScError::InvalidParam { name: "model", .. }),
+                "{bad:?}: {err}"
+            );
         }
         reg.register(shared_spec("ok-model.v1_2", 1)).unwrap();
         let dup = reg.register(shared_spec("ok-model.v1_2", 1)).unwrap_err();
@@ -842,7 +894,12 @@ mod tests {
     fn unknown_model_is_a_typed_error() {
         let reg = registry(0);
         let err = reg.acquire("ghost").map(|_| ()).unwrap_err();
-        assert_eq!(err, ScError::UnknownModel { model: "ghost".into() });
+        assert_eq!(
+            err,
+            ScError::UnknownModel {
+                model: "ghost".into()
+            }
+        );
         assert_eq!(reg.state("ghost"), None);
         assert!(!reg.evict("ghost"));
     }
@@ -862,7 +919,10 @@ mod tests {
         assert_eq!(reg.loads_total("m"), Some(1));
 
         let h2 = reg.acquire("m").unwrap();
-        assert!(Arc::ptr_eq(&h1, &h2), "second acquire must reuse the warm handle");
+        assert!(
+            Arc::ptr_eq(&h1, &h2),
+            "second acquire must reuse the warm handle"
+        );
         assert_eq!(reg.loads_total("m"), Some(1), "no reload on a warm hit");
         assert!(reg.peek("m").is_some());
     }
@@ -898,7 +958,13 @@ mod tests {
         reg.register(shared_spec("huge", 300)).unwrap();
         reg.acquire("small").unwrap();
         let err = reg.acquire("huge").map(|_| ()).unwrap_err();
-        assert_eq!(err, ScError::BudgetExceeded { needed: 300, budget: 200 });
+        assert_eq!(
+            err,
+            ScError::BudgetExceeded {
+                needed: 300,
+                budget: 200
+            }
+        );
         // The failed warm must not leave the slot wedged in Warming, and
         // the small model was sacrificed to try to make room.
         assert_eq!(reg.state("huge"), Some(ModelState::Cold));
@@ -914,12 +980,21 @@ mod tests {
         let backend: Arc<dyn InferenceBackend> = Arc::new(TinyBackend::new(100));
         // Budget admits one 100-byte model; both fit because they share.
         let reg = registry(150);
-        reg.register(ModelSpec::shared("a", Arc::clone(&backend)).serve(serve_cfg())).unwrap();
-        reg.register(ModelSpec::shared("b", Arc::clone(&backend)).serve(serve_cfg())).unwrap();
+        reg.register(ModelSpec::shared("a", Arc::clone(&backend)).serve(serve_cfg()))
+            .unwrap();
+        reg.register(ModelSpec::shared("b", Arc::clone(&backend)).serve(serve_cfg()))
+            .unwrap();
         let ha = reg.acquire("a").unwrap();
         let hb = reg.acquire("b").unwrap();
-        assert!(std::ptr::addr_eq(ha.session().backend(), hb.session().backend()));
-        assert_eq!(reg.resident_bytes(), 100, "shared backend must be counted once");
+        assert!(std::ptr::addr_eq(
+            ha.session().backend(),
+            hb.session().backend()
+        ));
+        assert_eq!(
+            reg.resident_bytes(),
+            100,
+            "shared backend must be counted once"
+        );
         assert_eq!(reg.state("a"), Some(ModelState::Warm));
         assert_eq!(reg.state("b"), Some(ModelState::Warm));
     }
@@ -958,9 +1033,19 @@ mod tests {
         // The warmer is parked on the gate inside `resident_bytes`; every
         // other thread must be waiting on the condvar, not loading.
         backend.open_gate();
-        let ptrs: Vec<_> = threads.into_iter().map(|t| t.join().unwrap().unwrap()).collect();
-        assert!(ptrs.windows(2).all(|w| w[0] == w[1]), "all acquires share one handle");
-        assert_eq!(reg.loads_total("m"), Some(1), "exactly one flight warms the model");
+        let ptrs: Vec<_> = threads
+            .into_iter()
+            .map(|t| t.join().unwrap().unwrap())
+            .collect();
+        assert!(
+            ptrs.windows(2).all(|w| w[0] == w[1]),
+            "all acquires share one handle"
+        );
+        assert_eq!(
+            reg.loads_total("m"),
+            Some(1),
+            "exactly one flight warms the model"
+        );
         assert_eq!(
             backend.resident_calls.load(Ordering::SeqCst),
             1,
@@ -976,11 +1061,30 @@ mod tests {
         )
         .unwrap();
         let err = reg.acquire("missing").map(|_| ()).unwrap_err();
-        assert!(matches!(err, ScError::Io { not_found: true, .. }), "got {err}");
-        assert_eq!(reg.state("missing"), Some(ModelState::Cold), "slot must not wedge in Warming");
+        assert!(
+            matches!(
+                err,
+                ScError::Io {
+                    not_found: true,
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        assert_eq!(
+            reg.state("missing"),
+            Some(ModelState::Cold),
+            "slot must not wedge in Warming"
+        );
         // Retry surfaces the same typed error, not a hang.
         let err2 = reg.acquire("missing").map(|_| ()).unwrap_err();
-        assert!(matches!(err2, ScError::Io { not_found: true, .. }));
+        assert!(matches!(
+            err2,
+            ScError::Io {
+                not_found: true,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -990,11 +1094,26 @@ mod tests {
         reg.register(shared_spec("beta", 128)).unwrap();
         reg.acquire("alpha").unwrap();
         let text = reg.metrics_render();
-        assert!(text.contains("ascend_model_state{model=\"alpha\"} 2"), "{text}");
-        assert!(text.contains("ascend_model_state{model=\"beta\"} 0"), "{text}");
-        assert!(text.contains("ascend_model_resident_bytes{model=\"alpha\"} 96"), "{text}");
-        assert!(text.contains("ascend_model_loads_total{model=\"alpha\"} 1"), "{text}");
-        assert!(text.contains("ascend_model_evictions_total{model=\"alpha\"} 0"), "{text}");
+        assert!(
+            text.contains("ascend_model_state{model=\"alpha\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ascend_model_state{model=\"beta\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ascend_model_resident_bytes{model=\"alpha\"} 96"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ascend_model_loads_total{model=\"alpha\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ascend_model_evictions_total{model=\"alpha\"} 0"),
+            "{text}"
+        );
         assert!(text.contains("ascend_registry_resident_bytes 96"), "{text}");
         assert!(text.contains("ascend_registry_budget_bytes 512"), "{text}");
         assert!(text.contains("ascend_registry_models 2"), "{text}");
@@ -1003,7 +1122,8 @@ mod tests {
     #[test]
     fn a_spec_without_serve_warms_with_the_bounded_default_queue() {
         let reg = registry(0);
-        reg.register(ModelSpec::shared("m", Arc::new(TinyBackend::new(8)))).unwrap();
+        reg.register(ModelSpec::shared("m", Arc::new(TinyBackend::new(8))))
+            .unwrap();
         let handle = reg.acquire("m").unwrap();
         let pool = handle.session().runner().unwrap();
         assert_eq!(pool.queue_capacity(), 4 * pool.workers());
@@ -1017,9 +1137,17 @@ mod tests {
         let session = Arc::new(
             Session::from_shared_backend(Arc::new(TinyBackend::new(48)), serve_cfg()).unwrap(),
         );
-        let other = ServeConfig { workers: 3, micro_batch: 2, queue_depth: 9 };
+        let other = ServeConfig {
+            workers: 3,
+            micro_batch: 2,
+            queue_depth: 9,
+        };
         let spec = ModelSpec::session("default", Arc::clone(&session)).serve(other);
-        assert_eq!(spec.serve, serve_cfg(), "the spec's pool shape is the session's");
+        assert_eq!(
+            spec.serve,
+            serve_cfg(),
+            "the spec's pool shape is the session's"
+        );
         let reg = registry(0);
         reg.register(spec).unwrap();
         let caller_pool = session.runner().unwrap();
@@ -1027,9 +1155,18 @@ mod tests {
         // only the registry's reference, and a re-warm picks it back up.
         for load in 1..=2 {
             let handle = reg.acquire("default").unwrap();
-            assert!(std::ptr::eq(handle.session(), &*session), "served as-is, not rebuilt");
-            assert!(std::ptr::eq(handle.session().runner().unwrap(), caller_pool), "one pool");
-            assert_eq!((reg.resident_bytes(), reg.loads_total("default")), (48, Some(load)));
+            assert!(
+                std::ptr::eq(handle.session(), &*session),
+                "served as-is, not rebuilt"
+            );
+            assert!(
+                std::ptr::eq(handle.session().runner().unwrap(), caller_pool),
+                "one pool"
+            );
+            assert_eq!(
+                (reg.resident_bytes(), reg.loads_total("default")),
+                (48, Some(load))
+            );
             assert!(reg.evict("default"));
         }
     }
@@ -1043,7 +1180,10 @@ mod tests {
         let states = reg.states();
         assert_eq!(
             states,
-            vec![("z".to_string(), ModelState::Cold), ("a".to_string(), ModelState::Warm)]
+            vec![
+                ("z".to_string(), ModelState::Cold),
+                ("a".to_string(), ModelState::Warm)
+            ]
         );
         assert_eq!(reg.warm_handles().len(), 1);
         assert_eq!(reg.warm_handles()[0].name(), "a");

@@ -10,7 +10,10 @@
 //! * a property test over random access sequences: once warm, the
 //!   deduplicated resident total never exceeds the budget.
 
-#![allow(clippy::expect_used, reason = "an integration test fails by panicking, helpers included")]
+#![allow(
+    clippy::expect_used,
+    reason = "an integration test fails by panicking, helpers included"
+)]
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -45,7 +48,11 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig { workers: 1, micro_batch: 1, queue_depth: 0 }
+    ServeConfig {
+        workers: 1,
+        micro_batch: 1,
+        queue_depth: 0,
+    }
 }
 
 fn assert_bit_identical(got: &Tensor, want: &Tensor, what: &str) {
@@ -63,8 +70,12 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
     engine.save(&path).expect("save artifact");
 
     let registry = ModelRegistry::new(RegistryConfig::default());
-    registry.register(ModelSpec::artifact("alpha", &path).serve(serve_cfg())).expect("register");
-    registry.register(ModelSpec::artifact("beta", &path).serve(serve_cfg())).expect("register");
+    registry
+        .register(ModelSpec::artifact("alpha", &path).serve(serve_cfg()))
+        .expect("register");
+    registry
+        .register(ModelSpec::artifact("beta", &path).serve(serve_cfg()))
+        .expect("register");
 
     let alpha = registry.acquire("alpha").expect("warm alpha");
     let beta = registry.acquire("beta").expect("warm beta");
@@ -74,7 +85,11 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
         std::ptr::addr_eq(alpha.session().backend(), beta.session().backend()),
         "sessions over one artifact must share the backend"
     );
-    assert_eq!(registry.resident_bytes(), engine.resident_bytes(), "shared copy charged once");
+    assert_eq!(
+        registry.resident_bytes(),
+        engine.resident_bytes(),
+        "shared copy charged once"
+    );
     assert_eq!(alpha.resident_bytes(), beta.resident_bytes());
 
     // Both pools serve bit-identically to the serial forward.
@@ -82,7 +97,10 @@ fn two_models_over_one_artifact_share_weights_and_serve_bit_identically() {
     let patches = test.patches(&[0, 1, 2], patch);
     let want = engine.forward(&patches, 3).expect("serial forward");
     for handle in [&alpha, &beta] {
-        let got = handle.session().serve_batch(&patches, 3).expect("served batch");
+        let got = handle
+            .session()
+            .serve_batch(&patches, 3)
+            .expect("served batch");
         assert_bit_identical(&got, &want, &format!("model {}", handle.name()));
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -104,14 +122,21 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
         memory_budget_bytes: engine.resident_bytes(),
         ..Default::default()
     });
-    registry.register(ModelSpec::artifact("a", &path_a).serve(serve_cfg())).expect("register");
-    registry.register(ModelSpec::artifact("b", &path_b).serve(serve_cfg())).expect("register");
+    registry
+        .register(ModelSpec::artifact("a", &path_a).serve(serve_cfg()))
+        .expect("register");
+    registry
+        .register(ModelSpec::artifact("b", &path_b).serve(serve_cfg()))
+        .expect("register");
 
     let patch = engine.vit_config().patch;
     let patches = test.patches(&[3, 4], patch);
 
     let first = registry.acquire("a").expect("first warm of a");
-    let out_first = first.session().serve_batch(&patches, 2).expect("first serve");
+    let out_first = first
+        .session()
+        .serve_batch(&patches, 2)
+        .expect("first serve");
     drop(first);
 
     registry.acquire("b").expect("warm b evicts a");
@@ -120,8 +145,15 @@ fn rewarm_after_eviction_is_bit_identical_to_first_load() {
 
     let again = registry.acquire("a").expect("re-warm a evicts b");
     assert_eq!(registry.state("b"), Some(ModelState::Cold));
-    assert_eq!(registry.loads_total("a"), Some(2), "re-warm is a fresh lazy load");
-    let out_again = again.session().serve_batch(&patches, 2).expect("re-warmed serve");
+    assert_eq!(
+        registry.loads_total("a"),
+        Some(2),
+        "re-warm is a fresh lazy load"
+    );
+    let out_again = again
+        .session()
+        .serve_batch(&patches, 2)
+        .expect("re-warmed serve");
     assert_bit_identical(&out_again, &out_first, "re-warm after eviction");
 
     assert!(registry.resident_bytes() <= registry.budget_bytes());
@@ -215,7 +247,10 @@ struct StubBackend {
 
 impl StubBackend {
     fn new() -> Self {
-        StubBackend { cfg: GatedBackend::new().cfg, plan: PrecisionPlan::fp() }
+        StubBackend {
+            cfg: GatedBackend::new().cfg,
+            plan: PrecisionPlan::fp(),
+        }
     }
 }
 
@@ -281,7 +316,11 @@ fn eviction_mid_flight_never_drops_or_reorders_responses() {
 
     // Evict the victim mid-flight.
     registry.acquire("other").expect("warm other");
-    assert_eq!(registry.state("victim"), Some(ModelState::Cold), "victim evicted");
+    assert_eq!(
+        registry.state("victim"),
+        Some(ModelState::Cold),
+        "victim evicted"
+    );
     assert_eq!(registry.state("other"), Some(ModelState::Warm));
     assert_eq!(registry.evictions_total("victim"), Some(1));
 
@@ -289,7 +328,11 @@ fn eviction_mid_flight_never_drops_or_reorders_responses() {
     gated.open();
     for (i, (handle, want)) in handles.into_iter().zip(&wants).enumerate() {
         let (got, _latency) = handle.collect().expect("evicted pool completes its work");
-        assert_eq!(got.data(), &want[..], "request {i} dropped or reordered by eviction");
+        assert_eq!(
+            got.data(),
+            &want[..],
+            "request {i} dropped or reordered by eviction"
+        );
     }
     // Only now does the last reference drop and the pool drain.
     drop(victim);
@@ -333,7 +376,11 @@ fn prop_registry() -> ModelRegistry {
         ..Default::default()
     });
     for (name, bytes) in [("m0", 60), ("m1", 80), ("m2", 100)] {
-        let backend = Sized { cfg: GatedBackend::new().cfg, plan: PrecisionPlan::fp(), bytes };
+        let backend = Sized {
+            cfg: GatedBackend::new().cfg,
+            plan: PrecisionPlan::fp(),
+            bytes,
+        };
         registry
             .register(ModelSpec::shared(name, Arc::new(backend)).serve(serve_cfg()))
             .expect("register");
