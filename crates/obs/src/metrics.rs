@@ -183,6 +183,7 @@ impl HistSnapshot {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -199,6 +200,7 @@ impl Metric {
     }
 }
 
+#[derive(Clone)]
 struct Entry {
     name: String,
     help: String,
@@ -290,16 +292,11 @@ impl Registry {
     /// Renders every registered metric as Prometheus text exposition,
     /// sorted by metric name for a stable scrape.
     pub fn render(&self) -> String {
-        let entries = self.lock();
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| {
-            let na = entries.get(a).map(|e| e.name.as_str()).unwrap_or("");
-            let nb = entries.get(b).map(|e| e.name.as_str()).unwrap_or("");
-            na.cmp(nb)
-        });
+        // Copy the handles out and format with no lock held.
+        let mut entries = self.lock().clone();
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
         let mut out = String::new();
-        for i in order {
-            let Some(e) = entries.get(i) else { continue };
+        for e in &entries {
             out.push_str(&format!("# HELP {} {}\n", e.name, e.help));
             out.push_str(&format!("# TYPE {} {}\n", e.name, e.metric.kind()));
             match &e.metric {
@@ -310,7 +307,6 @@ impl Registry {
                     out.push_str(&format!("{} {}\n", e.name, g.get()));
                 }
                 Metric::Histogram(h) => {
-                    // ascend-lint: allow(lock-order) -- Histogram::snapshot is lock-free (atomic loads); the by-name callee union confuses it with TraceBuffer::snapshot, which does lock
                     render_histogram(&mut out, &e.name, &h.snapshot());
                 }
             }
@@ -437,6 +433,16 @@ mod tests {
         h.observe(Duration::from_micros(100));
         h.observe(Duration::from_micros(200));
         let text = r.render();
+        // Rendered in name order, not registration order.
+        let help: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP")).collect();
+        assert_eq!(
+            help,
+            [
+                "# HELP ascend_latency_seconds latency",
+                "# HELP ascend_queue_depth depth",
+                "# HELP ascend_requests_total requests",
+            ]
+        );
         assert!(text.contains("# TYPE ascend_requests_total counter"));
         assert!(text.contains("ascend_requests_total 3"));
         assert!(text.contains("# TYPE ascend_queue_depth gauge"));
