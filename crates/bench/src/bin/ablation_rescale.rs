@@ -5,7 +5,6 @@
 //! round / ceil behaviour), and (2) the gain error absorbed when the `/k`
 //! scale folding does not land on an even tap count. This harness
 //! quantifies both on the recommended softmax configuration.
-#![forbid(unsafe_code)]
 
 use ascend::report::TextTable;
 use sc_core::rescale::RescaleMode;

@@ -4,7 +4,6 @@
 //! paper's plotting window `x ∈ [−3, 0.5]`: (a) FSM at BSL 128/1024,
 //! (b) 4-term Bernstein at BSL 128/1024, (c) naive SI at BSL 4/8,
 //! (d) gate-assisted SI at BSL 4/8.
-#![forbid(unsafe_code)]
 
 use sc_core::encoding::Thermometer;
 use sc_core::ScError;

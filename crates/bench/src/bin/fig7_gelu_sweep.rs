@@ -2,7 +2,6 @@
 //!
 //! Bernstein 4/5/6-term at BSL ∈ {128, 256, 1024} vs gate-assisted SI at
 //! output BSL ∈ {2, 4, 8}: two aligned series (ADP bars, MAE bars).
-#![forbid(unsafe_code)]
 
 use ascend::report::{eng, TextTable};
 use sc_hw::{blocks, CellLibrary};

@@ -7,7 +7,6 @@
 //! evaluates ADP (analytic synthesis model) and MAE
 //! (level-domain circuit sim, property-tested equal to the bit-level one),
 //! and extracts the per-Bx Pareto fronts.
-#![forbid(unsafe_code)]
 
 use ascend::report::{eng, TextTable};
 use ascend::serve::{parallel_map, ServeConfig};

@@ -3,7 +3,6 @@
 //! Baselines: Bernstein polynomial \[18\] with 4/5/6 terms at 1024-bit BSL.
 //! Ours: gate-assisted SI with 2/4/8-bit output BSL (256-bit accumulated
 //! input stream), output scale calibrated on the input distribution.
-#![forbid(unsafe_code)]
 
 use ascend::report::{eng, TextTable};
 use sc_hw::{blocks, CellLibrary};

@@ -4,7 +4,6 @@
 //! Ours: the iterative approximate softmax at Bx = 4 and By ∈ {4, 8, 16}
 //! (`[s1, s2, k] = [32, 8, 3]`, the paper's recommended rates) with the
 //! paper's full-range state grid αy = 2/By.
-#![forbid(unsafe_code)]
 
 use ascend::report::{eng, TextTable};
 use sc_core::rescale::RescaleMode;

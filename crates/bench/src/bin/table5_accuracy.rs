@@ -3,7 +3,6 @@
 //! Runs the full pipeline (paper §V) on SynthCIFAR-10 and SynthCIFAR-100
 //! (the documented CIFAR substitutions, DESIGN.md S2/S3) and prints the
 //! five Table V rows per dataset. Pass `--quick` for a smoke-scale run.
-#![forbid(unsafe_code)]
 
 use ascend::pipeline::{Pipeline, PipelineConfig};
 

@@ -4,7 +4,6 @@
 //! paper's `[By, s1, s2, k]` quadruples: for each, compiles the SC engine,
 //! measures end-to-end SC accuracy, and costs `k` parallel softmax blocks
 //! inside the full accelerator area model. Pass `--quick` for a smoke run.
-#![forbid(unsafe_code)]
 
 use ascend::accelerator::{AcceleratorConfig, AcceleratorModel};
 use ascend::engine::{EngineConfig, ScEngine};

@@ -5,7 +5,6 @@
 //! input distributions, metric helpers and formatting they share.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use sc_nonlinear::mae::InputDist;
 

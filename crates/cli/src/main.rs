@@ -16,7 +16,6 @@
 //! offline and dependency-free). Errors print to stderr and exit 2 for
 //! usage problems, 1 for runtime failures.
 
-#![forbid(unsafe_code)]
 use std::path::{Path, PathBuf};
 
 use ascend::engine::{EngineConfig, ScEngine};

@@ -61,7 +61,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod accelerator;
 pub mod artifact;

@@ -503,8 +503,8 @@ impl<B: InferenceBackend + ?Sized + 'static> ServePool<B> {
     /// # Errors
     ///
     /// Returns [`ScError::InvalidParam`] if the request's patch tensor
-    /// does not hold exactly `images` images, or if the pool has no live
-    /// workers left.
+    /// does not hold exactly `images` images, and [`ScError::PoolGone`] if
+    /// the pool has no live workers left.
     pub fn submit(&self, request: ServeRequest) -> Result<ServeHandle, ScError> {
         self.enqueue(request, |queue, job| queue.send(job))
     }

@@ -43,8 +43,6 @@
 //! layout chosen so "bit-identical to the in-process serial path" is
 //! checkable by comparing raw bodies.
 
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod http1;
 pub mod metrics;

@@ -88,16 +88,14 @@ impl InferenceBackend for GatedBackend {
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let mut open = match self.gate.lock() {
+        let open = match self.gate.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        while !*open {
-            open = match self.opened.wait(open) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        let open = match self.opened.wait_while(open, |open| !*open) {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
         drop(open);
         let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])

@@ -113,7 +113,6 @@
 //! "Serving over HTTP" section and in `crates/registry`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Every `as` in the artifact codec is denied, widening ones included: a
 // silent truncation reads garbage without failing the CRC honestly, so
 // lengths and counts go through `try_from` with a `CorruptArtifact` error,

@@ -8,8 +8,6 @@
 //! Exit codes follow the `ascend-cli` convention: 0 clean, 1 violations,
 //! 2 usage or I/O problems.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use ascend_lint::{report, workspace};

@@ -3,9 +3,9 @@
 //! Each rule backstops a runtime guarantee the test suite already proves
 //! dynamically (see `RULES.md` for the catalog and the mapping to tests).
 //! Every rule is deny-class: an unwaived violation fails the gate. Panics,
-//! clock reads, hash containers and artifact-codec casts are checked by
-//! the workspace clippy lints (root `Cargo.toml` and `clippy.toml`), which
-//! see types.
+//! clock reads, hash containers, artifact-codec casts, `unsafe` and bare
+//! condvar waits are checked by the workspace rustc and clippy lints (root
+//! `Cargo.toml` and `clippy.toml`), which see types.
 //!
 //! Detection is token-sequence matching over [`crate::lexer`] output and
 //! the [`crate::scope`] layer built on it: comments, strings, and
@@ -13,12 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, Tok};
+use crate::lexer::lex;
 use crate::scope;
 use crate::waiver;
 
-/// Rule: every crate root must carry `#![forbid(unsafe_code)]`.
-pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 /// Rule: no potentially-blocking operation (channel `recv`/`send`,
 /// thread `join`, `ServePool::submit`, file I/O, `thread::sleep`, a
 /// `Condvar::wait` on a *different* mutex) while a lock guard is live.
@@ -26,21 +24,13 @@ pub const NO_BLOCKING_UNDER_LOCK: &str = "no-blocking-under-lock";
 /// Rule: the workspace-wide lock-acquisition graph (unioned through
 /// direct callees by name) must stay acyclic — no AB-BA inversions.
 pub const LOCK_ORDER: &str = "lock-order";
-/// Rule: `Condvar::wait` results must be re-checked in a `while`-style
-/// loop, never consumed from a bare `if` or straight-line code.
-pub const CONDVAR_WAIT_LOOP: &str = "condvar-wait-loop";
 /// Meta-rule: a comment that looks like a waiver but does not parse.
 pub const INVALID_WAIVER: &str = "invalid-waiver";
 /// Meta-rule: a well-formed waiver no violation ever matched.
 pub const UNUSED_WAIVER: &str = "unused-waiver";
 
 /// Every real (waivable) rule id, in catalog order.
-pub const RULES: [&str; 4] = [
-    MISSING_FORBID_UNSAFE,
-    NO_BLOCKING_UNDER_LOCK,
-    LOCK_ORDER,
-    CONDVAR_WAIT_LOOP,
-];
+pub const RULES: [&str; 2] = [NO_BLOCKING_UNDER_LOCK, LOCK_ORDER];
 
 /// One rule hit at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,17 +61,6 @@ pub fn crate_of(rel_path: &str) -> String {
         Some("examples") => "examples".to_string(),
         _ => "unknown".to_string(),
     }
-}
-
-/// Crate roots that must carry `#![forbid(unsafe_code)]`: every `lib.rs`
-/// and `main.rs` under `crates/*/src`, every extra binary under
-/// `crates/*/src/bin/` (each is its own crate root — the attribute on
-/// `lib.rs` does not cover it), and every top-level bin/lib file of the
-/// `examples` crate.
-fn is_crate_root(rel: &str) -> bool {
-    (rel.starts_with("crates/") && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs")))
-        || (rel.starts_with("crates/") && rel.contains("/src/bin/") && rel.ends_with(".rs"))
-        || (rel.starts_with("examples/") && rel.ends_with(".rs") && rel.matches('/').count() == 1)
 }
 
 /// One file's analysis, before waiver application: the per-file
@@ -135,28 +114,6 @@ pub fn analyze_file(rel_path: &str, src: &str) -> FileLint {
         msg,
     };
 
-    // --- missing #![forbid(unsafe_code)] on crate roots -------------------
-    if is_crate_root(rel_path) {
-        let all_code: Vec<&Tok> = toks.iter().filter(|t| t.is_code()).collect();
-        let has = all_code.windows(8).any(|w| {
-            w[0].is("#")
-                && w[1].is("!")
-                && w[2].is("[")
-                && w[3].is("forbid")
-                && w[4].is("(")
-                && w[5].is("unsafe_code")
-                && w[6].is(")")
-                && w[7].is("]")
-        });
-        if !has {
-            raw.push(mk(
-                MISSING_FORBID_UNSAFE,
-                1,
-                "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-            ));
-        }
-    }
-
     // --- concurrency discipline (scope-aware) -----------------------------
     let fns = scope::analyze(&toks, &format!("{}:", crate_of(rel_path)));
     for f in &fns {
@@ -186,17 +143,6 @@ pub fn analyze_file(rel_path: &str, src: &str) -> FileLint {
                         w.what,
                         f.name,
                         site_list(&w.held_other)
-                    ),
-                ));
-            }
-            if !w.in_loop {
-                raw.push(mk(
-                    CONDVAR_WAIT_LOOP,
-                    w.line,
-                    format!(
-                        "`Condvar::{}` in `{}` outside a loop — spurious wakeups require a \
-                         while-style recheck of the condition",
-                        w.what, f.name
                     ),
                 ));
             }
@@ -410,33 +356,9 @@ mod tests {
     use super::*;
 
     const SERVE: &str = "crates/core/src/serve.rs";
-    const TOOLING_BIN: &str = "crates/bench/src/bin/fig8_dse.rs";
 
     fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
         lint_source(path, src).into_iter().map(|v| v.rule).collect()
-    }
-
-    #[test]
-    fn missing_forbid_unsafe_fires_on_crate_roots_only() {
-        let bare = "pub fn f() {}";
-        assert_eq!(
-            rules_fired("crates/io/src/lib.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        assert_eq!(
-            rules_fired("crates/cli/src/main.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        assert_eq!(
-            rules_fired("examples/quickstart.rs", bare),
-            [MISSING_FORBID_UNSAFE]
-        );
-        // Each extra binary under `src/bin/` is its own crate root: the
-        // attribute on `lib.rs` does not cover it.
-        assert_eq!(rules_fired(TOOLING_BIN, bare), [MISSING_FORBID_UNSAFE]);
-        assert!(rules_fired("crates/io/src/format.rs", bare).is_empty());
-        let good = "#![forbid(unsafe_code)]\npub fn f() {}";
-        assert!(rules_fired("crates/io/src/lib.rs", good).is_empty());
     }
 
     #[test]
@@ -446,7 +368,7 @@ mod tests {
         assert!(rules_fired(SERVE, src).is_empty());
         // Same waiver, wrong rule: violation survives AND the waiver is
         // flagged unused.
-        let src = "// ascend-lint: allow(condvar-wait-loop) -- wrong rule\n\
+        let src = "// ascend-lint: allow(lock-order) -- wrong rule\n\
                    fn f(rx: &Mutex<Receiver<u32>>) { let guard = rx.lock(); let job = guard.recv(); }";
         let fired = rules_fired(SERVE, src);
         assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK));
@@ -492,16 +414,15 @@ mod tests {
 
     #[test]
     fn one_waiver_can_cover_two_rules() {
-        // A straight-line wait while a second guard is held breaks both
-        // concurrency rules on the same line.
-        let src = "fn f(x: &S) { let o = x.state.lock(); let g = x.m.lock(); \
-                   let g2 = x.cv.wait(g); }";
+        // A re-entrant acquisition followed by a `recv` under the guards
+        // breaks both lock rules on the same line.
+        let src = "fn f(x: &S) { let g = x.a.lock(); let h = x.a.lock(); x.rx.recv(); }";
         let fired = rules_fired(SERVE, src);
         assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK), "{fired:?}");
-        assert!(fired.contains(&CONDVAR_WAIT_LOOP), "{fired:?}");
+        assert!(fired.contains(&LOCK_ORDER), "{fired:?}");
         let src = format!(
-            "{src} // ascend-lint: allow(no-blocking-under-lock, condvar-wait-loop) -- \
-             shutdown path, nothing else takes `state`"
+            "{src} // ascend-lint: allow(no-blocking-under-lock, lock-order) -- \
+             fixture: both rules on one line"
         );
         assert!(rules_fired(SERVE, &src).is_empty());
     }
@@ -620,49 +541,19 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_outside_a_loop_is_flagged() {
-        let src = "fn f(m: &Mutex<bool>, cv: &Condvar) {\n\
-                   \x20   let g = m.lock();\n\
-                   \x20   let g2 = cv.wait(g);\n\
-                   }";
-        let vs = lint_source(SERVE, src);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].rule, CONDVAR_WAIT_LOOP);
-        assert_eq!(vs[0].line, 3);
-        assert!(vs[0].msg.contains("loop"), "{}", vs[0].msg);
-    }
-
-    #[test]
-    fn condvar_wait_in_a_while_recheck_loop_is_fine() {
-        let src = "fn f(m: &Mutex<bool>, cv: &Condvar) {\n\
-                   \x20   let mut g = m.lock();\n\
-                   \x20   while !*g {\n\
-                   \x20       g = cv.wait(g);\n\
-                   \x20   }\n\
-                   }";
-        assert!(rules_fired(SERVE, src).is_empty());
-    }
-
-    #[test]
     fn condvar_wait_with_a_second_guard_held_is_blocking() {
         // Waiting releases only its own mutex; any other guard stays
         // held for the whole sleep.
         let src = "fn f(x: &S) {\n\
                    \x20   let other = x.state.lock();\n\
-                   \x20   let mut g = x.m.lock();\n\
-                   \x20   while !*g {\n\
-                   \x20       g = x.cv.wait(g);\n\
-                   \x20   }\n\
+                   \x20   let g = x.m.lock();\n\
+                   \x20   let g = x.cv.wait_while(g, |open| !*open);\n\
                    }";
         let vs = lint_source(SERVE, src);
-        let fired: Vec<_> = vs.iter().map(|v| v.rule).collect();
-        assert!(fired.contains(&NO_BLOCKING_UNDER_LOCK), "{vs:?}");
-        assert!(!fired.contains(&CONDVAR_WAIT_LOOP), "{vs:?}");
-        let v = vs
-            .iter()
-            .find(|v| v.rule == NO_BLOCKING_UNDER_LOCK)
-            .unwrap();
-        assert_eq!(v.line, 5);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        let v = &vs[0];
+        assert_eq!(v.rule, NO_BLOCKING_UNDER_LOCK);
+        assert_eq!(v.line, 4);
         assert!(v.msg.contains("core:state"), "{}", v.msg);
     }
 

@@ -17,8 +17,8 @@
 //!   lock-order union in [`crate::rules::lock_order`]).
 //! * [`Blocking`] — a potentially-blocking operation (`recv`, `send`,
 //!   thread `join`, `ServePool::submit`, `thread::sleep`, file I/O).
-//! * [`Wait`] — a `Condvar::wait`-family call, with whether it sits
-//!   inside a loop and which *other* guards stay held across it.
+//! * [`Wait`] — a `Condvar::wait`-family call, with the *other* guards
+//!   that stay held across it.
 //!
 //! Known over-approximations, by design (the rules stay waivable):
 //!
@@ -69,16 +69,14 @@ pub struct Blocking {
     pub held: Vec<String>,
 }
 
-/// A `Condvar::wait` / `wait_timeout` / `wait_while` call.
+/// A `Condvar::wait`-family call (`wait`, `wait_timeout`, `wait_while`,
+/// `wait_timeout_while`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wait {
-    /// The wait method name (`wait`, `wait_timeout`, `wait_while`).
+    /// The wait method name.
     pub what: String,
     /// 1-based source line.
     pub line: u32,
-    /// Whether the wait sits inside a `loop`/`while`/`for` body — the
-    /// spurious-wakeup-safe shape.
-    pub in_loop: bool,
     /// Guard sites that stay held across the wait, *excluding* the guard
     /// passed to the wait itself (a condvar releases only its own mutex).
     pub held_other: Vec<String>,
@@ -108,7 +106,7 @@ const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// glue, not a park.
 const BLOCKING_METHODS: [&str; 5] = ["recv", "recv_timeout", "send", "join", "submit"];
 /// The `Condvar` wait family.
-const WAIT_METHODS: [&str; 3] = ["wait", "wait_timeout", "wait_while"];
+const WAIT_METHODS: [&str; 4] = ["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
 /// Method-chain links after `.lock()` through which the value is still a
 /// guard: `m.lock().unwrap()`, `.expect("…")`, `.map_err(…)?`, `.ok()`.
 /// Any other continuation (`.len()`, field access…) means the guard was a
@@ -137,7 +135,6 @@ pub fn analyze(toks: &[Tok], site_prefix: &str) -> Vec<FnScope> {
 }
 
 struct Block {
-    is_loop: bool,
     is_fn_body: bool,
     fn_idx: Option<usize>,
 }
@@ -164,8 +161,6 @@ struct Parser<'a> {
     guards: Vec<Guard>,
     /// `fn name` seen, body `{` not yet: (name, line, in_test).
     pending_fn: Option<(String, u32, bool)>,
-    /// `loop`/`while`/`for` seen, body `{` not yet.
-    pending_loop: bool,
     /// An `if let`/`while let` guard binding waiting for its block.
     pending_cond_guard: Option<(String, String)>,
     let_ctx: Option<LetCtx>,
@@ -183,7 +178,6 @@ impl<'a> Parser<'a> {
             blocks: Vec::new(),
             guards: Vec::new(),
             pending_fn: None,
-            pending_loop: false,
             pending_cond_guard: None,
             let_ctx: None,
             on_guard_calls: std::collections::BTreeSet::new(),
@@ -210,7 +204,6 @@ impl<'a> Parser<'a> {
                         self.pending_fn = Some((name.text.clone(), t.line, t.in_test));
                     }
                 }
-                "loop" | "while" | "for" => self.pending_loop = true,
                 "let" => self.let_ctx = Some(self.parse_let(i)),
                 "match" => {
                     if let Some(lc) = &mut self.let_ctx {
@@ -245,11 +238,7 @@ impl<'a> Parser<'a> {
                 fn_idx = Some(self.fns.len() - 1);
             }
         }
-        self.blocks.push(Block {
-            is_loop: std::mem::take(&mut self.pending_loop),
-            is_fn_body,
-            fn_idx,
-        });
+        self.blocks.push(Block { is_fn_body, fn_idx });
         if let Some((var, site)) = self.pending_cond_guard.take() {
             self.guards.push(Guard {
                 var,
@@ -280,20 +269,6 @@ impl<'a> Parser<'a> {
             .rev()
             .find(|b| b.is_fn_body)
             .and_then(|b| b.fn_idx)
-    }
-
-    /// Whether the current position sits inside a loop body of the
-    /// current function.
-    fn inside_loop(&self) -> bool {
-        for b in self.blocks.iter().rev() {
-            if b.is_loop {
-                return true;
-            }
-            if b.is_fn_body {
-                return false;
-            }
-        }
-        false
     }
 
     /// Live guard sites, in acquisition order, deduplicated.
@@ -531,7 +506,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Handles `cv.wait(guard)` / `wait_timeout` / `wait_while`.
+    /// Handles `cv.wait(guard)` and the rest of the wait family.
     fn condvar_wait(&mut self, i: usize) {
         let t = self.code[i];
         let arg = self
@@ -553,12 +528,10 @@ impl<'a> Parser<'a> {
                 held_other.push(g.site.clone());
             }
         }
-        let in_loop = self.inside_loop();
         if let Some(f) = self.cur_fn() {
             self.fns[f].waits.push(Wait {
                 what: t.text.clone(),
                 line: t.line,
-                in_loop,
                 held_other,
             });
         }
@@ -692,17 +665,7 @@ mod tests {
             "fn f() {\n  let mut g = m.lock().unwrap();\n  while !*g {\n    g = cv.wait(g).unwrap();\n  }\n}",
         );
         assert_eq!(f.waits.len(), 1);
-        assert!(f.waits[0].in_loop);
         assert_eq!(f.waits[0].held_other, Vec::<String>::new());
-    }
-
-    #[test]
-    fn condvar_wait_outside_a_loop_is_detected() {
-        let f = only_fn(
-            "fn f() {\n  let mut g = m.lock().unwrap();\n  if !*g {\n    g = cv.wait(g).unwrap();\n  }\n}",
-        );
-        assert_eq!(f.waits.len(), 1);
-        assert!(!f.waits[0].in_loop);
     }
 
     #[test]
@@ -711,15 +674,12 @@ mod tests {
             "fn f() {\n  let other = n.lock().unwrap();\n  let mut g = m.lock().unwrap();\n  loop {\n    g = cv.wait(g).unwrap();\n  }\n}",
         );
         assert_eq!(f.waits[0].held_other, ["t:n"]);
-        assert!(f.waits[0].in_loop);
-    }
-
-    #[test]
-    fn loop_flag_does_not_leak_across_functions() {
-        let fns = analyze_src(
-            "fn a() { loop { } }\nfn b() {\n  let mut g = m.lock().unwrap();\n  g = cv.wait(g).unwrap();\n}",
+        // The predicate forms the clippy configuration asks for are waits too.
+        let f = only_fn(
+            "fn f() {\n  let other = n.lock().unwrap();\n  let g = m.lock().unwrap();\n  let r = cv.wait_timeout_while(g, d, |s| !*s);\n}",
         );
-        assert!(!fns[1].waits[0].in_loop);
+        assert_eq!(f.waits[0].what, "wait_timeout_while");
+        assert_eq!(f.waits[0].held_other, ["t:n"]);
     }
 
     #[test]

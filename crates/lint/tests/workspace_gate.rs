@@ -2,15 +2,17 @@
 //!
 //! Two gates guard the invariants behind bit-identical, panic-free serving:
 //!
-//! 1. **ascend-lint.** Lock discipline and `#![forbid(unsafe_code)]` must
-//!    stay at zero violations (or carry a reasoned waiver); the linter runs
-//!    here against the live tree, exactly as CI runs `--check`.
-//! 2. **The workspace clippy lints.** Panics, wall-clock reads, hash
-//!    containers and artifact-codec casts are denied by clippy, which only
-//!    CI's clippy step runs. These tests fail when the configuration that
+//! 1. **ascend-lint.** Lock discipline (no blocking under a lock, an
+//!    acyclic lock order) must stay at zero violations (or carry a reasoned
+//!    waiver); the linter runs here against the live tree, exactly as CI
+//!    runs `--check`.
+//! 2. **The workspace rustc and clippy lints.** `unsafe`, panics,
+//!    wall-clock reads, bare condvar waits, hash containers and
+//!    artifact-codec casts are denied by lints that only CI's clippy step
+//!    runs over every target. These tests fail when the configuration that
 //!    denies them is weakened: a lint dropped from the root
-//!    `[workspace.lints.clippy]` table, a path dropped from `clippy.toml`,
-//!    or a member manifest that stops inheriting the workspace lints.
+//!    `[workspace.lints.*]` tables, a path dropped from `clippy.toml`, or a
+//!    member manifest that stops inheriting the workspace lints.
 
 #![allow(
     clippy::expect_used,
@@ -139,6 +141,12 @@ fn workspace_lints_deny_every_moved_rule() {
     let rust = table(&manifest, "[workspace.lints.rust]");
     assert!(
         rust.iter()
+            .any(|(k, v)| k == "unsafe_code" && v == "forbid"),
+        "[workspace.lints.rust] must set `unsafe_code = \"forbid\"` (`deny` \
+         would let an inner #[allow] reopen it)"
+    );
+    assert!(
+        rust.iter()
             .any(|(k, v)| k == "unfulfilled_lint_expectations" && v == "deny"),
         "[workspace.lints.rust] must deny unfulfilled_lint_expectations, \
          or a stale #[expect] lingers"
@@ -156,7 +164,13 @@ fn workspace_lints_deny_every_moved_rule() {
 fn clippy_toml_disallows_the_clock_and_the_hash_types() {
     let config = read("clippy.toml");
     let methods = array(&config, "disallowed-methods");
-    for path in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        // bare waits: the `_while` forms recheck their predicate
+        "std::sync::Condvar::wait",
+        "std::sync::Condvar::wait_timeout",
+    ] {
         assert!(
             methods.contains(&format!("\"{path}\"")),
             "clippy.toml disallowed-methods must list {path}: {methods}"

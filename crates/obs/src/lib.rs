@@ -25,11 +25,11 @@
 //! Benchmarking lives outside this crate: the stand-alone `perfbench`
 //! harness declared by `BENCHMARK.json` reads these metrics and traces.
 //!
-//! The crate is std-only, dependency-free, `#![forbid(unsafe_code)]`, and
-//! held to the hot-path (panic-free) lint class: a metrics update must never
-//! be able to take down a worker thread.
+//! The crate is std-only, dependency-free, safe Rust (like every member,
+//! under the workspace's `unsafe_code = "forbid"`), and held to the
+//! panic-free workspace lints: a metrics update must never be able to take
+//! down a worker thread.
 
-#![forbid(unsafe_code)]
 // The one crate that reads the clock: every duration in the workspace is
 // taken here, on the observer side of the kernels.
 #![expect(

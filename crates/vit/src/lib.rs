@@ -17,7 +17,6 @@
 //!   objective `ℓ_KL + β·(1/M)Σ ℓ_MSE` (§V).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod binder;
 pub mod config;

@@ -1,7 +1,6 @@
 //! Shared helpers for the ASCEND example binaries.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 /// Prints a section header.
 pub fn section(title: &str) {

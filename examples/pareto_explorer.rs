@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release -p ascend-examples --bin pareto_explorer [bx]`
 
-#![forbid(unsafe_code)]
 use ascend::report::{eng, TextTable};
 use ascend_examples::section;
 use sc_core::rescale::RescaleMode;

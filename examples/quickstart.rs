@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run -p ascend-examples --bin quickstart`
 
-#![forbid(unsafe_code)]
 use ascend_examples::section;
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::{rescale, RescaleMode};

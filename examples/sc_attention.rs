@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run -p ascend-examples --bin sc_attention`
 
-#![forbid(unsafe_code)]
 use ascend::report::{eng, TextTable};
 use ascend_examples::section;
 use sc_core::rescale::RescaleMode;

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --release -p ascend-examples --bin serve_demo`
 
-#![forbid(unsafe_code)]
 #![expect(
     clippy::disallowed_methods,
     reason = "the demo prints wall-clock latency and throughput; nothing it asserts depends on the clock"

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release -p ascend-examples --bin vit_sc_inference`
 
-#![forbid(unsafe_code)]
 use ascend::engine::{EngineConfig, ScEngine};
 use ascend::InferenceBackend;
 use ascend::pipeline::{Pipeline, PipelineConfig};

@@ -1,7 +1,6 @@
 //! Shared fixtures for the cross-crate integration tests.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 /// A deterministic pseudo-random logit row (no rand dependency needed at
 /// call sites).

@@ -141,10 +141,11 @@ impl InferenceBackend for GatedBackend {
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let mut open = self.gate.lock().expect("gate lock");
-        while !*open {
-            open = self.opened.wait(open).expect("gate wait");
-        }
+        let open = self.gate.lock().expect("gate lock");
+        let open = self
+            .opened
+            .wait_while(open, |open| !*open)
+            .expect("gate wait");
         drop(open);
         let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])

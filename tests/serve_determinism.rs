@@ -282,10 +282,8 @@ impl InferenceBackend for GatedBackend {
         _scratch: &mut ForwardScratch,
         _observer: &mut dyn ascend_obs::StageObserver,
     ) -> Result<Vec<f32>, ScError> {
-        let mut open = self.gate.lock().unwrap();
-        while !*open {
-            open = self.opened.wait(open).unwrap();
-        }
+        let open = self.gate.lock().unwrap();
+        let open = self.opened.wait_while(open, |open| !*open).unwrap();
         drop(open);
         let sum: f32 = patches.iter().sum();
         Ok(vec![sum, -sum])
