@@ -3,12 +3,12 @@
 //! The runtime suite proves ASCEND's core guarantees dynamically: parallel
 //! `ServePool` output is bit-identical to serial, artifacts fail closed on
 //! corruption, serving errors are typed `ScError`s. The workspace rustc
-//! and clippy lints (root `Cargo.toml`, `clippy.toml`) keep panics, clock reads, hash
-//! containers, artifact-codec casts, `unsafe` and bare condvar waits out of
-//! the code statically. This crate checks what rustc and clippy cannot: a
-//! hand-rolled, std-only token-level analysis of lock discipline (no
-//! blocking call while a guard is held, an acyclic lock order) over the
-//! workspace's own sources on every push.
+//! and clippy lints (root `Cargo.toml`, `clippy.toml`) keep `unsafe`,
+//! panics, clock reads, bare condvar waits, hash containers and
+//! artifact-codec casts out of the code statically. This crate checks what
+//! rustc and clippy cannot: a hand-rolled, std-only token-level analysis of
+//! lock discipline (no blocking call while a guard is held, an acyclic lock
+//! order) over the workspace's own sources on every push.
 //!
 //! * [`lexer`] — a real Rust surface lexer (comments, strings, raw
 //!   strings, char literals, `#[cfg(test)]` regions), so rules never fire
