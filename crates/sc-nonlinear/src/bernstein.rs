@@ -48,7 +48,9 @@ pub fn fit_coefficients<F: Fn(f64) -> f64>(f: F, terms: usize) -> Result<Vec<f64
     }
     let n = terms - 1;
     let samples = 512;
-    let zs: Vec<f64> = (0..samples).map(|j| (j as f64 + 0.5) / samples as f64).collect();
+    let zs: Vec<f64> = (0..samples)
+        .map(|j| (j as f64 + 0.5) / samples as f64)
+        .collect();
     // Normal equations A c = b with A[i][j] = Σ B_i B_j, b[i] = Σ B_i f.
     let basis: Vec<Vec<f64>> = zs
         .iter()
@@ -84,8 +86,9 @@ pub fn fit_coefficients<F: Fn(f64) -> f64>(f: F, terms: usize) -> Result<Vec<f64
 fn solve_gaussian(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
-        let pivot =
-            (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs())).unwrap_or(col);
+        let pivot = (col..n)
+            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+            .unwrap_or(col);
         a.swap(col, pivot);
         b.swap(col, pivot);
         let p = a[col][col];
@@ -185,7 +188,11 @@ impl BernsteinBlock {
         if coeffs.len() != config.terms {
             return Err(ScError::InvalidParam {
                 name: "coeffs",
-                reason: format!("expected {} coefficients, got {}", config.terms, coeffs.len()),
+                reason: format!(
+                    "expected {} coefficients, got {}",
+                    config.terms,
+                    coeffs.len()
+                ),
             });
         }
         if coeffs.iter().any(|c| !(0.0..=1.0).contains(c)) {
@@ -199,10 +206,16 @@ impl BernsteinBlock {
 
     fn validate(config: &BernsteinConfig) -> Result<(), ScError> {
         if config.terms == 0 {
-            return Err(ScError::InvalidParam { name: "terms", reason: "must be non-zero".into() });
+            return Err(ScError::InvalidParam {
+                name: "terms",
+                reason: "must be non-zero".into(),
+            });
         }
         if config.bsl == 0 {
-            return Err(ScError::InvalidParam { name: "bsl", reason: "must be non-zero".into() });
+            return Err(ScError::InvalidParam {
+                name: "bsl",
+                reason: "must be non-zero".into(),
+            });
         }
         if config.domain.1 <= config.domain.0 {
             return Err(ScError::InvalidParam {
@@ -256,25 +269,40 @@ impl BernsteinBlock {
         let z = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
         let degree = c.terms - 1;
 
-        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
+        #[expect(
+            clippy::expect_used,
+            reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted"
+        )]
         let mut input_sngs: Vec<Lfsr> = (0..degree)
             .map(|i| {
-                let seed = c.seed.wrapping_mul(2654435761).wrapping_add(i as u32 * 7919 + 1);
+                let seed = c
+                    .seed
+                    .wrapping_mul(2654435761)
+                    .wrapping_add(i as u32 * 7919 + 1);
                 Lfsr::new(16, seed).expect("valid width")
             })
             .collect();
-        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
+        #[expect(
+            clippy::expect_used,
+            reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted"
+        )]
         let mut coeff_sngs: Vec<Lfsr> = (0..c.terms)
             .map(|i| {
-                let seed = c.seed.wrapping_add(0x9E3779B9).wrapping_add(i as u32 * 104729 + 1);
+                let seed = c
+                    .seed
+                    .wrapping_add(0x9E3779B9)
+                    .wrapping_add(i as u32 * 104729 + 1);
                 Lfsr::new(16, seed).expect("valid width")
             })
             .collect();
 
         let mut ones = 0usize;
         for _ in 0..c.bsl {
-            let count =
-                input_sngs.iter_mut().map(|s| s.next_fraction() < z).filter(|b| *b).count();
+            let count = input_sngs
+                .iter_mut()
+                .map(|s| s.next_fraction() < z)
+                .filter(|b| *b)
+                .count();
             let coeff_bit = coeff_sngs[count].next_fraction() < self.coeffs[count];
             if coeff_bit {
                 ones += 1;
@@ -310,7 +338,11 @@ impl BernsteinBlock {
 pub fn gelu_block(terms: usize, bsl: usize) -> Result<BernsteinBlock, ScError> {
     BernsteinBlock::for_function(
         crate::ref_fn::gelu,
-        BernsteinConfig { terms, bsl, ..Default::default() },
+        BernsteinConfig {
+            terms,
+            bsl,
+            ..Default::default()
+        },
     )
 }
 
@@ -332,7 +364,11 @@ mod tests {
         // f already a Bernstein polynomial → fit must recover it closely.
         let target = [0.2, 0.9, 0.1, 0.7];
         let f = |z: f64| -> f64 {
-            target.iter().enumerate().map(|(i, c)| c * bernstein_basis(i, 3, z)).sum()
+            target
+                .iter()
+                .enumerate()
+                .map(|(i, c)| c * bernstein_basis(i, 3, z))
+                .sum()
         };
         let c = fit_coefficients(f, 4).unwrap();
         for (got, want) in c.iter().zip(target.iter()) {
@@ -377,7 +413,10 @@ mod tests {
                 (b.ideal(x) - ref_fn::gelu(x)).abs()
             })
             .fold(0.0, f64::max);
-        assert!(worst > 0.03, "4-term ideal fit is suspiciously good: {worst}");
+        assert!(
+            worst > 0.03,
+            "4-term ideal fit is suspiciously good: {worst}"
+        );
     }
 
     #[test]
@@ -385,37 +424,51 @@ mod tests {
         let long = gelu_block(5, 8192).unwrap();
         let x = -0.5;
         let err_long = (long.eval(x) - long.ideal(x)).abs();
-        assert!(err_long < 0.12, "long stream should track ideal, err {err_long}");
+        assert!(
+            err_long < 0.12,
+            "long stream should track ideal, err {err_long}"
+        );
         // Fluctuation with BSL: spread across seeds must shrink.
         let spread = |bsl: usize| {
             let ys: Vec<f64> = (0..6)
                 .map(|s| {
-                    let cfg = BernsteinConfig { terms: 5, bsl, seed: 42 + s, ..Default::default() };
-                    BernsteinBlock::for_function(ref_fn::gelu, cfg).unwrap().eval(x)
+                    let cfg = BernsteinConfig {
+                        terms: 5,
+                        bsl,
+                        seed: 42 + s,
+                        ..Default::default()
+                    };
+                    BernsteinBlock::for_function(ref_fn::gelu, cfg)
+                        .unwrap()
+                        .eval(x)
                 })
                 .collect();
             let mean = ys.iter().sum::<f64>() / ys.len() as f64;
             (ys.iter().map(|y| (y - mean).powi(2)).sum::<f64>() / ys.len() as f64).sqrt()
         };
-        assert!(spread(4096) < spread(128) + 0.02, "fluctuation should shrink with BSL");
+        assert!(
+            spread(4096) < spread(128) + 0.02,
+            "fluctuation should shrink with BSL"
+        );
     }
 
     #[test]
     fn validation_errors() {
         assert!(gelu_block(0, 128).is_err());
         assert!(gelu_block(4, 0).is_err());
-        let bad = BernsteinConfig { domain: (1.0, 1.0), ..Default::default() };
+        let bad = BernsteinConfig {
+            domain: (1.0, 1.0),
+            ..Default::default()
+        };
         assert!(BernsteinBlock::for_function(ref_fn::gelu, bad).is_err());
         assert!(BernsteinBlock::from_coefficients(
             vec![0.5, 1.5, 0.0, 0.0],
             BernsteinConfig::default()
         )
         .is_err());
-        assert!(BernsteinBlock::from_coefficients(
-            vec![0.5, 0.5],
-            BernsteinConfig::default()
-        )
-        .is_err());
+        assert!(
+            BernsteinBlock::from_coefficients(vec![0.5, 0.5], BernsteinConfig::default()).is_err()
+        );
     }
 
     #[test]

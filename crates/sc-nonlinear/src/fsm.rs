@@ -41,7 +41,10 @@ impl SaturatingCounter {
                 reason: format!("need at least 2 states, got {states}"),
             });
         }
-        Ok(SaturatingCounter { states, state: states / 2 })
+        Ok(SaturatingCounter {
+            states,
+            state: states / 2,
+        })
     }
 
     /// Number of states.
@@ -131,7 +134,12 @@ pub struct FsmGeluConfig {
 
 impl Default for FsmGeluConfig {
     fn default() -> Self {
-        FsmGeluConfig { bsl: 128, states: 16, range: 4.0, seed: 0xBEEF }
+        FsmGeluConfig {
+            bsl: 128,
+            states: 16,
+            range: 4.0,
+            seed: 0xBEEF,
+        }
     }
 }
 
@@ -165,7 +173,10 @@ impl FsmGelu {
             });
         }
         if config.bsl == 0 {
-            return Err(ScError::InvalidParam { name: "bsl", reason: "BSL must be non-zero".into() });
+            return Err(ScError::InvalidParam {
+                name: "bsl",
+                reason: "BSL must be non-zero".into(),
+            });
         }
         if !(config.range.is_finite() && config.range > 0.0) {
             return Err(ScError::InvalidParam {
@@ -192,16 +203,35 @@ impl FsmGelu {
         // path the MUX forwards.
         let gate_seed = c.seed.wrapping_mul(2654435761).max(1);
         let val_seed = c.seed.wrapping_add(0x9E3779B9).max(1);
-        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
+        #[expect(
+            clippy::expect_used,
+            reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted"
+        )]
         let mut sng_gate = ComparatorSng::new(Lfsr::new(16, gate_seed).expect("valid width"));
-        #[expect(clippy::expect_used, reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted")]
+        #[expect(
+            clippy::expect_used,
+            reason = "Lfsr::new only rejects unsupported widths and 16 is statically valid; any seed is accepted"
+        )]
         let mut sng_val = ComparatorSng::new(Lfsr::new(16, val_seed).expect("valid width"));
-        #[expect(clippy::expect_used, reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects")]
-        let gate_stream = sng_gate.bipolar(xv, c.bsl).expect("clamped value is in range");
-        #[expect(clippy::expect_used, reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects")]
-        let val_stream = sng_val.bipolar(xv, c.bsl).expect("clamped value is in range");
+        #[expect(
+            clippy::expect_used,
+            reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects"
+        )]
+        let gate_stream = sng_gate
+            .bipolar(xv, c.bsl)
+            .expect("clamped value is in range");
+        #[expect(
+            clippy::expect_used,
+            reason = "xv was clamped to [-1, 1] above, the only range bipolar rejects"
+        )]
+        let val_stream = sng_val
+            .bipolar(xv, c.bsl)
+            .expect("clamped value is in range");
 
-        #[expect(clippy::expect_used, reason = "c.states was validated by FsmGelu::new before eval can run")]
+        #[expect(
+            clippy::expect_used,
+            reason = "c.states was validated by FsmGelu::new before eval can run"
+        )]
         let mut fsm = SaturatingCounter::new(c.states).expect("validated in new");
         let mut toggle = false;
         let out = Bitstream::from_fn(c.bsl, |i| {
@@ -276,7 +306,11 @@ mod tests {
     fn fsm_gelu_saturates_at_zero_for_negative_inputs() {
         // The paper's Fig. 2(a) point: systematic error — FSM GELU outputs
         // ~0 where real GELU dips below zero.
-        let block = FsmGelu::new(FsmGeluConfig { bsl: 1024, ..Default::default() }).unwrap();
+        let block = FsmGelu::new(FsmGeluConfig {
+            bsl: 1024,
+            ..Default::default()
+        })
+        .unwrap();
         let y = block.eval(-1.0);
         assert!(y.abs() < 0.12, "expected saturation near 0, got {y}");
         // Real GELU(-1) ≈ −0.159: the baseline misses the dip entirely.
@@ -285,7 +319,11 @@ mod tests {
 
     #[test]
     fn fsm_gelu_tracks_positive_range_with_noise() {
-        let block = FsmGelu::new(FsmGeluConfig { bsl: 1024, ..Default::default() }).unwrap();
+        let block = FsmGelu::new(FsmGeluConfig {
+            bsl: 1024,
+            ..Default::default()
+        })
+        .unwrap();
         for &x in &[1.0, 2.0, 3.0] {
             let y = block.eval(x);
             assert!(
@@ -303,9 +341,13 @@ mod tests {
         let spread = |bsl: usize| -> f64 {
             let ys: Vec<f64> = (0..8)
                 .map(|seed| {
-                    FsmGelu::new(FsmGeluConfig { bsl, seed: 1000 + seed, ..Default::default() })
-                        .unwrap()
-                        .eval(1.5)
+                    FsmGelu::new(FsmGeluConfig {
+                        bsl,
+                        seed: 1000 + seed,
+                        ..Default::default()
+                    })
+                    .unwrap()
+                    .eval(1.5)
                 })
                 .collect();
             let mean = ys.iter().sum::<f64>() / ys.len() as f64;
@@ -321,14 +363,30 @@ mod tests {
 
     #[test]
     fn fsm_gelu_validation() {
-        assert!(FsmGelu::new(FsmGeluConfig { states: 1, ..Default::default() }).is_err());
-        assert!(FsmGelu::new(FsmGeluConfig { bsl: 0, ..Default::default() }).is_err());
-        assert!(FsmGelu::new(FsmGeluConfig { range: 0.0, ..Default::default() }).is_err());
+        assert!(FsmGelu::new(FsmGeluConfig {
+            states: 1,
+            ..Default::default()
+        })
+        .is_err());
+        assert!(FsmGelu::new(FsmGeluConfig {
+            bsl: 0,
+            ..Default::default()
+        })
+        .is_err());
+        assert!(FsmGelu::new(FsmGeluConfig {
+            range: 0.0,
+            ..Default::default()
+        })
+        .is_err());
     }
 
     #[test]
     fn fsm_gelu_cycles_equals_bsl() {
-        let block = FsmGelu::new(FsmGeluConfig { bsl: 256, ..Default::default() }).unwrap();
+        let block = FsmGelu::new(FsmGeluConfig {
+            bsl: 256,
+            ..Default::default()
+        })
+        .unwrap();
         assert_eq!(block.cycles(), 256);
     }
 }

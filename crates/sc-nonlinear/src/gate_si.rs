@@ -86,7 +86,11 @@ impl GateAssistedSi {
         input: Thermometer,
         output: Thermometer,
     ) -> Self {
-        assert_eq!(ones_table.len(), input.len() + 1, "table must cover t = 0..=Bx");
+        assert_eq!(
+            ones_table.len(),
+            input.len() + 1,
+            "table must cover t = 0..=Bx"
+        );
         assert!(
             ones_table.iter().all(|&o| o <= output.len()),
             "table entry exceeds output BSL"
@@ -106,7 +110,12 @@ impl GateAssistedSi {
                 toggles
             })
             .collect();
-        GateAssistedSi { input, output, ones_table, bit_transitions }
+        GateAssistedSi {
+            input,
+            output,
+            ones_table,
+            bit_transitions,
+        }
     }
 
     /// Input codec.
@@ -131,8 +140,7 @@ impl GateAssistedSi {
 
     /// Number of distinct threshold signals (selection taps `s_i` in Fig. 4).
     pub fn threshold_count(&self) -> usize {
-        let mut ts: Vec<usize> =
-            self.bit_transitions.iter().flatten().copied().collect();
+        let mut ts: Vec<usize> = self.bit_transitions.iter().flatten().copied().collect();
         ts.sort_unstable();
         ts.dedup();
         ts.len()
@@ -163,14 +171,17 @@ impl GateAssistedSi {
     /// # Panics
     ///
     /// Panics if the stream length differs from the compiled input codec.
-    #[expect(clippy::expect_used, reason = "the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants")]
+    #[expect(
+        clippy::expect_used,
+        reason = "the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants"
+    )]
     pub fn eval(&self, x: &ThermStream) -> ThermStream {
         assert_eq!(x.len(), self.input.len(), "input BSL mismatch");
         let sorted = x.normalized();
         // Threshold signal s_t = input bit (t−1) = [ones ≥ t]; each output
         // bit XORs its toggle signals — evaluate by counting raised toggles.
-        let bits = Bitstream::from_bits(self.bit_transitions.iter().enumerate().map(
-            |(j, toggles)| {
+        let bits =
+            Bitstream::from_bits(self.bit_transitions.iter().enumerate().map(|(j, toggles)| {
                 let mut level = self.ones_table[0] > j;
                 for &t in toggles {
                     // toggle fires when ones ≥ t, i.e. input bit t−1 is set.
@@ -181,8 +192,7 @@ impl GateAssistedSi {
                     }
                 }
                 level
-            },
-        ));
+            }));
         ThermStream::new(bits, self.output.scale()).expect("compiled output codec is valid")
     }
 
@@ -297,9 +307,14 @@ mod tests {
     #[test]
     fn ternary_gelu_end_to_end_values() {
         let block = ternary_gelu().unwrap();
-        for (x, want_level) in
-            [(-4.0, 0i64), (-3.0, 0), (-1.0, -1), (0.0, 0), (1.0, 1), (4.0, 1)]
-        {
+        for (x, want_level) in [
+            (-4.0, 0i64),
+            (-3.0, 0),
+            (-1.0, -1),
+            (0.0, 0),
+            (1.0, 1),
+            (4.0, 1),
+        ] {
             let y = block.eval(&block.input().encode(x));
             assert_eq!(y.level(), want_level, "x={x}");
         }

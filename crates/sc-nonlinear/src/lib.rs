@@ -26,6 +26,5 @@ pub mod si;
 pub mod softmax_fsm;
 pub mod softmax_iter;
 
-
 pub use gate_si::GateAssistedSi;
 pub use softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig, IterSoftmaxDims};

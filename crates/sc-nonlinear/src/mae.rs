@@ -36,13 +36,23 @@ impl InputDist {
     /// The GELU-input distribution used by the Table III bench: standard
     /// normal clipped to ±4, matching pre-activation statistics.
     pub fn gelu_default() -> Self {
-        InputDist::Gaussian { mean: 0.0, sigma: 1.0, min: -4.0, max: 4.0 }
+        InputDist::Gaussian {
+            mean: 0.0,
+            sigma: 1.0,
+            min: -4.0,
+            max: 4.0,
+        }
     }
 
     /// The softmax-logit distribution used by the Table IV bench:
     /// attention logits after `1/√d` scaling concentrate in roughly ±2.
     pub fn softmax_default() -> Self {
-        InputDist::Gaussian { mean: 0.0, sigma: 1.0, min: -2.0, max: 2.0 }
+        InputDist::Gaussian {
+            mean: 0.0,
+            sigma: 1.0,
+            min: -2.0,
+            max: 2.0,
+        }
     }
 
     /// Draws `n` samples with the given seed.
@@ -54,12 +64,19 @@ impl InputDist {
     /// Draws `rows × m` logit rows with the given seed.
     pub fn sample_rows(&self, rows: usize, m: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..rows).map(|_| (0..m).map(|_| self.draw(&mut rng)).collect()).collect()
+        (0..rows)
+            .map(|_| (0..m).map(|_| self.draw(&mut rng)).collect())
+            .collect()
     }
 
     fn draw(&self, rng: &mut StdRng) -> f64 {
         match *self {
-            InputDist::Gaussian { mean, sigma, min, max } => {
+            InputDist::Gaussian {
+                mean,
+                sigma,
+                min,
+                max,
+            } => {
                 // Box–Muller.
                 let u1: f64 = rng.random::<f64>().max(1e-12);
                 let u2: f64 = rng.random();
@@ -79,7 +96,11 @@ impl InputDist {
 pub fn mae(got: &[f64], want: &[f64]) -> f64 {
     assert_eq!(got.len(), want.len(), "length mismatch");
     assert!(!got.is_empty(), "empty inputs");
-    got.iter().zip(want.iter()).map(|(g, w)| (g - w).abs()).sum::<f64>() / got.len() as f64
+    got.iter()
+        .zip(want.iter())
+        .map(|(g, w)| (g - w).abs())
+        .sum::<f64>()
+        / got.len() as f64
 }
 
 /// Root-mean-square error between two equal-length slices.
@@ -90,7 +111,11 @@ pub fn mae(got: &[f64], want: &[f64]) -> f64 {
 pub fn rmse(got: &[f64], want: &[f64]) -> f64 {
     assert_eq!(got.len(), want.len(), "length mismatch");
     assert!(!got.is_empty(), "empty inputs");
-    (got.iter().zip(want.iter()).map(|(g, w)| (g - w).powi(2)).sum::<f64>() / got.len() as f64)
+    (got.iter()
+        .zip(want.iter())
+        .map(|(g, w)| (g - w).powi(2))
+        .sum::<f64>()
+        / got.len() as f64)
         .sqrt()
 }
 

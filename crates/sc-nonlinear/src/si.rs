@@ -27,9 +27,15 @@ pub fn isotonic_regression(y: &[f64]) -> Vec<f64> {
             if mean_prev <= mean_last {
                 break;
             }
-            #[expect(clippy::expect_used, reason = "the `sums.len() > 1` loop guard proves both stacks are non-empty here")]
+            #[expect(
+                clippy::expect_used,
+                reason = "the `sums.len() > 1` loop guard proves both stacks are non-empty here"
+            )]
             let s = sums.pop().expect("non-empty");
-            #[expect(clippy::expect_used, reason = "counts grows in lockstep with sums, so the same guard applies")]
+            #[expect(
+                clippy::expect_used,
+                reason = "counts grows in lockstep with sums, so the same guard applies"
+            )]
             let c = counts.pop().expect("non-empty");
             sums[n - 2] += s;
             counts[n - 2] += c;
@@ -130,7 +136,12 @@ impl SiBlock {
                 }
             })
             .collect();
-        Ok(SiBlock { taps, input, output, ones_table })
+        Ok(SiBlock {
+            taps,
+            input,
+            output,
+            ones_table,
+        })
     }
 
     /// Input codec.
@@ -151,7 +162,10 @@ impl SiBlock {
     /// Number of output bits wired to real input taps (vs constants) —
     /// proportional to the interconnect cost.
     pub fn wired_taps(&self) -> usize {
-        self.taps.iter().filter(|t| matches!(t, Tap::Input(_))).count()
+        self.taps
+            .iter()
+            .filter(|t| matches!(t, Tap::Input(_)))
+            .count()
     }
 
     /// Evaluates the block on a thermometer stream (bit-level).
@@ -161,7 +175,10 @@ impl SiBlock {
     /// # Panics
     ///
     /// Panics if the stream length differs from the compiled input codec.
-    #[expect(clippy::expect_used, reason = "the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants")]
+    #[expect(
+        clippy::expect_used,
+        reason = "the output codec's even length and positive scale were validated at compile() time; ThermStream::new re-checks the same invariants"
+    )]
     pub fn eval(&self, x: &ThermStream) -> ThermStream {
         assert_eq!(x.len(), self.input.len(), "input BSL mismatch");
         let sorted = x.normalized();

@@ -71,10 +71,16 @@ impl FsmSoftmax {
     /// a non-positive range, or `frac_bits` outside 1..=24.
     pub fn new(config: FsmSoftmaxConfig) -> Result<Self, ScError> {
         if config.m == 0 {
-            return Err(ScError::InvalidParam { name: "m", reason: "must be non-zero".into() });
+            return Err(ScError::InvalidParam {
+                name: "m",
+                reason: "must be non-zero".into(),
+            });
         }
         if config.bsl == 0 {
-            return Err(ScError::InvalidParam { name: "bsl", reason: "must be non-zero".into() });
+            return Err(ScError::InvalidParam {
+                name: "bsl",
+                reason: "must be non-zero".into(),
+            });
         }
         if config.lut_entries < 2 {
             return Err(ScError::InvalidParam {
@@ -117,7 +123,10 @@ impl FsmSoftmax {
     pub fn run(&self, x: &[f64]) -> Result<Vec<f64>, ScError> {
         let c = &self.config;
         if x.len() != c.m {
-            return Err(ScError::LengthMismatch { left: x.len(), right: c.m });
+            return Err(ScError::LengthMismatch {
+                left: x.len(),
+                right: c.m,
+            });
         }
         // Stage 1 — SC→binary: count each bipolar stream (bsl cycles).
         // The draw noise (~1/√bsl) is the family's stream-length error.
@@ -199,14 +208,22 @@ mod tests {
 
     #[test]
     fn rejects_wrong_row_length() {
-        let block = FsmSoftmax::new(FsmSoftmaxConfig { m: 4, ..Default::default() }).unwrap();
+        let block = FsmSoftmax::new(FsmSoftmaxConfig {
+            m: 4,
+            ..Default::default()
+        })
+        .unwrap();
         assert!(block.run(&[0.0; 5]).is_err());
     }
 
     #[test]
     fn preserves_order_of_well_separated_logits() {
-        let block =
-            FsmSoftmax::new(FsmSoftmaxConfig { m: 6, bsl: 1024, ..Default::default() }).unwrap();
+        let block = FsmSoftmax::new(FsmSoftmaxConfig {
+            m: 6,
+            bsl: 1024,
+            ..Default::default()
+        })
+        .unwrap();
         let x = [3.0, 1.5, 0.0, -1.5, -3.0, -4.5];
         let y = block.run(&x).unwrap();
         for w in y.windows(2) {
@@ -218,23 +235,38 @@ mod tests {
     fn values_have_large_systematic_error() {
         // The paper's critique: order ok, values off. The shift-divide
         // produces outputs whose sum deviates substantially from 1.
-        let block =
-            FsmSoftmax::new(FsmSoftmaxConfig { m: 16, bsl: 1024, ..Default::default() }).unwrap();
+        let block = FsmSoftmax::new(FsmSoftmaxConfig {
+            m: 16,
+            bsl: 1024,
+            ..Default::default()
+        })
+        .unwrap();
         let x = logits(16);
         let y = block.run(&x).unwrap();
         let sum: f64 = y.iter().sum();
-        assert!((sum - 1.0).abs() > 0.02, "shift-divide should misnormalize, sum = {sum}");
+        assert!(
+            (sum - 1.0).abs() > 0.02,
+            "shift-divide should misnormalize, sum = {sum}"
+        );
     }
 
     #[test]
     fn longer_streams_help_but_do_not_fix_systematic_error() {
         let mae = |bsl: usize| -> f64 {
-            let block = FsmSoftmax::new(FsmSoftmaxConfig { m: 16, bsl, ..Default::default() })
-                .unwrap();
+            let block = FsmSoftmax::new(FsmSoftmaxConfig {
+                m: 16,
+                bsl,
+                ..Default::default()
+            })
+            .unwrap();
             let x = logits(16);
             let y = block.run(&x).unwrap();
             let want = ref_fn::softmax(&x);
-            y.iter().zip(want.iter()).map(|(a, b)| (a - b).abs()).sum::<f64>() / 16.0
+            y.iter()
+                .zip(want.iter())
+                .map(|(a, b)| (a - b).abs())
+                .sum::<f64>()
+                / 16.0
         };
         // Matches the paper's Table IV trend: going 128 → 1024 buys little.
         let short = mae(128);

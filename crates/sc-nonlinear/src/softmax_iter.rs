@@ -137,17 +137,26 @@ impl IterSoftmaxConfig {
             return Err(fail("m", "row length must be non-zero".into()));
         }
         if self.k == 0 || self.k > MAX_ITERATIONS {
-            let reason = format!("iteration count {} is outside [1, {MAX_ITERATIONS}]", self.k);
+            let reason = format!(
+                "iteration count {} is outside [1, {MAX_ITERATIONS}]",
+                self.k
+            );
             return Err(fail("k", reason));
         }
         for (name, v) in [("bx", self.bx), ("by", self.by)] {
             if v == 0 || v % 2 != 0 {
-                return Err(fail(name, format!("BSL must be even and non-zero, got {v}")));
+                return Err(fail(
+                    name,
+                    format!("BSL must be even and non-zero, got {v}"),
+                ));
             }
         }
         for (name, v) in [("ax", self.ax), ("ay", self.ay)] {
             if !(v.is_finite() && v > 0.0) {
-                return Err(fail(name, format!("scale must be finite and positive, got {v}")));
+                return Err(fail(
+                    name,
+                    format!("scale must be finite and positive, got {v}"),
+                ));
             }
         }
         if self.s1 == 0 || self.s2 == 0 {
@@ -181,7 +190,10 @@ impl IterSoftmaxConfig {
     /// Returns [`ScError::InvalidParam`] naming the first rate that fails
     /// or the first stream that overflows or exceeds the cap.
     pub fn check_rates(&self) -> Result<(), ScError> {
-        let sum_len = self.m.checked_mul(self.bx).and_then(|n| n.checked_mul(self.by));
+        let sum_len = self
+            .m
+            .checked_mul(self.bx)
+            .and_then(|n| n.checked_mul(self.by));
         let sum_sub = sub_sampled_len("s1", sum_len.map(|n| n / 2), self.s1)?;
         sub_sampled_len("s2", self.by.checked_mul(sum_sub).map(|n| n / 2), self.s2)?;
         Ok(())
@@ -194,11 +206,15 @@ impl IterSoftmaxConfig {
 fn sub_sampled_len(name: &'static str, len: Option<usize>, s: usize) -> Result<usize, ScError> {
     let fail = |reason| Err(ScError::InvalidParam { name, reason });
     let Some(len) = len.filter(|&n| n <= MAX_STREAM_LEN) else {
-        return fail(format!("the stream rate {s} samples exceeds the {MAX_STREAM_LEN}-bit cap"));
+        return fail(format!(
+            "the stream rate {s} samples exceeds the {MAX_STREAM_LEN}-bit cap"
+        ));
     };
     match len.checked_div(s) {
         Some(out) if len.is_multiple_of(s) && out > 0 && out.is_multiple_of(2) => Ok(out),
-        _ => fail(format!("rate {s} does not divide {len} bits into an even, non-zero width")),
+        _ => fail(format!(
+            "rate {s} does not divide {len} bits into an even, non-zero width"
+        )),
     }
 }
 
@@ -261,7 +277,12 @@ impl IterSoftmaxBlock {
         let in_codec = Thermometer::new(config.bx, config.ax)?;
         let state_codec = Thermometer::new(config.by, config.ay)?;
         let program = Program::compile(&config)?;
-        Ok(IterSoftmaxBlock { config, in_codec, state_codec, program })
+        Ok(IterSoftmaxBlock {
+            config,
+            in_codec,
+            state_codec,
+            program,
+        })
     }
 
     /// The configuration.
@@ -317,11 +338,7 @@ impl IterSoftmaxBlock {
     /// # Errors
     ///
     /// Returns [`ScError::LengthMismatch`] if `row.len() != m`.
-    pub fn run_in_place(
-        &self,
-        row: &mut [f32],
-        levels: &mut SoftmaxLevels,
-    ) -> Result<(), ScError> {
+    pub fn run_in_place(&self, row: &mut [f32], levels: &mut SoftmaxLevels) -> Result<(), ScError> {
         self.check_len(row.len())?;
         let p = &self.program;
         levels.x.clear();
@@ -335,7 +352,10 @@ impl IterSoftmaxBlock {
 
     fn check_len(&self, len: usize) -> Result<(), ScError> {
         if len != self.config.m {
-            return Err(ScError::LengthMismatch { left: len, right: self.config.m });
+            return Err(ScError::LengthMismatch {
+                left: len,
+                right: self.config.m,
+            });
         }
         Ok(())
     }
@@ -400,7 +420,10 @@ fn run_bits(
     x: &[f64],
 ) -> Result<Vec<f64>, ScError> {
     if x.len() != c.m {
-        return Err(ScError::LengthMismatch { left: x.len(), right: c.m });
+        return Err(ScError::LengthMismatch {
+            left: x.len(),
+            right: c.m,
+        });
     }
     // Encode inputs once (clamped to the αx·Bx/2 range).
     let xs: Vec<ThermStream> = x.iter().map(|&v| in_codec.encode(v)).collect();
@@ -452,7 +475,10 @@ pub struct SoftmaxLevels {
 impl SoftmaxLevels {
     /// Buffers pre-sized for rows of length `m`.
     pub fn with_capacity(m: usize) -> Self {
-        SoftmaxLevels { x: Vec::with_capacity(m), y: Vec::with_capacity(m) }
+        SoftmaxLevels {
+            x: Vec::with_capacity(m),
+            y: Vec::with_capacity(m),
+        }
     }
 }
 
@@ -510,7 +536,10 @@ fn align_table(
     let half = (scale * len as f64 / target / 2.0).round();
     if half > (MAX_STREAM_LEN / 2) as f64 {
         let reason = format!("a ÷k re-scale needs {} bits, over the cap", 2.0 * half);
-        return Err(ScError::InvalidParam { name: "ax/ay", reason });
+        return Err(ScError::InvalidParam {
+            name: "ax/ay",
+            reason,
+        });
     }
     let out_len = (half as usize * 2).max(2);
     let out_half = (out_len / 2) as i64;
@@ -765,7 +794,10 @@ mod tests {
             s2: 1,
             ..Default::default()
         };
-        assert!(matches!(cfg.check_rates(), Err(ScError::InvalidParam { .. })));
+        assert!(matches!(
+            cfg.check_rates(),
+            Err(ScError::InvalidParam { .. })
+        ));
         assert_refused(cfg);
     }
 
@@ -773,14 +805,33 @@ mod tests {
     fn a_table_longer_than_the_cap_is_refused_before_it_is_built() {
         // m = 2^44, Bx = By = 2 passes the divisibility rule but asks for
         // 2^45-bit streams: a 2^45-entry `y·sum(z)/k` table.
-        let cfg =
-            IterSoftmaxConfig { m: 1 << 44, bx: 2, by: 2, s1: 1, s2: 1, ..Default::default() };
-        assert!(matches!(cfg.check_rates(), Err(ScError::InvalidParam { .. })));
+        let cfg = IterSoftmaxConfig {
+            m: 1 << 44,
+            bx: 2,
+            by: 2,
+            s1: 1,
+            s2: 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            cfg.check_rates(),
+            Err(ScError::InvalidParam { .. })
+        ));
         assert_refused(cfg);
         // Exactly at the cap stays feasible.
-        let at_cap = IterSoftmaxConfig { m: MAX_STREAM_LEN / 2, bx: 2, by: 2, s1: 2, s2: 2, ..cfg };
+        let at_cap = IterSoftmaxConfig {
+            m: MAX_STREAM_LEN / 2,
+            bx: 2,
+            by: 2,
+            s1: 2,
+            s2: 2,
+            ..cfg
+        };
         assert!(at_cap.check_rates().is_ok());
-        let over = IterSoftmaxConfig { m: MAX_STREAM_LEN / 2 + 1, ..at_cap };
+        let over = IterSoftmaxConfig {
+            m: MAX_STREAM_LEN / 2 + 1,
+            ..at_cap
+        };
         assert!(over.check_rates().is_err());
     }
 
@@ -805,10 +856,19 @@ mod tests {
 
     #[test]
     fn an_iteration_count_beyond_the_cap_is_refused() {
-        let at_cap = IterSoftmaxConfig { k: MAX_ITERATIONS, ..Default::default() };
+        let at_cap = IterSoftmaxConfig {
+            k: MAX_ITERATIONS,
+            ..Default::default()
+        };
         assert!(at_cap.validate().is_ok());
-        assert_refused(IterSoftmaxConfig { k: MAX_ITERATIONS + 1, ..at_cap });
-        assert_refused(IterSoftmaxConfig { k: 1 << 40, ..at_cap });
+        assert_refused(IterSoftmaxConfig {
+            k: MAX_ITERATIONS + 1,
+            ..at_cap
+        });
+        assert_refused(IterSoftmaxConfig {
+            k: 1 << 40,
+            ..at_cap
+        });
     }
 
     /// The 2916-point Fig. 8 grid, as `crates/bench/src/bin/fig8_dse.rs`
@@ -854,13 +914,22 @@ mod tests {
         for m in [5usize, 10, 17, 24, 64, 65, 72] {
             for s1 in [32usize, 16, 8, 4, 2, 1] {
                 for s2 in [8usize, 4, 2, 1] {
-                    configs.push(IterSoftmaxConfig { m, s1, s2, ..IterSoftmaxConfig::default() });
+                    configs.push(IterSoftmaxConfig {
+                        m,
+                        s1,
+                        s2,
+                        ..IterSoftmaxConfig::default()
+                    });
                 }
             }
         }
         // Scales that under- or overflow inside the datapath.
         for (ax, ay) in [(1e-200, 1e-200), (1e200, 1e200), (1e150, 1e150)] {
-            configs.push(IterSoftmaxConfig { ax, ay, ..IterSoftmaxConfig::default() });
+            configs.push(IterSoftmaxConfig {
+                ax,
+                ay,
+                ..IterSoftmaxConfig::default()
+            });
         }
         let (mut grid_feasible, mut zero_width) = (0, 0);
         for (i, cfg) in configs.into_iter().enumerate() {
@@ -869,7 +938,11 @@ mod tests {
                 run_bits(&cfg, &x, &y, &vec![0.0; cfg.m])
             });
             let closed = IterSoftmaxBlock::new(cfg);
-            assert_eq!(closed.is_ok(), dry.is_ok(), "{cfg:?}: closed form {closed:?}");
+            assert_eq!(
+                closed.is_ok(),
+                dry.is_ok(),
+                "{cfg:?}: closed form {closed:?}"
+            );
             grid_feasible += usize::from(i < 2916 && dry.is_ok());
             // A leg `Program::compile` would size to zero bits: s1 passes,
             // but `By·W/2 < s2`.
@@ -899,7 +972,10 @@ mod tests {
             .unwrap()
             .0;
         let got_at_max = y[argmax_exact];
-        assert!(y.iter().all(|v| *v <= got_at_max + 1e-9), "argmax not preserved");
+        assert!(
+            y.iter().all(|v| *v <= got_at_max + 1e-9),
+            "argmax not preserved"
+        );
     }
 
     #[test]
@@ -940,7 +1016,10 @@ mod tests {
         let block = small_block(8);
         let y = block.run(&[0.0; 8]).unwrap();
         for v in &y {
-            assert!((v - 0.125).abs() <= 2.0 * block.state_codec().scale(), "y = {y:?}");
+            assert!(
+                (v - 0.125).abs() <= 2.0 * block.state_codec().scale(),
+                "y = {y:?}"
+            );
         }
     }
 
@@ -970,8 +1049,28 @@ mod tests {
         // with the bit-accurate simulator across configurations and inputs.
         let configs = [
             IterSoftmaxConfig::default(),
-            IterSoftmaxConfig { m: 8, k: 2, bx: 4, ax: 0.5, by: 16, ay: 0.0625, s1: 4, s2: 8, mode: RescaleMode::Floor },
-            IterSoftmaxConfig { m: 16, k: 4, bx: 2, ax: 1.0, by: 8, ay: 0.125, s1: 8, s2: 2, mode: RescaleMode::Ceil },
+            IterSoftmaxConfig {
+                m: 8,
+                k: 2,
+                bx: 4,
+                ax: 0.5,
+                by: 16,
+                ay: 0.0625,
+                s1: 4,
+                s2: 8,
+                mode: RescaleMode::Floor,
+            },
+            IterSoftmaxConfig {
+                m: 16,
+                k: 4,
+                bx: 2,
+                ax: 1.0,
+                by: 8,
+                ay: 0.125,
+                s1: 8,
+                s2: 2,
+                mode: RescaleMode::Ceil,
+            },
         ];
         for cfg in configs {
             let block = IterSoftmaxBlock::new(cfg).unwrap();
@@ -993,11 +1092,16 @@ mod tests {
         let block = IterSoftmaxBlock::new(IterSoftmaxConfig::default()).unwrap();
         let mut levels = SoftmaxLevels::default();
         for seed in 0..4u64 {
-            let row: Vec<f32> =
-                (0..64).map(|i| ((i as f32 + seed as f32 * 2.3) * 0.41).sin() * 3.0).collect();
+            let row: Vec<f32> = (0..64)
+                .map(|i| ((i as f32 + seed as f32 * 2.3) * 0.41).sin() * 3.0)
+                .collect();
             let wide: Vec<f64> = row.iter().map(|&v| v as f64).collect();
-            let want: Vec<f32> =
-                block.run_levels(&wide).unwrap().iter().map(|&v| v as f32).collect();
+            let want: Vec<f32> = block
+                .run_levels(&wide)
+                .unwrap()
+                .iter()
+                .map(|&v| v as f32)
+                .collect();
             let mut got = row.clone();
             block.run_in_place(&mut got, &mut levels).unwrap();
             assert_eq!(got, want, "seed {seed}");
