@@ -19,11 +19,20 @@
 //! only the levels vary per row. [`IterSoftmaxBlock::new`] therefore
 //! compiles the block once into an integer program — closed-form `s1`/`s2`
 //! sub-samples and a `ones → level` table per `÷k` re-scaling leg — which
-//! the design-space sweeps and the SC inference engine run at a handful of
-//! integer operations per element and iteration, allocation-free in
-//! [`IterSoftmaxBlock::run_in_place`]. [`IterSoftmaxBlock::run`] pushes
-//! real bitstreams through the circuit and stays the reference the program
-//! is property-tested against.
+//! the design-space sweeps and the SC inference engine run,
+//! allocation-free in [`IterSoftmaxBlock::run_in_place`].
+//! [`IterSoftmaxBlock::run`] pushes real bitstreams through the circuit
+//! and stays the reference the program is property-tested against.
+//!
+//! Lane `i`'s update reads only its input level `x_i`, its state `y_i` and
+//! the shared `sum(z)`, and every lane starts at `y⁰ = 1/m`, so lanes at
+//! one input level follow one trajectory. The program therefore sorts a
+//! row into a histogram over the `Bx + 1` input levels (`O(m)`), runs the
+//! `k` steps once per level present with `sum(z) = Σ_l c_l·x_l·y_l`
+//! (exact in `i64`, so equal to the per-lane sum), and scatters each
+//! level's output back to its lanes (`O(m)`). An `f32` row is encoded by
+//! a comparator bank: `Bx` thresholds fixed at compile time, with no
+//! divide or round per element.
 //!
 //! Feasibility is closed-form too ([`IterSoftmaxConfig::check_rates`]).
 //! The only circuit steps that can reject a configuration that passes
@@ -322,18 +331,20 @@ impl IterSoftmaxBlock {
     pub fn run_levels(&self, x: &[f64]) -> Result<Vec<f64>, ScError> {
         self.check_len(x.len())?;
         let p = &self.program;
-        let xq: Vec<i64> = x.iter().map(|&v| p.encode(v)).collect();
-        let mut yq = Vec::with_capacity(xq.len());
-        p.iterate(&xq, &mut yq);
-        Ok(yq.iter().map(|&q| p.decode(q)).collect())
+        let mut levels = SoftmaxLevels::default();
+        levels.sort(p.input.levels(), x.iter().map(|&v| p.input.level(v)));
+        p.iterate(&mut levels);
+        Ok(levels.lane.iter().map(|&l| p.decode(levels.y[l])).collect())
     }
 
     /// Runs the compiled program on an `f32` logit row in place — the SC
-    /// engine's attention softmax. Each input is encoded from `v as f64`
-    /// and each output written back as the `f64` result cast to `f32`, so
-    /// the row ends up exactly as [`IterSoftmaxBlock::run_levels`] would
-    /// leave it; `levels` is reused across calls and nothing is allocated
-    /// once it has grown to `m`.
+    /// engine's attention softmax. Each input's level is counted off the
+    /// comparator bank, which equals encoding `v as f64`, and each level's
+    /// output is decoded once as the `f64` result cast to `f32` and
+    /// written to its lanes, so the row ends up exactly as
+    /// [`IterSoftmaxBlock::run_levels`] would leave it. `levels` is reused
+    /// across calls and nothing is allocated once it has grown to `m`
+    /// lanes and `Bx + 1` levels.
     ///
     /// # Errors
     ///
@@ -341,11 +352,21 @@ impl IterSoftmaxBlock {
     pub fn run_in_place(&self, row: &mut [f32], levels: &mut SoftmaxLevels) -> Result<(), ScError> {
         self.check_len(row.len())?;
         let p = &self.program;
-        levels.x.clear();
-        levels.x.extend(row.iter().map(|&v| p.encode(v as f64)));
-        p.iterate(&levels.x, &mut levels.y);
-        for (dst, &q) in row.iter_mut().zip(&levels.y) {
-            *dst = p.decode(q) as f32;
+        levels.sort(p.input.levels(), row.iter().map(|&v| p.input.level_f32(v)));
+        p.iterate(levels);
+        let SoftmaxLevels {
+            lane,
+            present,
+            y,
+            out,
+            ..
+        } = levels;
+        out.resize(y.len(), 0.0);
+        for &l in present.iter() {
+            out[l] = p.decode(y[l]) as f32;
+        }
+        for (dst, &l) in row.iter_mut().zip(lane.iter()) {
+            *dst = out[l];
         }
         Ok(())
     }
@@ -464,21 +485,47 @@ fn run_bits(
     Ok(ys.iter().map(ThermStream::value).collect())
 }
 
-/// Reusable level buffers for [`IterSoftmaxBlock::run_in_place`]: the
-/// encoded input row and the iterated state, one level per element.
+/// Reusable level buffers for [`IterSoftmaxBlock::run_in_place`]: each
+/// lane's input level, and per input level its lane count, its state and
+/// its decoded output. Levels are indexed `x + Bx/2`, so the per-level
+/// buffers hold `Bx + 1` entries.
 #[derive(Debug, Clone, Default)]
 pub struct SoftmaxLevels {
-    x: Vec<i64>,
+    /// Input level index of each lane.
+    lane: Vec<usize>,
+    /// Lanes at each level.
+    count: Vec<i64>,
+    /// The levels some lane holds, ascending.
+    present: Vec<usize>,
+    /// State of each level.
     y: Vec<i64>,
+    /// Decoded output of each level.
+    out: Vec<f32>,
 }
 
 impl SoftmaxLevels {
-    /// Buffers pre-sized for rows of length `m`.
+    /// Buffers pre-sized for rows of length `m`; the per-level buffers
+    /// grow to `Bx + 1` on first use.
     pub fn with_capacity(m: usize) -> Self {
         SoftmaxLevels {
-            x: Vec::with_capacity(m),
-            y: Vec::with_capacity(m),
+            lane: Vec::with_capacity(m),
+            ..SoftmaxLevels::default()
         }
+    }
+
+    /// Sorts a row into `width` levels: records each lane's level index,
+    /// counts the lanes per level and lists the levels present.
+    fn sort(&mut self, width: usize, lanes: impl Iterator<Item = usize>) {
+        self.count.clear();
+        self.count.resize(width, 0);
+        self.lane.clear();
+        for l in lanes {
+            self.count[l] += 1;
+            self.lane.push(l);
+        }
+        self.present.clear();
+        self.present
+            .extend((0..width).filter(|&l| self.count[l] > 0));
     }
 }
 
@@ -561,18 +608,95 @@ fn quantize(x: f64, scale: f64, half: f64) -> i64 {
     (x / scale).round().clamp(-half, half) as i64
 }
 
+/// Position of a non-NaN `v` in the order of `f32::total_cmp`, in which
+/// `-0.0` sits just below `+0.0`.
+fn f32_key(v: f32) -> i64 {
+    let b = v.to_bits() as i32;
+    i64::from(b ^ ((b >> 31) as u32 >> 1) as i32)
+}
+
+/// The `f32` at position `key` of [`f32_key`]'s order.
+fn f32_at(key: i64) -> f32 {
+    let b = key as i32;
+    f32::from_bits((b ^ ((b >> 31) as u32 >> 1) as i32) as u32)
+}
+
+/// The input grid `αx`/`Bx` as an encoder to level indices `x + Bx/2`,
+/// with a comparator bank for `f32` inputs: threshold `j` (of `Bx`) is the
+/// least `f32` `v` with `quantize(v as f64, αx, Bx/2) ≥ j + 1 − Bx/2`.
+/// `quantize` is monotone in `v`, so an input's level is `−Bx/2` plus the
+/// number of thresholds at or below it, with no divide or round.
+#[derive(Debug, Clone, PartialEq)]
+struct InputEncoder {
+    ax: f64,
+    half: usize,
+    thresholds: Vec<f32>,
+}
+
+impl InputEncoder {
+    /// Finds each threshold by bisection between `-inf` (level `−Bx/2`)
+    /// and `+inf` (level `Bx/2`), the ends of the non-NaN `f32`s in
+    /// [`f32_key`]'s order. No threshold is `+0.0`: `-0.0` has the same
+    /// level and sorts below it, so `<=` agrees with that order at zero.
+    fn new(ax: f64, half: usize) -> Self {
+        let h = half as f64;
+        let thresholds = (0..2 * half)
+            .map(|j| {
+                let target = (j + 1) as i64 - half as i64;
+                let (mut lo, mut hi) = (f32_key(f32::NEG_INFINITY), f32_key(f32::INFINITY));
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if quantize(f64::from(f32_at(mid)), ax, h) >= target {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                f32_at(hi)
+            })
+            .collect();
+        InputEncoder {
+            ax,
+            half,
+            thresholds,
+        }
+    }
+
+    /// Number of input levels, `Bx + 1`.
+    fn levels(&self) -> usize {
+        2 * self.half + 1
+    }
+
+    /// Level index of logit `v`.
+    fn level(&self, v: f64) -> usize {
+        (quantize(v, self.ax, self.half as f64) + self.half as i64) as usize
+    }
+
+    /// Level index of the `f32` logit `v`, equal to `level(v as f64)`: the
+    /// thresholds at or below `v` in the upper half of the bank, less
+    /// those above it in the lower half. A NaN compares false both ways
+    /// and lands on level 0, where `quantize`'s saturating cast puts it.
+    fn level_f32(&self, v: f32) -> usize {
+        let (lower, upper) = self.thresholds.split_at(self.half);
+        let above = lower.iter().filter(|&&t| v < t).count();
+        let below = upper.iter().filter(|&&t| t <= v).count();
+        self.half - above + below
+    }
+}
+
 /// The block compiled to integers. Every stream length, scale, tap phase
 /// and tap position of the `k`-step circuit depends only on the
 /// configuration; only the levels vary per row. The program keeps the
-/// encode/decode grids, the closed-form `s1`/`s2` sub-samples, and one
-/// `ones → level` table per `÷k` re-scaling leg (`z/k` and `y·sum(z)/k`),
-/// so one iteration costs a handful of integer operations per element.
+/// encode/decode grids (with the input comparator bank), the closed-form
+/// `s1`/`s2` sub-samples, and one `ones → level` table per `÷k`
+/// re-scaling leg (`z/k` and `y·sum(z)/k`). A row costs `O(m)` to encode
+/// and scatter, and each of the `k` steps a handful of integer operations
+/// per input level present.
 #[derive(Debug, Clone, PartialEq)]
 struct Program {
     k: usize,
-    /// Input scale `αx` and clamp `Bx/2`.
-    ax: f64,
-    x_half: f64,
+    /// Input grid `αx`/`Bx`.
+    input: InputEncoder,
     /// State scale `αy`, clamp `By/2` and initial level `y⁰ = 1/m`.
     ay: f64,
     y_half: i64,
@@ -616,8 +740,7 @@ impl Program {
         let (wk_len, wk) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode)?;
         Ok(Program {
             k: c.k,
-            ax: c.ax,
-            x_half: (c.bx / 2) as f64,
+            input: InputEncoder::new(c.ax, c.bx / 2),
             ay: c.ay,
             y_half,
             y0,
@@ -640,32 +763,35 @@ impl Program {
         })
     }
 
-    /// Input level of logit `v`.
-    fn encode(&self, v: f64) -> i64 {
-        quantize(v, self.ax, self.x_half)
-    }
-
     /// Value of state level `q`.
     fn decode(&self, q: i64) -> f64 {
         self.ay * q as f64
     }
 
-    /// Runs the `k` steps from `y⁰` on input levels `x`, leaving the state
-    /// levels in `y`. Each `y_i` update reads only `y_i`, `x_i` and
-    /// `sum(z)` of the previous state, so the state updates in place.
-    fn iterate(&self, x: &[i64], y: &mut Vec<i64>) {
+    /// Runs the `k` steps from `y⁰` on the level histogram `levels.sort`
+    /// built, leaving each level's state in `levels.y`. Each lane's update
+    /// reads only its own `x` and `y` and `sum(z)` of the previous state,
+    /// and all lanes start at `y⁰`, so the lanes of one level share one
+    /// state: each step updates every level present once, and
+    /// `sum(z) = Σ_l c_l·x_l·y_l` equals the per-lane sum exactly.
+    fn iterate(&self, levels: &mut SoftmaxLevels) {
+        let SoftmaxLevels {
+            count, present, y, ..
+        } = levels;
         y.clear();
-        y.resize(x.len(), self.y0);
+        y.resize(count.len(), self.y0);
+        let x = |l: usize| l as i64 - self.input.half as i64;
         for _ in 0..self.k {
             // MUL① + BSN①, then s1.
-            let sum_z = x.iter().zip(y.iter()).map(|(xi, yi)| xi * yi).sum::<i64>();
+            let sum_z = present.iter().map(|&l| count[l] * x(l) * y[l]).sum::<i64>();
             let sum_z = self.sum_sub.apply(sum_z);
-            for (xi, yi) in x.iter().zip(y.iter_mut()) {
+            for &l in present.iter() {
                 // MUL② then s2; both ÷k legs by table; BSN② and saturation.
-                let w = self.w_sub.apply(*yi * sum_z);
-                let zk = self.zk[(xi * *yi + self.z_half) as usize];
+                let yl = y[l];
+                let w = self.w_sub.apply(yl * sum_z);
+                let zk = self.zk[(x(l) * yl + self.z_half) as usize];
                 let wk = self.wk[(w + self.w_half) as usize];
-                *yi = (*yi + zk - wk).clamp(-self.y_half, self.y_half);
+                y[l] = (yl + zk - wk).clamp(-self.y_half, self.y_half);
             }
         }
     }
@@ -675,6 +801,7 @@ impl Program {
 mod tests {
     use super::*;
     use crate::ref_fn;
+    use proptest::prelude::*;
 
     #[test]
     fn float_iteration_converges_with_k() {
@@ -1089,26 +1216,135 @@ mod tests {
 
     #[test]
     fn in_place_f32_run_matches_run_levels() {
-        let block = IterSoftmaxBlock::new(IterSoftmaxConfig::default()).unwrap();
+        // The paper's m = 64, and the engine's m = 65 with its degraded
+        // rates; one level buffer serves both.
+        let configs = [
+            IterSoftmaxConfig::default(),
+            IterSoftmaxConfig {
+                m: 65,
+                ax: 0.75,
+                ay: 0.125,
+                s1: 8,
+                s2: 4,
+                ..Default::default()
+            },
+        ];
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            f32::MAX,
+        ];
         let mut levels = SoftmaxLevels::default();
-        for seed in 0..4u64 {
-            let row: Vec<f32> = (0..64)
-                .map(|i| ((i as f32 + seed as f32 * 2.3) * 0.41).sin() * 3.0)
-                .collect();
-            let wide: Vec<f64> = row.iter().map(|&v| v as f64).collect();
-            let want: Vec<f32> = block
-                .run_levels(&wide)
-                .unwrap()
-                .iter()
-                .map(|&v| v as f32)
-                .collect();
-            let mut got = row.clone();
-            block.run_in_place(&mut got, &mut levels).unwrap();
-            assert_eq!(got, want, "seed {seed}");
+        for cfg in configs {
+            let block = IterSoftmaxBlock::new(cfg).unwrap();
+            let clamp = (cfg.ax * (cfg.bx / 2) as f64) as f32;
+            for seed in 0..6u64 {
+                // Amplitudes from half the input clamp to three times it.
+                let amp = clamp * (0.5 + seed as f32 * 0.5);
+                let mut row: Vec<f32> = (0..cfg.m)
+                    .map(|i| ((i as f32 + seed as f32 * 2.3) * 0.41).sin() * amp)
+                    .collect();
+                if seed % 2 == 1 {
+                    for (v, s) in row.iter_mut().step_by(7).zip(specials) {
+                        *v = s;
+                    }
+                }
+                let wide: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+                let want: Vec<f32> = block
+                    .run_levels(&wide)
+                    .unwrap()
+                    .iter()
+                    .map(|&v| v as f32)
+                    .collect();
+                let mut got = row.clone();
+                block.run_in_place(&mut got, &mut levels).unwrap();
+                assert_eq!(got, want, "m = {}, seed {seed}", cfg.m);
+            }
         }
+        let block = IterSoftmaxBlock::new(configs[0]).unwrap();
         assert!(matches!(
             block.run_in_place(&mut [0.0; 3], &mut levels).unwrap_err(),
             ScError::LengthMismatch { left: 3, right: 64 }
         ));
+    }
+
+    /// Input scales: the twin test's `αx = 2·range/Bx`, for `range` in
+    /// `[0.5, 4)`, at the given `Bx`, and scales far outside it (the
+    /// engine's `1e-3` floor, and extremes the `f32` inputs under- or
+    /// overflow against).
+    fn encoder_scales(bx: usize) -> Vec<f64> {
+        let mut scales: Vec<f64> = [0.5, 0.75, 1.0, 1.3, 2.0, 2.5, 3.7, 3.999]
+            .iter()
+            .map(|range| 2.0 * range / bx as f64)
+            .collect();
+        scales.extend([1e-3, 1e-30, 1e-300, 1e30, 1e300, 0.1, 1.0 / 3.0]);
+        scales
+    }
+
+    #[test]
+    fn comparator_bank_is_exact_at_its_thresholds_and_special_values() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for bx in [2usize, 4, 8, 16] {
+            for ax in encoder_scales(bx) {
+                let enc = InputEncoder::new(ax, bx / 2);
+                assert_eq!(enc.thresholds.len(), bx);
+                assert!(
+                    enc.thresholds.windows(2).all(|t| t[0] <= t[1]),
+                    "ax {ax}: {:?}",
+                    enc.thresholds
+                );
+                assert_eq!(enc.level_f32(f32::NAN), bx / 2, "NaN sits on level 0");
+                let mut probes = specials.to_vec();
+                for &t in &enc.thresholds {
+                    let key = f32_key(t);
+                    probes.extend([t, f32_at(key - 1), f32_at(key + 1)]);
+                }
+                for v in probes {
+                    let want = enc.level(f64::from(v));
+                    assert_eq!(enc.level_f32(v), want, "Bx {bx}, ax {ax:e}, v {v:e}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The comparator bank encodes every `f32` as `quantize` does from
+        /// `v as f64`: any bit pattern (mostly far from the grid, NaNs
+        /// included) and a draw within three times the input clamp.
+        #[test]
+        fn comparator_bank_matches_quantize(
+            bits in any::<u32>(),
+            near in -3.0f64..3.0,
+            bx in prop::sample::select(vec![2usize, 4, 8, 16]),
+            range in 0.5f64..4.0,
+            exp in prop::sample::select(vec![0i32, 0, 0, -20, 20, -140, 100]),
+        ) {
+            let ax = 2.0 * range / bx as f64 * 2f64.powi(exp);
+            let enc = InputEncoder::new(ax, bx / 2);
+            let near = (near * ax * (bx / 2) as f64) as f32;
+            for v in [f32::from_bits(bits), near] {
+                prop_assert_eq!(enc.level_f32(v), enc.level(f64::from(v)), "Bx {}, ax {:e}, v {:e}", bx, ax, v);
+            }
+        }
     }
 }

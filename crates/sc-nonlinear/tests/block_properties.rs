@@ -1,5 +1,10 @@
 //! Property tests across the nonlinear-block families.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "an integration test fails by panicking, helpers included"
+)]
+
 use proptest::prelude::*;
 use sc_core::encoding::Thermometer;
 use sc_core::rescale::RescaleMode;
@@ -7,7 +12,7 @@ use sc_core::ThermStream;
 use sc_nonlinear::gate_si::GateAssistedSi;
 use sc_nonlinear::ref_fn;
 use sc_nonlinear::si::SiBlock;
-use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig};
+use sc_nonlinear::softmax_iter::{IterSoftmaxBlock, IterSoftmaxConfig, SoftmaxLevels};
 
 proptest! {
     /// Gate-assisted SI must realize its compiled table exactly for every
@@ -85,9 +90,10 @@ proptest! {
     /// exactly — every rounding mode, sub-sample rates from none to the
     /// paper's 32, odd and even row lengths up to the engine's m = 65 (so
     /// the long `y·sum(z)/k` re-scaling legs are reached), engine-like
-    /// grids (`αx = 2·range/Bx`, `αy = (2/By)·{¼, ½, 1}`), and logits
-    /// past the `±αx·Bx/2` input clamp. Infeasible configurations are
-    /// skipped, as construction rejects them.
+    /// grids (`αx = 2·range/Bx`, `αy = (2/By)·{¼, ½, 1}`), input BSLs
+    /// up to 16 (17 levels, so a level histogram sized for Bx = 4 fails),
+    /// and logits past the `±αx·Bx/2` input clamp. Infeasible
+    /// configurations are skipped, as construction rejects them.
     #[test]
     fn softmax_level_twin_matches_bits(
         mode in prop::sample::select(vec![RescaleMode::Floor, RescaleMode::Round, RescaleMode::Ceil]),
@@ -95,7 +101,7 @@ proptest! {
         s2 in prop::sample::select(vec![1usize, 2, 4, 8, 32]),
         m in prop::sample::select(vec![4usize, 5, 16, 17, 64, 65]),
         k in 1usize..=4,
-        bx in prop::sample::select(vec![2usize, 4]),
+        bx in prop::sample::select(vec![2usize, 4, 8, 16]),
         by in prop::sample::select(vec![4usize, 8, 16]),
         range in 0.5f64..4.0,
         ay_mult in prop::sample::select(vec![0.25f64, 0.5, 1.0]),
@@ -115,6 +121,86 @@ proptest! {
             for (i, (b, l)) in bits.iter().zip(levels.iter()).enumerate() {
                 prop_assert_eq!(b.to_bits(), l.to_bits(), "{:?} element {}: {} vs {}", cfg, i, b, l);
             }
+        }
+    }
+}
+
+/// A softmax block at every input BSL the twin test samples, at row
+/// length `m`, with `αy = 1/(4m)` so that `y⁰ = 1/m` sits on state level 4
+/// and the state moves.
+fn level_block(bx: usize, m: usize) -> IterSoftmaxBlock {
+    IterSoftmaxBlock::new(IterSoftmaxConfig {
+        m,
+        k: 3,
+        bx,
+        ax: 4.0 / bx as f64,
+        by: 16,
+        ay: 0.25 / m as f64,
+        s1: 4,
+        s2: 4,
+        mode: RescaleMode::Round,
+    })
+    .unwrap()
+}
+
+/// Asserts the compiled program equals the bit-level circuit on `row`,
+/// through both the `f64` and the in-place `f32` entry points, and
+/// returns the output.
+fn assert_program_matches_bits(block: &IterSoftmaxBlock, row: &[f32]) -> Vec<f64> {
+    let wide: Vec<f64> = row.iter().map(|&v| f64::from(v)).collect();
+    let bits = block.run(&wide).unwrap();
+    let levels = block.run_levels(&wide).unwrap();
+    let as_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(as_bits(&bits), as_bits(&levels), "{:?}", block.config());
+    let mut in_place = row.to_vec();
+    block
+        .run_in_place(&mut in_place, &mut SoftmaxLevels::default())
+        .unwrap();
+    let want: Vec<f32> = levels.iter().map(|&v| v as f32).collect();
+    assert_eq!(in_place, want, "{:?}", block.config());
+    levels
+}
+
+/// Every lane on one input level, for each level and past both clamps:
+/// all lanes share one trajectory, so the output is one value.
+#[test]
+fn softmax_program_matches_bits_with_every_lane_on_one_level() {
+    for bx in [2usize, 4, 8, 16] {
+        for m in [5usize, 65] {
+            let block = level_block(bx, m);
+            let ax = block.config().ax;
+            let half = (bx / 2) as i64;
+            for level in -half - 1..=half + 1 {
+                let row = vec![(level as f64 * ax) as f32; m];
+                let out = assert_program_matches_bits(&block, &row);
+                assert!(
+                    out.iter().all(|&v| v == out[0]),
+                    "Bx {bx}, level {level}: {out:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Every input level held by some lane, from one lane each (m = Bx + 1)
+/// to several (m = 65).
+#[test]
+fn softmax_program_matches_bits_with_every_level_present() {
+    for bx in [2usize, 4, 8, 16] {
+        for m in [bx + 1, 65] {
+            let block = level_block(bx, m);
+            let ax = block.config().ax;
+            let levels = bx + 1;
+            let row: Vec<f32> = (0..m)
+                .map(|i| (((i * 7) % levels) as f64 - (bx / 2) as f64) * ax)
+                .map(|v| v as f32)
+                .collect();
+            let out = assert_program_matches_bits(&block, &row);
+            let distinct = out
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<std::collections::BTreeSet<_>>();
+            assert!(distinct.len() > 1, "Bx {bx}, m {m}: the state never moved");
         }
     }
 }
