@@ -13,8 +13,7 @@
 #![allow(
     clippy::expect_used,
     clippy::panic,
-    clippy::disallowed_methods,
-    reason = "an integration test fails by panicking, helpers included; its deadlines and latency checks read the clock"
+    reason = "an integration test fails by panicking, helpers included"
 )]
 
 use std::io::BufReader;
@@ -32,6 +31,17 @@ use ascend_registry::{ModelRegistry, ModelSpec, RegistryConfig};
 use ascend_vit::data::Dataset;
 use ascend_vit::{PrecisionPlan, VitConfig};
 use sc_core::ScError;
+
+/// The wall clock, for this test's deadlines and latency checks. It is the
+/// one sanctioned clock read here, so the crate keeps the rest of the
+/// `disallowed_methods` ban (a bare `Condvar::wait` among them).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test's deadlines and latency checks read the clock"
+)]
+fn now() -> Instant {
+    Instant::now()
+}
 
 fn tiny_vit() -> VitConfig {
     VitConfig { image: 8, patch: 4, dim: 16, layers: 1, heads: 2, classes: 2, ..Default::default() }
@@ -172,7 +182,7 @@ fn gated_payload(v: f32) -> Vec<u8> {
 }
 
 fn wait_until(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
-    let start = Instant::now();
+    let start = now();
     while !done() {
         assert!(start.elapsed() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(5));
@@ -269,7 +279,7 @@ fn stalled_request_hits_the_read_deadline_with_408() {
     // A few bytes of a request line, then silence: the 300ms read
     // deadline must expire and answer 408 — never hold the handler.
     writer.write_all(b"POS").expect("write");
-    let started = Instant::now();
+    let started = now();
     let response = client::read_response(&mut reader).expect("response");
     assert_eq!(response.status, 408);
     assert!(
@@ -306,7 +316,7 @@ fn full_queue_sheds_with_503_retry_after_and_drains_clean() {
     let (mut reader_c, mut writer_c) = connect(addr);
     client::write_request(&mut writer_c, "POST", "/v1/infer", &gated_payload(3.0), false)
         .expect("write C");
-    let started = Instant::now();
+    let started = now();
     let shed = client::read_response(&mut reader_c).expect("C response");
     assert_eq!(shed.status, 503, "full queue must shed");
     assert_eq!(shed.header("retry-after"), Some("1"));
@@ -427,7 +437,7 @@ fn dead_pool_answers_503_never_hangs() {
     let (mut reader, mut writer) = connect(addr);
     client::write_request(&mut writer, "POST", "/v1/infer", &gated_payload(1.0), false)
         .expect("write");
-    let started = Instant::now();
+    let started = now();
     let response = client::read_response(&mut reader).expect("response");
     assert_eq!(response.status, 503, "dead worker must surface as 503");
     assert!(started.elapsed() < Duration::from_secs(5));
@@ -480,7 +490,7 @@ fn fresh_connections_are_served_without_an_accept_wait() {
     let addr = server.local_addr();
     let mut round_trips: Vec<Duration> = (0..40)
         .map(|_| {
-            let started = Instant::now();
+            let started = now();
             let (mut reader, mut writer) = connect(addr);
             client::write_request(&mut writer, "GET", "/healthz", &[], true).expect("write");
             assert_eq!(client::read_response(&mut reader).expect("response").status, 200);
@@ -500,7 +510,7 @@ fn fresh_connections_are_served_without_an_accept_wait() {
 fn idle_server_shuts_down_promptly_from_another_thread() {
     let (server, _backend, _session) = gated_server(true, 4, HttpConfig::new("127.0.0.1:0"));
     let handle = server.shutdown_handle();
-    let started = Instant::now();
+    let started = now();
     std::thread::spawn(move || handle.shutdown()).join().expect("shutdown thread");
     server.join();
     assert!(started.elapsed() < Duration::from_secs(1), "idle drain took {:?}", started.elapsed());
@@ -526,7 +536,7 @@ fn server_on_an_unspecified_address_serves_and_drains() {
     let addr = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
     assert!(server.local_addr().ip().is_unspecified());
     assert_eq!(fetch_text(addr, "/healthz"), "default=warm\n");
-    let started = Instant::now();
+    let started = now();
     server.join();
     assert!(started.elapsed() < Duration::from_secs(1), "drain took {:?}", started.elapsed());
 }
@@ -586,7 +596,7 @@ fn an_idle_backlog_connection_does_not_hold_up_join() {
     // Drain begins, then the held connection goes away. The handler takes
     // the idle connection next; it has sent nothing, so it is closed after
     // a short read instead of being waited on for the 5 s read deadline.
-    let started = Instant::now();
+    let started = now();
     server.shutdown_handle().shutdown();
     drop((held_reader, held_writer));
     server.join();
@@ -612,7 +622,7 @@ fn an_idle_keep_alive_connection_does_not_hold_up_join() {
 
     // Drain must close the idle connection at once, not after the 5 s
     // read deadline.
-    let started = Instant::now();
+    let started = now();
     server.shutdown_handle().shutdown();
     server.join();
     let took = started.elapsed();

@@ -9,8 +9,7 @@
 
 #![allow(
     clippy::expect_used,
-    clippy::disallowed_methods,
-    reason = "an integration test fails by panicking, helpers included; its deadlines and latency checks read the clock"
+    reason = "an integration test fails by panicking, helpers included"
 )]
 
 use std::sync::{Arc, Condvar, Mutex};
@@ -29,6 +28,17 @@ use sc_core::ScError;
 
 mod support;
 use support::assert_bit_identical;
+
+/// The wall clock, for this test's deadlines and latency checks. It is the
+/// one sanctioned clock read here, so the crate keeps the rest of the
+/// `disallowed_methods` ban (a bare `Condvar::wait` among them).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test's deadlines and latency checks read the clock"
+)]
+fn now() -> std::time::Instant {
+    std::time::Instant::now()
+}
 
 /// This file's fixture: 2 FP epochs, calibrate, no QAT — observability
 /// tests need *a* compiled engine, not an accurate one.
@@ -171,12 +181,9 @@ fn spans_cover_every_served_request_and_never_a_shed_one() {
     // A is claimed by the lone worker and blocks on the gate; wait until
     // the queue slot frees up so B deterministically occupies it.
     let a = pool.submit(request(0)).expect("submit A");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = now() + Duration::from_secs(5);
     while pool.queued() > 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "worker never claimed A"
-        );
+        assert!(now() < deadline, "worker never claimed A");
         std::thread::yield_now();
     }
     let b = pool.try_submit(request(1)).expect("submit B");
