@@ -688,10 +688,10 @@ impl InputEncoder {
 /// and tap position of the `k`-step circuit depends only on the
 /// configuration; only the levels vary per row. The program keeps the
 /// encode/decode grids (with the input comparator bank), the closed-form
-/// `s1`/`s2` sub-samples, and one `ones → level` table per `÷k`
-/// re-scaling leg (`z/k` and `y·sum(z)/k`). A row costs `O(m)` to encode
-/// and scatter, and each of the `k` steps a handful of integer operations
-/// per input level present.
+/// `s1` sub-sample, and one `ones → level` table per `÷k` re-scaling leg
+/// (`z/k`, and `y·sum(z)/k` with the `s2` sub-sample folded in). A row
+/// costs `O(m)` to encode and scatter, and each of the `k` steps a handful
+/// of integer operations per input level present.
 #[derive(Debug, Clone, PartialEq)]
 struct Program {
     k: usize,
@@ -703,12 +703,11 @@ struct Program {
     y0: i64,
     /// `sum(z)` → `s1`.
     sum_sub: SubSample,
-    /// `y·sum(z)` → `s2`.
-    w_sub: SubSample,
     /// `z/k` onto `αy`, indexed by `z + z_half`.
     z_half: i64,
     zk: Vec<i64>,
-    /// `y·sum(z)/k` onto `αy`, indexed by `w + w_half` (after `s2`).
+    /// `y·sum(z)` → `s2` → `÷k` onto `αy`, indexed by `w + w_half`
+    /// (before `s2`).
     w_half: i64,
     wk: Vec<i64>,
     dims: IterSoftmaxDims,
@@ -737,7 +736,13 @@ impl Program {
         // ÷k by scale folding, then align onto αy.
         let k = c.k as f64;
         let (zk_len, zk) = align_table(z_len, z_scale / k, c.ay, c.mode)?;
-        let (wk_len, wk) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode)?;
+        let (wk_len, wk_sub) = align_table(w_sub.out_len(), w_scale / k, c.ay, c.mode)?;
+        // Fold s2 into the y·sum(z)/k table: one entry per MUL② level.
+        let w_half = (w_len / 2) as i64;
+        let w_sub_half = (w_sub.out_len() / 2) as i64;
+        let wk = (-w_half..=w_half)
+            .map(|w| wk_sub[(w_sub.apply(w) + w_sub_half) as usize])
+            .collect();
         Ok(Program {
             k: c.k,
             input: InputEncoder::new(c.ax, c.bx / 2),
@@ -745,10 +750,9 @@ impl Program {
             y_half,
             y0,
             sum_sub,
-            w_sub,
             z_half: (z_len / 2) as i64,
             zk,
-            w_half: (w_sub.out_len() / 2) as i64,
+            w_half,
             wk,
             dims: IterSoftmaxDims {
                 z_len,
@@ -786,11 +790,10 @@ impl Program {
             let sum_z = present.iter().map(|&l| count[l] * x(l) * y[l]).sum::<i64>();
             let sum_z = self.sum_sub.apply(sum_z);
             for &l in present.iter() {
-                // MUL② then s2; both ÷k legs by table; BSN② and saturation.
+                // MUL②; s2 and both ÷k legs by table; BSN② and saturation.
                 let yl = y[l];
-                let w = self.w_sub.apply(yl * sum_z);
                 let zk = self.zk[(x(l) * yl + self.z_half) as usize];
-                let wk = self.wk[(w + self.w_half) as usize];
+                let wk = self.wk[(yl * sum_z + self.w_half) as usize];
                 y[l] = (yl + zk - wk).clamp(-self.y_half, self.y_half);
             }
         }
