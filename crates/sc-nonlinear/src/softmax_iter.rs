@@ -331,10 +331,14 @@ impl IterSoftmaxBlock {
     pub fn run_levels(&self, x: &[f64]) -> Result<Vec<f64>, ScError> {
         self.check_len(x.len())?;
         let p = &self.program;
-        let mut levels = SoftmaxLevels::default();
-        levels.sort(p.input.levels(), x.iter().map(|&v| p.input.level(v)));
-        p.iterate(&mut levels);
-        Ok(levels.lane.iter().map(|&l| p.decode(levels.y[l])).collect())
+        let mut row = SoftmaxLevels::default();
+        row.sort(p.input.levels(), x.iter().map(|&v| p.input.level(v)));
+        p.iterate(&mut row.levels);
+        Ok(row
+            .lane
+            .iter()
+            .map(|&l| p.decode(row.levels[l].y))
+            .collect())
     }
 
     /// Runs the compiled program on an `f32` logit row in place — the SC
@@ -353,20 +357,12 @@ impl IterSoftmaxBlock {
         self.check_len(row.len())?;
         let p = &self.program;
         levels.sort(p.input.levels(), row.iter().map(|&v| p.input.level_f32(v)));
-        p.iterate(levels);
-        let SoftmaxLevels {
-            lane,
-            present,
-            y,
-            out,
-            ..
-        } = levels;
-        out.resize(y.len(), 0.0);
-        for &l in present.iter() {
-            out[l] = p.decode(y[l]) as f32;
+        p.iterate(&mut levels.levels);
+        for level in levels.levels.iter_mut().filter(|level| level.count > 0) {
+            level.out = p.decode(level.y) as f32;
         }
-        for (dst, &l) in row.iter_mut().zip(lane.iter()) {
-            *dst = out[l];
+        for (dst, &l) in row.iter_mut().zip(&levels.lane) {
+            *dst = levels.levels[l].out;
         }
         Ok(())
     }
@@ -486,26 +482,27 @@ fn run_bits(
 }
 
 /// Reusable level buffers for [`IterSoftmaxBlock::run_in_place`]: each
-/// lane's input level, and per input level its lane count, its state and
-/// its decoded output. Levels are indexed `x + Bx/2`, so the per-level
-/// buffers hold `Bx + 1` entries.
+/// lane's input level, and one [`Level`] per input level, indexed
+/// `x + Bx/2` (`Bx + 1` entries).
 #[derive(Debug, Clone, Default)]
 pub struct SoftmaxLevels {
     /// Input level index of each lane.
     lane: Vec<usize>,
-    /// Lanes at each level.
-    count: Vec<i64>,
-    /// The levels some lane holds, ascending.
-    present: Vec<usize>,
-    /// State of each level.
-    y: Vec<i64>,
-    /// Decoded output of each level.
-    out: Vec<f32>,
+    levels: Vec<Level>,
+}
+
+/// One input level of a row: how many lanes hold it, their shared state
+/// and its decoded output.
+#[derive(Debug, Clone, Copy, Default)]
+struct Level {
+    count: i64,
+    y: i64,
+    out: f32,
 }
 
 impl SoftmaxLevels {
-    /// Buffers pre-sized for rows of length `m`; the per-level buffers
-    /// grow to `Bx + 1` on first use.
+    /// Buffers pre-sized for rows of length `m`; the per-level buffer
+    /// grows to `Bx + 1` on first use.
     pub fn with_capacity(m: usize) -> Self {
         SoftmaxLevels {
             lane: Vec::with_capacity(m),
@@ -513,19 +510,16 @@ impl SoftmaxLevels {
         }
     }
 
-    /// Sorts a row into `width` levels: records each lane's level index,
-    /// counts the lanes per level and lists the levels present.
+    /// Sorts a row into `width` levels: records each lane's level index
+    /// and counts the lanes per level.
     fn sort(&mut self, width: usize, lanes: impl Iterator<Item = usize>) {
-        self.count.clear();
-        self.count.resize(width, 0);
+        self.levels.clear();
+        self.levels.resize(width, Level::default());
         self.lane.clear();
         for l in lanes {
-            self.count[l] += 1;
+            self.levels[l].count += 1;
             self.lane.push(l);
         }
-        self.present.clear();
-        self.present
-            .extend((0..width).filter(|&l| self.count[l] > 0));
     }
 }
 
@@ -773,28 +767,31 @@ impl Program {
     }
 
     /// Runs the `k` steps from `y⁰` on the level histogram `levels.sort`
-    /// built, leaving each level's state in `levels.y`. Each lane's update
+    /// built, leaving each level's state in its `y`. Each lane's update
     /// reads only its own `x` and `y` and `sum(z)` of the previous state,
     /// and all lanes start at `y⁰`, so the lanes of one level share one
     /// state: each step updates every level present once, and
     /// `sum(z) = Σ_l c_l·x_l·y_l` equals the per-lane sum exactly.
-    fn iterate(&self, levels: &mut SoftmaxLevels) {
-        let SoftmaxLevels {
-            count, present, y, ..
-        } = levels;
-        y.clear();
-        y.resize(count.len(), self.y0);
+    fn iterate(&self, levels: &mut [Level]) {
         let x = |l: usize| l as i64 - self.input.half as i64;
+        for level in levels.iter_mut() {
+            level.y = self.y0;
+        }
         for _ in 0..self.k {
-            // MUL① + BSN①, then s1.
-            let sum_z = present.iter().map(|&l| count[l] * x(l) * y[l]).sum::<i64>();
+            // MUL① + BSN①, then s1. An absent level adds nothing.
+            let sum_z = (levels.iter().enumerate())
+                .map(|(l, level)| level.count * x(l) * level.y)
+                .sum::<i64>();
             let sum_z = self.sum_sub.apply(sum_z);
-            for &l in present.iter() {
+            for (l, level) in levels.iter_mut().enumerate() {
+                if level.count == 0 {
+                    continue;
+                }
                 // MUL②; s2 and both ÷k legs by table; BSN② and saturation.
-                let yl = y[l];
-                let zk = self.zk[(x(l) * yl + self.z_half) as usize];
-                let wk = self.wk[(yl * sum_z + self.w_half) as usize];
-                y[l] = (yl + zk - wk).clamp(-self.y_half, self.y_half);
+                let y = level.y;
+                let zk = self.zk[(x(l) * y + self.z_half) as usize];
+                let wk = self.wk[(y * sum_z + self.w_half) as usize];
+                level.y = (y + zk - wk).clamp(-self.y_half, self.y_half);
             }
         }
     }
